@@ -11,8 +11,8 @@ generator from the config.
 Exit codes: 0 success, 2 config/validation error, 3 numerical error
 (non-convergence, capacity, pole proximity).
 
-The environment variable ``MONOCLT_THREADS`` caps the number of worker
-threads used for embarrassingly parallel orbit batches (default 1).
+``orbit`` and ``hopf`` run every start through the library's one orbit
+engine in a single call, in one thread.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
+import math
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +37,6 @@ _VALIDATION_ERRORS = (CoverageError, DomainError, DegenerateMeasure, EmptySigma,
 _NUMERICAL_ERRORS = (NonConvergence, CapacityExceeded, NumericBreakdown, PoleProximity)
 
 SCHEMA_VERSION = 1
-
-
-def max_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MONOCLT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _fmt(x) -> str:
@@ -139,6 +131,13 @@ def _float_list(v):
     if isinstance(v, str):
         v = [float(s) for s in v.split(",")]
     return [float(x) for x in v]
+
+
+def _finite(v):
+    v = float(v)
+    if not math.isfinite(v):
+        raise ConfigError(f"expected a finite value, got {v}")
+    return v
 
 
 def _str(v):
@@ -364,8 +363,8 @@ ORBIT_SPEC = {**_COMMON,
               "K": (_positive(int), 50, "lattice truncation for ex310b"),
               "N": (_positive(int), 100_000, "orbit length"),
               "starts": (_positive(int), 4, "number of random starts"),
-              "start-lo": (float, -2.0, "start sampling window low"),
-              "start-hi": (float, 2.0, "start sampling window high"),
+              "start-lo": (_finite, -2.0, "start sampling window low"),
+              "start-hi": (_finite, 2.0, "start sampling window high"),
               "window-lo": (float, -1.0, "occupation window low"),
               "window-hi": (float, 1.0, "occupation window high")}
 
@@ -438,17 +437,7 @@ def cmd_hopf(cfg, out):
     x0 = rng.uniform(cfg["start-lo"], cfg["start-hi"], cfg["starts"])
     f = _parse_kernel(cfg["f"])
     g = _parse_kernel(cfg["g"])
-    threads = max_threads()
-    if threads > 1 and len(x0) > 1:
-        chunks = np.array_split(x0, min(threads, len(x0)))
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda xs: eg.hopf_ratio(T, f, g, xs, cfg["N"]), chunks))
-        res = eg.HopfResult(parts[0].checkpoints,
-                            np.concatenate([p.ratios for p in parts], axis=1),
-                            parts[0].target,
-                            np.concatenate([p.truncated_at for p in parts]))
-    else:
-        res = eg.hopf_ratio(T, f, g, x0, cfg["N"])
+    res = eg.hopf_ratio(T, f, g, x0, cfg["N"])
     rows = []
     for ci, n in enumerate(res.checkpoints):
         for si in range(len(x0)):
@@ -463,8 +452,8 @@ HOPF_SPEC = {**_COMMON,
              "K": (_positive(int), 50, "lattice truncation for ex310b"),
              "N": (_positive(int), 1_000_000, "orbit length"),
              "starts": (_positive(int), 4, "number of random starts"),
-             "start-lo": (float, -2.0, "start sampling window low"),
-             "start-hi": (float, 2.0, "start sampling window high"),
+             "start-lo": (_finite, -2.0, "start sampling window low"),
+             "start-hi": (_finite, 2.0, "start sampling window high"),
              "f": (_str, "cauchy", "numerator kernel (cauchy|gauss|indicator:a:b)"),
              "g": (_str, "gauss", "denominator kernel")}
 

@@ -13,15 +13,18 @@ preservation identity, the iterated-transform recurrence sums whose
 divergence characterizes conservativity, the norming-based divergence
 criterion, Hopf ratio experiments, and the integer-lattice tail example.
 
-Orbit loops compile with numba when it is installed.  Without numba, a
-few starts on a map with few poles run one at a time on Python floats,
-with the kernels evaluated on numpy chunks of the orbit; many starts run
-batched on numpy, one set of numpy calls per step for all of them.  The
-scalar loop is taken only below 8 poles: numpy sums 8 or more terms
-pairwise rather than left to right, and the chaotic orbits amplify that
-rounding difference (on random 8- and 9-pole maps the Hopf ratios after
-20 000 steps differed by 0.1 to 0.7).  Below both limits the two loops
-give bit-identical results.
+Hopf ratios and occupation times run on one orbit engine.  A stepper
+produces the visited points; one accumulator sums kernel values along
+them in orbit order (an occupation time is the Birkhoff sum of the
+window's indicator).  A few starts on a map with few poles step one at a
+time on Python floats; many starts step batched on numpy, one set of
+numpy calls per step for all of them, into blocks of about 64k points.
+The scalar stepper is taken only below 8 poles: numpy sums 8 or more
+terms pairwise rather than left to right, and the chaotic orbits amplify
+that rounding difference (on random 8- and 9-pole maps the Hopf ratios
+after 20 000 steps differed by 0.1 to 0.7).  Below both limits the two
+steppers give bit-identical results.  Orbit starts must be finite and
+horizons lie in 1..1e8 steps.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from . import clt as cl
 from . import measures as ms
 from . import transforms as tf
-from .errors import PoleProximity
+from .errors import DomainError, PoleProximity
 
 __all__ = [
     "RationalBooleMap",
@@ -162,8 +165,11 @@ def preimages(T: RationalBooleMap, y: float) -> np.ndarray:
     """All solutions of ``T(x) = y``: exactly one per branch interval.
 
     Bisection with expanding brackets on the unbounded branches; residuals
-    certified below ``1e-10 * (1 + |y|)``.
+    certified below ``1e-10 * (1 + |y|)``.  A non-finite `y` raises
+    :class:`DomainError`.
     """
+    if not math.isfinite(y):
+        raise DomainError(f"preimages need a finite point, got {y}")
     if T.n_poles == 0:
         return np.array([y - T.c])
     t = T.pole_positions
@@ -386,47 +392,18 @@ def _kernel_values(kind: str, x: np.ndarray, a: float, b: float) -> np.ndarray:
     raise ValueError(f"unknown kernel {kind!r}")
 
 
-def _orbit_sums_numpy(T: RationalBooleMap, x0: np.ndarray, N: int, checkpoints,
-                      fk, gk):
-    """Vectorized-over-starts orbit loop; returns ratio table and flags."""
-    fkind, fa, fb = fk
-    gkind, ga, gb = gk
-    x = x0.astype(float).copy()
-    sf = np.zeros(len(x0))
-    sg = np.zeros(len(x0))
-    alive = np.ones(len(x0), dtype=bool)
-    truncated = np.full(len(x0), -1, dtype=np.int64)
-    ratios = np.empty((len(checkpoints), len(x0)))
-    t, w, c = T.pole_positions, T.pole_weights, T.c
-    ci = 0
-    for j in range(N):
-        if T.n_poles:
-            d = np.abs(x[:, None] - t).min(axis=1)
-            hit = alive & (d < POLE_TOL * (1.0 + np.abs(x)))
-            if hit.any():
-                truncated[hit] = j
-                alive &= ~hit
-        sf[alive] += _kernel_values(fkind, x[alive], fa, fb)
-        sg[alive] += _kernel_values(gkind, x[alive], ga, gb)
-        if T.n_poles:
-            x[alive] = x[alive] + c + (w / (t - x[alive, None])).sum(axis=1)
-        else:
-            x[alive] = x[alive] + c
-        if ci < len(checkpoints) and j + 1 == checkpoints[ci]:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratios[ci] = sf / sg
-            ci += 1
-    return ratios, truncated
-
-
-#: the scalar loop serves at most this many start-poles, ``starts * (poles + 1)``;
-#: batched numpy wins above (measured crossovers: 128 starts at 1 pole, about
-#: 64 at 3 poles, 32 at 7 poles)
+#: the scalar stepper serves at most this many start-poles, ``starts * (poles + 1)``;
+#: the batched stepper wins above (measured crossovers: 128 starts at 1 pole,
+#: about 64 at 3 poles, 32 at 7 poles)
 _SCALAR_MAX_WORK = 256
 #: and at most this many poles: from 8 terms numpy sums pairwise, not left to right
 _SCALAR_MAX_POLES = 7
-#: orbit points per chunk handed from the scalar loop to numpy
+#: orbit points per chunk handed from the scalar stepper to the accumulator
 _CHUNK = 8192
+#: orbit points (steps x starts) per block of the batched stepper
+_BLOCK = 65536
+#: longest orbit either public function runs
+_MAX_STEPS = 10**8
 
 
 def _use_scalar(T: RationalBooleMap, x0: np.ndarray) -> bool:
@@ -438,7 +415,7 @@ def _orbit_segment(x: float, n: int, c: float, poles: list, buf: list):
     """Advance one orbit by up to `n` steps on Python floats.
 
     The visited points go to ``buf[:steps]``; returns ``(steps, x)``.  Fewer
-    than `n` steps means `x` lies on a pole by the batched loop's test.
+    than `n` steps means `x` lies on a pole by the batched stepper's test.
     Poles are summed left to right starting from -0.0 (which leaves every
     sum, also the empty one, unchanged), as numpy sums fewer than 8 terms.
     """
@@ -483,95 +460,95 @@ def _scalar_orbit(T: RationalBooleMap, x: float, N: int):
             return
 
 
-def _orbit_sums_scalar(T: RationalBooleMap, x0: np.ndarray, N: int, checkpoints,
-                       fk, gk):
-    """Per-start twin of :func:`_orbit_sums_numpy` for few starts and poles.
+def _batched_orbit(T: RationalBooleMap, x0: np.ndarray, N: int):
+    """Orbit points of all starts as blocks ``(points, live)`` of shape
+    ``(steps, starts)``, one set of numpy calls per step for all starts.
 
-    Kernel values come from the same numpy functions (``np.exp`` and
-    ``math.exp`` differ in the last bit) and are summed in orbit order
-    by ``np.add.accumulate``, so the ratios match the batched loop's.
+    A start is live until the step on which it lies on a pole; it is not
+    moved after that.  The blocks are reused buffers of about `_BLOCK`
+    points and stop early once every start is dead.
     """
-    cps = checkpoints.tolist()
-    sums = np.empty((2, len(cps), len(x0)))
-    truncated = np.full(len(x0), -1, dtype=np.int64)
+    t, w, c = T.pole_positions, T.pole_weights, T.c
+    x = x0.copy()
+    alive = np.ones(len(x0), dtype=bool)
+    rows = min(N, max(1, _BLOCK // max(1, len(x0))))
+    pts = np.empty((rows, len(x0)))
+    live = np.empty((rows, len(x0)), dtype=bool)
+    r = 0
+    for _ in range(N):
+        if T.n_poles:
+            d = np.abs(x[:, None] - t).min(axis=1)
+            alive &= ~(d < POLE_TOL * (1.0 + np.abs(x)))
+            if not alive.any():
+                break
+        pts[r] = x
+        live[r] = alive
+        r += 1
+        if r == rows:
+            yield pts, live
+            r = 0
+        if T.n_poles:
+            x[alive] = x[alive] + c + (w / (t - x[alive, None])).sum(axis=1)
+        else:
+            x[alive] = x[alive] + c
+    if r:
+        yield pts[:r], live[:r]
+
+
+def _accumulate(blocks, kernels, checkpoints: list, N: int, starts: int):
+    """Birkhoff sums of `kernels` over orbit blocks ``(points, live)``.
+
+    A block holds consecutive steps of `starts` orbits (``live`` None means
+    all live).  Kernel values are summed in orbit order by
+    ``np.add.accumulate``, the sum carried from block to block; dead entries
+    add exactly 0.0, so a truncated start keeps its frozen sums, and the
+    block sizes never change a bit of the result.  Returns the sums at the
+    checkpoints, shape ``(kernels, checkpoints, starts)``, and per start the
+    step of its pole hit (-1 where the orbit survived).
+    """
+    sums = np.empty((len(kernels), len(checkpoints), starts))
+    carry = np.zeros((len(kernels), starts))
+    lived = np.zeros(starts, dtype=np.int64)
+    ci = done = 0
+    for pts, live in blocks:
+        vals = np.stack([_kernel_values(kind, pts, a, b) for kind, a, b in kernels])
+        if live is None:
+            lived += len(pts)
+        else:
+            vals[:, ~live] = 0.0
+            lived += np.count_nonzero(live, axis=0)
+        vals[:, 0] += carry
+        run = np.add.accumulate(vals, axis=1)
+        while ci < len(checkpoints) and checkpoints[ci] <= done + len(pts):
+            sums[:, ci] = run[:, checkpoints[ci] - done - 1]
+            ci += 1
+        carry = run[:, -1]
+        done += len(pts)
+    sums[:, ci:] = carry[:, None]
+    return sums, np.where(lived < N, lived, -1)
+
+
+def _birkhoff_sums(T: RationalBooleMap, x0, N: int, checkpoints, kernels):
+    """The orbit engine: Birkhoff sums of `kernels` along the orbits of `x0`.
+
+    Few starts on a map with few poles step one at a time on Python floats,
+    many starts step batched on numpy; both feed the same accumulator.
+    Returns ``(sums, truncated_at)`` as :func:`_accumulate` does.
+    """
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    if not np.all(np.isfinite(x0)):
+        raise DomainError("orbit starts must be finite")
+    if not 1 <= N <= _MAX_STEPS:
+        raise ValueError(f"orbit horizon must lie in 1..{_MAX_STEPS} steps, got {N}")
+    checkpoints = [int(n) for n in checkpoints]
+    if not _use_scalar(T, x0):
+        return _accumulate(_batched_orbit(T, x0, N), kernels, checkpoints, N, len(x0))
+    sums = np.empty((len(kernels), len(checkpoints), len(x0)))
+    truncated = np.empty(len(x0), dtype=np.int64)
     for s, x in enumerate(x0.tolist()):
-        acc = np.zeros(2)
-        ci = done = 0
-        for pts in _scalar_orbit(T, x, N):
-            vals = np.stack([_kernel_values(fk[0], pts, fk[1], fk[2]),
-                             _kernel_values(gk[0], pts, gk[1], gk[2])])
-            vals[:, 0] += acc
-            run = np.add.accumulate(vals, axis=1)
-            while ci < len(cps) and cps[ci] <= done + len(pts):
-                sums[:, ci, s] = run[:, cps[ci] - done - 1]
-                ci += 1
-            acc = run[:, -1]
-            done += len(pts)
-        if done < N:
-            truncated[s] = done
-        # a truncated orbit keeps its frozen sums at the later checkpoints
-        sums[:, ci:, s] = acc[:, None]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return sums[0] / sums[1], truncated
-
-
-_NUMBA_CACHE: dict = {}
-
-
-def _orbit_sums_numba():
-    """Build (once) the compiled orbit kernel; returns None without numba."""
-    if "fn" in _NUMBA_CACHE:
-        return _NUMBA_CACHE["fn"]
-    try:
-        import numba
-    except ImportError:
-        _NUMBA_CACHE["fn"] = None
-        return None
-
-    @numba.njit(cache=True, nogil=True)
-    def run(c, t, w, x0, N, checkpoints, fcode, fa, fb, gcode, ga, gb, pole_tol):
-        nstart = x0.shape[0]
-        ratios = np.empty((checkpoints.shape[0], nstart))
-        truncated = np.full(nstart, -1, dtype=np.int64)
-        for s in range(nstart):
-            x = x0[s]
-            sf = 0.0
-            sg = 0.0
-            ci = 0
-            for j in range(N):
-                hit = False
-                for k in range(t.shape[0]):
-                    if abs(x - t[k]) < pole_tol * (1.0 + abs(x)):
-                        hit = True
-                        break
-                if hit:
-                    truncated[s] = j
-                    for cj in range(ci, checkpoints.shape[0]):
-                        ratios[cj, s] = sf / sg if sg > 0 else np.nan
-                    break
-                if fcode == 0:
-                    sf += 1.0 / (1.0 + x * x)
-                elif fcode == 1:
-                    sf += math.exp(-x * x)
-                else:
-                    sf += 1.0 if (fa <= x <= fb) else 0.0
-                if gcode == 0:
-                    sg += 1.0 / (1.0 + x * x)
-                elif gcode == 1:
-                    sg += math.exp(-x * x)
-                else:
-                    sg += 1.0 if (ga <= x <= gb) else 0.0
-                acc = x + c
-                for k in range(t.shape[0]):
-                    acc += w[k] / (t[k] - x)
-                x = acc
-                if ci < checkpoints.shape[0] and j + 1 == checkpoints[ci]:
-                    ratios[ci, s] = sf / sg if sg > 0 else np.nan
-                    ci += 1
-        return ratios, truncated
-
-    _NUMBA_CACHE["fn"] = run
-    return run
+        blocks = ((pts[:, None], None) for pts in _scalar_orbit(T, x, N))
+        sums[:, :, s:s + 1], truncated[s:s + 1] = _accumulate(blocks, kernels, checkpoints, N, 1)
+    return sums, truncated
 
 
 def _normalize_kernel(spec) -> tuple[str, float, float]:
@@ -605,13 +582,11 @@ def hopf_ratio(T: RationalBooleMap, f, g, x0, N: int,
     the integrals (the `target` field).  Kernels are named closed forms:
     ``'cauchy'`` (``1/(1+x^2)``), ``'gauss'`` (``exp(-x^2)``), or
     ``('indicator', a, b)``.  Checkpoints (default: the powers of ten from
-    1000 up to N, then N) must lie in ``1..N``.
+    1000 up to N, then N) must lie in ``1..N``.  Starts must be finite
+    (:class:`DomainError`) and N in ``1..1e8``.
     """
-    if N > 10**8:
-        raise ValueError("orbit horizon capped at 1e8 steps")
     fk = _normalize_kernel(f)
     gk = _normalize_kernel(g)
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     if checkpoints is None:
         checkpoints = [10**k for k in range(3, 9) if 10**k <= N]
         if not checkpoints or checkpoints[-1] != N:
@@ -622,18 +597,9 @@ def hopf_ratio(T: RationalBooleMap, f, g, x0, N: int,
     if checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive")
     target = kernel_integral(*fk) / kernel_integral(*gk)
-
-    run = _orbit_sums_numba()
-    if run is not None:
-        codes = {"cauchy": 0, "gauss": 1, "indicator": 2}
-        ratios, truncated = run(T.c, T.pole_positions, T.pole_weights, x0, N,
-                                checkpoints, codes[fk[0]], fk[1], fk[2],
-                                codes[gk[0]], gk[1], gk[2], POLE_TOL)
-    elif _use_scalar(T, x0):
-        ratios, truncated = _orbit_sums_scalar(T, x0, N, checkpoints, fk, gk)
-    else:
-        ratios, truncated = _orbit_sums_numpy(T, x0, N, checkpoints, fk, gk)
-    return HopfResult(checkpoints, ratios, target, truncated)
+    sums, truncated = _birkhoff_sums(T, x0, N, checkpoints, (fk, gk))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return HopfResult(checkpoints, sums[0] / sums[1], target, truncated)
 
 
 @dataclass(frozen=True)
@@ -655,100 +621,20 @@ class OrbitRecord:
         })
 
 
-def _visit_counts_numba():
-    if "visits" in _NUMBA_CACHE:
-        return _NUMBA_CACHE["visits"]
-    try:
-        import numba
-    except ImportError:
-        _NUMBA_CACHE["visits"] = None
-        return None
-
-    @numba.njit(cache=True, nogil=True)
-    def run(c, t, w, x0, N, a, b, pole_tol):
-        nstart = x0.shape[0]
-        counts = np.zeros(nstart, dtype=np.int64)
-        truncated = np.full(nstart, -1, dtype=np.int64)
-        for s in range(nstart):
-            x = x0[s]
-            for j in range(N):
-                hit = False
-                for k in range(t.shape[0]):
-                    if abs(x - t[k]) < pole_tol * (1.0 + abs(x)):
-                        hit = True
-                        break
-                if hit:
-                    truncated[s] = j
-                    break
-                if a <= x <= b:
-                    counts[s] += 1
-                acc = x + c
-                for k in range(t.shape[0]):
-                    acc += w[k] / (t[k] - x)
-                x = acc
-        return counts, truncated
-
-    _NUMBA_CACHE["visits"] = run
-    return run
-
-
-def _visit_counts_numpy(T: RationalBooleMap, x0: np.ndarray, N: int,
-                        a: float, b: float):
-    t, w, c = T.pole_positions, T.pole_weights, T.c
-    x = x0.astype(float).copy()
-    alive = np.ones(len(x0), dtype=bool)
-    truncated = np.full(len(x0), -1, dtype=np.int64)
-    counts = np.zeros(len(x0), dtype=np.int64)
-    for j in range(N):
-        if T.n_poles:
-            d = np.abs(x[:, None] - t).min(axis=1)
-            hit = alive & (d < POLE_TOL * (1.0 + np.abs(x)))
-            if hit.any():
-                truncated[hit] = j
-                alive &= ~hit
-        counts[alive] += (x[alive] >= a) & (x[alive] <= b)
-        if T.n_poles:
-            x[alive] = x[alive] + c + (w / (t - x[alive, None])).sum(axis=1)
-        else:
-            x[alive] = x[alive] + c
-    return counts, truncated
-
-
-def _visit_counts_scalar(T: RationalBooleMap, x0: np.ndarray, N: int,
-                         a: float, b: float):
-    """Per-start twin of :func:`_visit_counts_numpy` for few starts and poles."""
-    counts = np.zeros(len(x0), dtype=np.int64)
-    truncated = np.full(len(x0), -1, dtype=np.int64)
-    for s, x in enumerate(x0.tolist()):
-        done = 0
-        for pts in _scalar_orbit(T, x, N):
-            counts[s] += np.count_nonzero((pts >= a) & (pts <= b))
-            done += len(pts)
-        if done < N:
-            truncated[s] = done
-    return counts, truncated
-
-
 def occupation_time(T: RationalBooleMap, x0_list, N: int, A: tuple) -> OrbitRecord:
     """Visit counts of orbits to the bounded interval ``A`` over N steps.
 
     For conservative maps the counts grow without bound along a.e. orbit
     (a diagnostic, not a proof); a pole hit truncates the orbit and is
-    flagged.
+    flagged.  The counts are Birkhoff sums of the window's indicator
+    (exact in float64 far beyond the 1e8-step cap).  Starts must be finite
+    (:class:`DomainError`) and N in ``1..1e8``.
     """
     a, b = float(A[0]), float(A[1])
     if not (b > a and math.isfinite(a) and math.isfinite(b)):
         raise ValueError("occupation window must be a bounded interval")
-    x0 = np.atleast_1d(np.asarray(x0_list, dtype=float))
-    run = _visit_counts_numba()
-    if run is not None:
-        counts, truncated = run(T.c, T.pole_positions, T.pole_weights, x0,
-                                N, a, b, POLE_TOL)
-    elif _use_scalar(T, x0):
-        counts, truncated = _visit_counts_scalar(T, x0, N, a, b)
-    else:
-        counts, truncated = _visit_counts_numpy(T, x0, N, a, b)
-    return OrbitRecord((a, b), N, counts, truncated)
+    sums, truncated = _birkhoff_sums(T, x0_list, N, [N], [("indicator", a, b)])
+    return OrbitRecord((a, b), N, sums[0, -1].astype(np.int64), truncated)
 
 
 # ---------------------------------------------------------------------------

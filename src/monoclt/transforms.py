@@ -372,60 +372,16 @@ def _one_step_evaluator(m):
     return lambda w: _eval_node(F, w)
 
 
-_NUMBA_ITER: dict = {}
-
-
-def _iter_kernel():
-    """Compiled n-fold iteration of a pole-sum map (None without numba)."""
-    if "fn" in _NUMBA_ITER:
-        return _NUMBA_ITER["fn"]
-    try:
-        import numba
-    except ImportError:
-        _NUMBA_ITER["fn"] = None
-        return None
-
-    @numba.njit(cache=True, fastmath=True, nogil=True)
-    def run(c, t, w, z0, n, B, reciprocal):
-        out = z0.copy()
-        for i in range(out.shape[0]):
-            zz = out[i] * B
-            for _ in range(n):
-                if reciprocal:          # w <- 1/G(w), G = sum w_k/(z - t_k)
-                    acc = 0.0 + 0.0j
-                    for k in range(t.shape[0]):
-                        acc += w[k] / (zz - t[k])
-                    zz = 1.0 / acc
-                else:                   # w <- w + c + sum w_k/(t_k - w)
-                    acc = zz + c
-                    for k in range(t.shape[0]):
-                        acc += w[k] / (t[k] - zz)
-                    zz = acc
-            out[i] = zz / B
-        return out
-
-    _NUMBA_ITER["fn"] = run
-    return run
-
-
 def _iterate_map(base, z: np.ndarray, n: int, B: float = 1.0) -> np.ndarray:
     """``n`` iterations of ``w -> F(B*w)/B`` for a measure or map base.
 
-    Uses the compiled kernel for atomic/pole-sum bases on long iterations;
-    otherwise loops the vectorized one-step evaluator.
+    Loops the vectorized one-step evaluator.
     """
-    kern = _iter_kernel() if n >= 64 else None
-    if kern is not None and isinstance(base, ms.AtomicMeasure):
-        out = kern(0.0, base.positions, base.masses, z.astype(complex), n, B, True)
-    elif kern is not None and isinstance(base, NevanlinnaMap):
-        c, t, w = base._pf
-        out = kern(c, t, w, z.astype(complex), n, B, False)
-    else:
-        step = _one_step_evaluator(base)
-        out = z * B
-        for _ in range(n):
-            out = step(out)
-        out = out / B
+    step = _one_step_evaluator(base)
+    out = z * B
+    for _ in range(n):
+        out = step(out)
+    out = out / B
     _check_upper_out(out, "iteration")
     return out
 

@@ -129,3 +129,11 @@ def test_named_measure_ex310b(tmp_path):
     assert code == 0
     text = next(outdir.glob("example-3-10b-*.csv")).read_text()
     assert "mass_defect" in text and "sigma_mean" in text
+
+
+def test_non_finite_orbit_start_exits_2(tmp_path):
+    for sub in ("orbit", "hopf"):
+        code, outdir = run_cli([sub, "--measure", "boole", "--N", "100",
+                                "--start-lo", "nan"], tmp_path, sub)
+        assert code == 2
+        assert not outdir.exists()

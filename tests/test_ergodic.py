@@ -7,7 +7,7 @@ import pytest
 
 import monoclt as mc
 from monoclt import clt, ergodic as eg
-from monoclt.errors import PoleProximity
+from monoclt.errors import DomainError, PoleProximity
 
 from test_measures import BOOLE, random_atomic
 
@@ -222,20 +222,6 @@ class TestOrbits:
         r = eg.occupation_time(eg.boole_map(), [0.0], 100, (-1.0, 1.0))
         assert r.truncated_at[0] == 0
 
-    def test_numpy_and_numba_agree(self):
-        T = eg.boole_map()
-        x0 = np.array([0.3, -1.7, 2.2])
-        a = eg.occupation_time(T, x0, 5000, (-1.0, 1.0))
-        saved = dict(eg._NUMBA_CACHE)
-        eg._NUMBA_CACHE.update({"fn": None, "visits": None})
-        try:
-            b = eg.occupation_time(T, x0, 5000, (-1.0, 1.0))
-        finally:
-            eg._NUMBA_CACHE.clear()
-            eg._NUMBA_CACHE.update(saved)
-        assert np.array_equal(a.visits, b.visits)
-        assert np.array_equal(a.truncated_at, b.truncated_at)
-
 
 class TestHopf:
     def test_equal_kernels_ratio_one(self):
@@ -270,20 +256,6 @@ class TestHopf:
                             rng.uniform(-2, 2, 4), 1_000_000)
         med = np.median(res.ratios[-1])
         assert abs(med - 1.0 / math.pi) / (1.0 / math.pi) < 0.3
-
-    def test_numpy_and_numba_agree(self):
-        x0 = np.array([0.3, -1.7])
-        a = eg.hopf_ratio(eg.boole_map(), "cauchy", "gauss", x0, 3000,
-                          checkpoints=[1000, 3000])
-        saved = dict(eg._NUMBA_CACHE)
-        eg._NUMBA_CACHE.update({"fn": None, "visits": None})
-        try:
-            b = eg.hopf_ratio(eg.boole_map(), "cauchy", "gauss", x0, 3000,
-                              checkpoints=[1000, 3000])
-        finally:
-            eg._NUMBA_CACHE.clear()
-            eg._NUMBA_CACHE.update(saved)
-        assert np.abs(a.ratios - b.ratios).max() < 1e-9
 
 
 class TestLatticeTailLab:
@@ -321,7 +293,8 @@ class TestLatticeTailLab:
 
 
 class TestScalarOrbitLoop:
-    """The per-start scalar loops against the batched numpy loops, bit for bit."""
+    """The scalar stepper against the batched stepper, bit for bit, through
+    the public functions."""
 
     KERNEL_PAIRS = [("cauchy", "gauss"), (("indicator", -1.0, 1.0), "cauchy"),
                     ("gauss", ("indicator", 0.0, 2.0))]
@@ -331,35 +304,66 @@ class TestScalarOrbitLoop:
         hit = eg.preimages(T, float(T.pole_positions[0]))[0]
         return np.concatenate([rng.uniform(-3, 3, 4), [T.pole_positions[0], hit]])
 
-    @pytest.mark.parametrize("k", [1, 3, 7])
-    def test_hopf_sums_match(self, k):
-        rng = np.random.default_rng(30 + k)
-        T = eg.boundary_map(random_rep(rng, k=k))
-        x0 = self.starts(T, rng)
-        N = eg._CHUNK + 500
-        checkpoints = np.array([1, 100, eg._CHUNK, eg._CHUNK + 1, N])
+    @staticmethod
+    def on_both(monkeypatch, run):
+        """``run()`` on the scalar stepper, then on the batched one."""
+        out = []
+        for scalar in (True, False):
+            monkeypatch.setattr(eg, "_use_scalar", lambda T, x0, s=scalar: s)
+            out.append(run())
+        return out
+
+    def assert_hopf_match(self, monkeypatch, T, x0, N, checkpoints):
         for f, g in self.KERNEL_PAIRS:
-            fk, gk = eg._normalize_kernel(f), eg._normalize_kernel(g)
-            r_np, tr_np = eg._orbit_sums_numpy(T, x0, N, checkpoints, fk, gk)
-            r_sc, tr_sc = eg._orbit_sums_scalar(T, x0, N, checkpoints, fk, gk)
-            assert np.array_equal(tr_sc, tr_np)
-            assert np.array_equal(r_sc, r_np, equal_nan=True)
-        assert list(tr_sc[-2:]) == [0, 1]
-        assert np.all(np.isnan(r_sc[:, -2]))          # 0/0 on the pole start
-        # the start truncated at step 1 keeps its one-point sums
-        assert np.all(r_sc[1:, -1] == r_sc[0, -1])
+            sc, ba = self.on_both(monkeypatch,
+                                  lambda: eg.hopf_ratio(T, f, g, x0, N, checkpoints))
+            assert np.array_equal(sc.truncated_at, ba.truncated_at)
+            assert np.array_equal(sc.ratios, ba.ratios, equal_nan=True)
+        return sc
+
+    def assert_visits_match(self, monkeypatch, T, x0, N):
+        sc, ba = self.on_both(monkeypatch,
+                              lambda: eg.occupation_time(T, x0, N, (-1.0, 1.0)))
+        assert np.array_equal(sc.visits, ba.visits)
+        assert np.array_equal(sc.truncated_at, ba.truncated_at)
+        assert sc.visits.dtype == ba.visits.dtype == np.int64
+        return sc
 
     @pytest.mark.parametrize("k", [1, 3, 7])
-    def test_visit_counts_match(self, k):
+    def test_hopf_sums_match(self, k, monkeypatch):
+        rng = np.random.default_rng(30 + k)
+        T = eg.boundary_map(random_rep(rng, k=k))
+        N = eg._CHUNK + 500
+        sc = self.assert_hopf_match(monkeypatch, T, self.starts(T, rng), N,
+                                    [1, 100, eg._CHUNK, eg._CHUNK + 1, N])
+        assert list(sc.truncated_at[-2:]) == [0, 1]
+        assert np.all(np.isnan(sc.ratios[:, -2]))          # 0/0 on the pole start
+        # the start truncated at step 1 keeps its one-point sums
+        assert np.all(sc.ratios[1:, -1] == sc.ratios[0, -1])
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_visit_counts_match(self, k, monkeypatch):
         rng = np.random.default_rng(40 + k)
         T = eg.boundary_map(random_rep(rng, k=k))
-        x0 = self.starts(T, rng)
-        N = eg._CHUNK + 500
-        v_np, tr_np = eg._visit_counts_numpy(T, x0, N, -1.0, 1.0)
-        v_sc, tr_sc = eg._visit_counts_scalar(T, x0, N, -1.0, 1.0)
-        assert np.array_equal(v_sc, v_np)
-        assert np.array_equal(tr_sc, tr_np)
-        assert list(tr_sc[-2:]) == [0, 1] and v_sc[-2] == 0
+        sc = self.assert_visits_match(monkeypatch, T, self.starts(T, rng), eg._CHUNK + 500)
+        assert list(sc.truncated_at[-2:]) == [0, 1] and sc.visits[-2] == 0
+
+    def test_truncation_inside_a_block(self, monkeypatch):
+        # starts mapped onto a pole at steps 1, 2 and 3, in batched blocks of
+        # 5 steps: the pole hits fall inside the first block and the
+        # checkpoints cross the block boundaries
+        rng = np.random.default_rng(51)
+        T = eg.boundary_map(random_rep(rng, k=3))
+        chain = [float(T.pole_positions[0])]
+        for branch in (0, 1, 0):
+            chain.append(float(eg.preimages(T, chain[-1])[branch]))
+        x0 = np.concatenate([rng.uniform(-3, 3, 3), chain[1:]])
+        monkeypatch.setattr(eg, "_BLOCK", 5 * len(x0))
+        N = 1000
+        sc = self.assert_hopf_match(monkeypatch, T, x0, N, [1, 2, 3, 4, 5, 6, 11, N])
+        assert list(sc.truncated_at[-3:]) == [1, 2, 3]
+        visits = self.assert_visits_match(monkeypatch, T, x0, N)
+        assert list(visits.truncated_at) == list(sc.truncated_at)
 
     def test_few_starts_take_scalar_loop(self):
         T = eg.boole_map()
@@ -367,3 +371,41 @@ class TestScalarOrbitLoop:
         assert not eg._use_scalar(T, np.zeros(eg._SCALAR_MAX_WORK // 2 + 1))
         lab = eg.lattice_tail_lab(10)
         assert not eg._use_scalar(lab.T, np.zeros(1))
+
+
+class TestOrbitInputs:
+    """Non-finite starts and horizons outside 1..1e8 are rejected on both
+    steppers; so are non-finite preimage targets."""
+
+    @pytest.fixture(params=["scalar", "batched"])
+    def T(self, request):
+        # the Boole map takes the scalar stepper, the 100-pole lattice map
+        # the batched one
+        T = eg.boole_map() if request.param == "scalar" else eg.lattice_tail_lab(50).T
+        assert eg._use_scalar(T, np.zeros(2)) == (request.param == "scalar")
+        return T
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start(self, T, bad):
+        with pytest.raises(DomainError):
+            eg.occupation_time(T, [0.3, bad], 100, (-1.0, 1.0))
+        with pytest.raises(DomainError):
+            eg.hopf_ratio(T, "cauchy", "gauss", [bad], 100)
+
+    @pytest.mark.parametrize("N", [-5, 0, 10**8 + 1])
+    def test_horizon_range(self, T, N):
+        with pytest.raises(ValueError):
+            eg.occupation_time(T, [0.3], N, (-1.0, 1.0))
+        with pytest.raises(ValueError):
+            eg.hopf_ratio(T, "cauchy", "gauss", [0.3], N)
+
+    def test_shortest_horizon(self, T):
+        rec = eg.occupation_time(T, [0.3, 5.5, T.pole_positions[0]], 1, (-1.0, 1.0))
+        assert list(rec.visits) == [1, 0, 0] and list(rec.truncated_at) == [-1, -1, 0]
+        res = eg.hopf_ratio(T, "cauchy", "cauchy", [0.3], 1)
+        assert res.ratios.tolist() == [[1.0]]
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf])
+    def test_non_finite_preimage_target(self, T, y):
+        with pytest.raises(DomainError):
+            eg.preimages(T, y)

@@ -349,10 +349,17 @@ BMAP_SPEC = {**_COMMON,
              "K": (_positive(int), 50, "lattice truncation for ex310b")}
 
 
+def _random_starts(cfg) -> np.ndarray:
+    """``cfg['starts']`` uniform starts in the sampling window, seeded by ``cfg['seed']``."""
+    lo, hi = cfg["start-lo"], cfg["start-hi"]
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"start window [{lo}, {hi}] is wider than the largest float")
+    return np.random.default_rng(cfg["seed"]).uniform(lo, hi, cfg["starts"])
+
+
 def cmd_orbit(cfg, out):
     T = _map_from_cfg(cfg)
-    rng = np.random.default_rng(cfg["seed"])
-    x0 = rng.uniform(cfg["start-lo"], cfg["start-hi"], cfg["starts"])
+    x0 = _random_starts(cfg)
     rec = eg.occupation_time(T, x0, cfg["N"], (cfg["window-lo"], cfg["window-hi"]))
     rows = [[float(x), int(v), int(tr)] for x, v, tr in zip(x0, rec.visits, rec.truncated_at)]
     return [("csv", "orbit", ["x0", "visits", "truncated_at"], rows)]
@@ -433,8 +440,7 @@ def _parse_kernel(tok: str):
 
 def cmd_hopf(cfg, out):
     T = _map_from_cfg(cfg)
-    rng = np.random.default_rng(cfg["seed"])
-    x0 = rng.uniform(cfg["start-lo"], cfg["start-hi"], cfg["starts"])
+    x0 = _random_starts(cfg)
     f = _parse_kernel(cfg["f"])
     g = _parse_kernel(cfg["g"])
     res = eg.hopf_ratio(T, f, g, x0, cfg["N"])

@@ -23,8 +23,11 @@ The scalar stepper is taken only below 8 poles: numpy sums 8 or more
 terms pairwise rather than left to right, and the chaotic orbits amplify
 that rounding difference (on random 8- and 9-pole maps the Hopf ratios
 after 20 000 steps differed by 0.1 to 0.7).  Below both limits the two
-steppers give bit-identical results.  Orbit starts must be finite and
-horizons lie in 1..1e8 steps.
+steppers give bit-identical results.  The batched stepper finds each
+start's nearest pole by bisection in the sorted poles and sums the poles
+with the pole-sum kernel of :mod:`monoclt.transforms`, in one workspace
+kept for the whole orbit.  Orbit starts must be finite and horizons lie
+in 1..1e8 steps; a Hopf ratio also needs every start off the poles.
 """
 
 from __future__ import annotations
@@ -129,30 +132,43 @@ def boole_map(r: float = 1.0) -> RationalBooleMap:
     return RationalBooleMap(0.0, np.array([0.0]), np.array([float(r)]))
 
 
-def _pole_distance(T: RationalBooleMap, x: np.ndarray) -> np.ndarray:
+def _pole_distance(T: RationalBooleMap, x) -> np.ndarray:
+    """Distance from each point to its nearest pole.
+
+    A bisection in the sorted poles finds the two neighbours of each point;
+    the nearer one gives exactly the minimum over all poles, since rounding
+    ``|x - t|`` is monotone in ``t`` on either side of ``x``.
+    """
+    t = T.pole_positions
     if T.n_poles == 0:
         return np.full(np.shape(x), np.inf)
-    return np.abs(x[..., None] - T.pole_positions).min(axis=-1)
+    i = np.searchsorted(t, x)
+    below = np.abs(x - t[np.maximum(i - 1, 0)])
+    return np.minimum(below, np.abs(x - t[np.minimum(i, T.n_poles - 1)]))
+
+
+def _on_pole(T: RationalBooleMap, x) -> np.ndarray:
+    """The orbit engine's pole test: ``x`` within ``POLE_TOL`` (relative) of a pole."""
+    return _pole_distance(T, x) < POLE_TOL * (1.0 + np.abs(x))
 
 
 def eval_T(T: RationalBooleMap, x):
     """Evaluate the transformation; raises :class:`PoleProximity` on poles."""
     xa = np.asarray(x, dtype=float)
-    tol = POLE_TOL * (1.0 + np.abs(xa))
-    if np.any(_pole_distance(T, xa) < tol):
+    if np.any(_on_pole(T, xa)):
         raise PoleProximity("evaluation point is numerically on a pole")
     if T.n_poles == 0:
         out = xa + T.c
     else:
-        out = xa + T.c + (T.pole_weights / (T.pole_positions - xa[..., None])).sum(axis=-1)
+        s = tf._pole_sum(T.pole_positions, T.pole_weights, xa.ravel())
+        out = xa + T.c + s.reshape(xa.shape)
     return out if out.ndim else float(out)
 
 
 def eval_dT(T: RationalBooleMap, x):
     """Derivative ``1 + sum w_k/(t_k - x)^2``; strictly above 1 with poles."""
     xa = np.asarray(x, dtype=float)
-    tol = POLE_TOL * (1.0 + np.abs(xa))
-    if np.any(_pole_distance(T, xa) < tol):
+    if np.any(_on_pole(T, xa)):
         raise PoleProximity("evaluation point is numerically on a pole")
     if T.n_poles == 0:
         out = np.ones_like(xa)
@@ -474,11 +490,11 @@ def _batched_orbit(T: RationalBooleMap, x0: np.ndarray, N: int):
     rows = min(N, max(1, _BLOCK // max(1, len(x0))))
     pts = np.empty((rows, len(x0)))
     live = np.empty((rows, len(x0)), dtype=bool)
+    psum = tf._pole_sum_loop(t, w, float)
     r = 0
     for _ in range(N):
         if T.n_poles:
-            d = np.abs(x[:, None] - t).min(axis=1)
-            alive &= ~(d < POLE_TOL * (1.0 + np.abs(x)))
+            alive &= ~_on_pole(T, x)
             if not alive.any():
                 break
         pts[r] = x
@@ -487,10 +503,11 @@ def _batched_orbit(T: RationalBooleMap, x0: np.ndarray, N: int):
         if r == rows:
             yield pts, live
             r = 0
+        xa = x[alive]
         if T.n_poles:
-            x[alive] = x[alive] + c + (w / (t - x[alive, None])).sum(axis=1)
+            x[alive] = xa + c + psum(xa)
         else:
-            x[alive] = x[alive] + c
+            x[alive] = xa + c
     if r:
         yield pts[:r], live[:r]
 
@@ -583,7 +600,9 @@ def hopf_ratio(T: RationalBooleMap, f, g, x0, N: int,
     ``'cauchy'`` (``1/(1+x^2)``), ``'gauss'`` (``exp(-x^2)``), or
     ``('indicator', a, b)``.  Checkpoints (default: the powers of ten from
     1000 up to N, then N) must lie in ``1..N``.  Starts must be finite
-    (:class:`DomainError`) and N in ``1..1e8``.
+    (:class:`DomainError`) and off the poles (:class:`PoleProximity`; a
+    later pole hit truncates the orbit and keeps its sums), and N in
+    ``1..1e8``.
     """
     fk = _normalize_kernel(f)
     gk = _normalize_kernel(g)
@@ -598,6 +617,8 @@ def hopf_ratio(T: RationalBooleMap, f, g, x0, N: int,
         raise ValueError("checkpoints must be positive")
     target = kernel_integral(*fk) / kernel_integral(*gk)
     sums, truncated = _birkhoff_sums(T, x0, N, checkpoints, (fk, gk))
+    if np.any(truncated == 0):
+        raise PoleProximity("a start lies on a pole: its Birkhoff sums would be 0/0")
     with np.errstate(invalid="ignore", divide="ignore"):
         return HopfResult(checkpoints, sums[0] / sums[1], target, truncated)
 

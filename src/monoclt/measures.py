@@ -68,6 +68,11 @@ PRUNE_MASS = 1e-15
 _PROB_TOL = 1e-12
 
 
+def _require_finite_atoms(positions: np.ndarray, masses: np.ndarray):
+    if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(masses))):
+        raise ValueError("positions and masses must be finite")
+
+
 def _merge_atoms(positions: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort atoms and coalesce numerically coincident positions."""
     order = np.argsort(positions, kind="stable")
@@ -94,9 +99,9 @@ class AtomicMeasure:
     Parameters
     ----------
     positions : ndarray
-        Strictly increasing atom locations.
+        Finite, strictly increasing atom locations.
     masses : ndarray
-        Positive weights, same length as `positions`.
+        Finite positive weights, same length as `positions`.
     is_probability : bool
         If True the masses must sum to 1 within ``1e-12``; otherwise any
         positive total is allowed ("finite measure" mode, used e.g. for the
@@ -117,6 +122,7 @@ class AtomicMeasure:
             raise ValueError("positions and masses must be 1-d arrays of equal length")
         if len(pos) == 0:
             raise ValueError("an atomic measure needs at least one atom")
+        _require_finite_atoms(pos, mas)
         if np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing (use atomic() to merge)")
         if np.any(mas <= 0):
@@ -143,6 +149,7 @@ def atomic(pairs, *, is_probability: bool = True, pruned_mass: float = 0.0) -> A
     input does not need to be sorted or duplicate-free.
     """
     arr = np.asarray(list(pairs), dtype=float).reshape(-1, 2)
+    _require_finite_atoms(arr[:, 0], arr[:, 1])
     pos, mas = _merge_atoms(arr[:, 0], arr[:, 1])
     return AtomicMeasure(pos, mas, is_probability=is_probability, pruned_mass=pruned_mass)
 

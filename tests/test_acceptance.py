@@ -12,10 +12,13 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import special, stats
 
 import monoclt as mc
 from monoclt import clt, ergodic as eg
+
+pytestmark = pytest.mark.acceptance
 
 BOOLE = mc.atomic([(-1.0, 0.5), (1.0, 0.5)])
 CENTERED_BERN = mc.shift(mc.atomic([(0.0, 0.5), (1.0, 0.5)]), -0.5)

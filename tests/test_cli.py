@@ -131,9 +131,15 @@ def test_named_measure_ex310b(tmp_path):
     assert "mass_defect" in text and "sigma_mean" in text
 
 
-def test_non_finite_orbit_start_exits_2(tmp_path):
+def test_non_finite_orbit_start_exits_2(tmp_path, capsys):
     for sub in ("orbit", "hopf"):
         code, outdir = run_cli([sub, "--measure", "boole", "--N", "100",
                                 "--start-lo", "nan"], tmp_path, sub)
         assert code == 2
         assert not outdir.exists()
+        # finite bounds whose window width overflows
+        code, outdir = run_cli([sub, "--measure", "boole", "--N", "100",
+                                "--start-lo=-1e308", "--start-hi=1e308"], tmp_path, sub + "-wide")
+        assert code == 2
+        assert not outdir.exists()
+        assert "ConfigError" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import monoclt as mc
-from monoclt import clt, ergodic as eg
+from monoclt import clt, ergodic as eg, transforms as tf
 from monoclt.errors import DomainError, PoleProximity
 
 from test_measures import BOOLE, random_atomic
@@ -334,12 +334,17 @@ class TestScalarOrbitLoop:
         rng = np.random.default_rng(30 + k)
         T = eg.boundary_map(random_rep(rng, k=k))
         N = eg._CHUNK + 500
-        sc = self.assert_hopf_match(monkeypatch, T, self.starts(T, rng), N,
+        x0 = self.starts(T, rng)
+        sc = self.assert_hopf_match(monkeypatch, T, np.delete(x0, -2), N,
                                     [1, 100, eg._CHUNK, eg._CHUNK + 1, N])
-        assert list(sc.truncated_at[-2:]) == [0, 1]
-        assert np.all(np.isnan(sc.ratios[:, -2]))          # 0/0 on the pole start
+        assert sc.truncated_at[-1] == 1
         # the start truncated at step 1 keeps its one-point sums
         assert np.all(sc.ratios[1:, -1] == sc.ratios[0, -1])
+        # a start on a pole has no Birkhoff sums (0/0): both steppers refuse it
+        for scalar in (True, False):
+            monkeypatch.setattr(eg, "_use_scalar", lambda T, x0, s=scalar: s)
+            with pytest.raises(PoleProximity):
+                eg.hopf_ratio(T, "cauchy", "gauss", x0, N)
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_visit_counts_match(self, k, monkeypatch):
@@ -409,3 +414,65 @@ class TestOrbitInputs:
     def test_non_finite_preimage_target(self, T, y):
         with pytest.raises(DomainError):
             eg.preimages(T, y)
+
+
+class TestPoleKernels:
+    """The nearest-pole search and the batched pole sum against the plain
+    broadcast formulas, bit for bit."""
+
+    @staticmethod
+    def plain_distance(t, x):
+        return np.abs(x[:, None] - t).min(axis=1)
+
+    @pytest.mark.parametrize("lab_K", [None, 50])
+    def test_nearest_pole_distance(self, lab_K):
+        T = eg.boole_map() if lab_K is None else eg.lattice_tail_lab(lab_K).T
+        t = T.pole_positions
+        i = len(t) // 2
+        xs = np.array([t[0], t[-1], t[i],                   # on the first, last, an interior pole
+                       t[0] - 3.5, t[-1] + 2.25,            # below the first, above the last
+                       0.5 * (t[i - 1] + t[i]) if len(t) > 1 else 0.5,   # midway
+                       t[i] + 1e-14, t[i] - 1e-12, -1e300, 1e300])
+        xs = np.concatenate([xs, np.random.default_rng(3).uniform(-60, 60, 500)])
+        d = eg._pole_distance(T, xs)
+        assert np.array_equal(d, self.plain_distance(t, xs))
+        assert np.array_equal(eg._pole_distance(T, xs.reshape(2, -1)), d.reshape(2, -1))
+        assert eg._pole_distance(T, np.float64(xs[5])) == d[5]
+
+    def test_midway_lattice_points(self):
+        # the lattice poles are the nonzero integers |k| <= 50: each half
+        # integer is exactly midway between two of them, and so is 0
+        T = eg.lattice_tail_lab(50).T
+        xs = np.concatenate([np.arange(-49.5, 50.0, 1.0), [0.0]])
+        d = eg._pole_distance(T, xs)
+        assert np.array_equal(d, self.plain_distance(T.pole_positions, xs))
+        assert np.all(d[:-1] == 0.5) and d[-1] == 1.0
+
+    @pytest.mark.parametrize("rows", [1, 13, None])
+    def test_batched_orbit_points(self, rows, monkeypatch):
+        T = eg.lattice_tail_lab(50).T
+        t, w, c = T.pole_positions, T.pole_weights, T.c
+        if rows is not None:
+            monkeypatch.setattr(tf, "_CHUNK", rows * T.n_poles)
+        rng = np.random.default_rng(21)
+        x0 = np.concatenate([rng.uniform(-2, 2, 60), [t[3], eg.preimages(T, t[7])[50]]])
+        N = 40
+        x, alive = x0.copy(), np.ones(len(x0), dtype=bool)
+        pts, live = [], []
+        for _ in range(N):
+            alive &= ~(self.plain_distance(t, x) < eg.POLE_TOL * (1.0 + np.abs(x)))
+            pts.append(x.copy())
+            live.append(alive.copy())
+            x[alive] = x[alive] + c + (w / (t - x[alive, None])).sum(axis=1)
+        got = [(p.copy(), lv.copy()) for p, lv in eg._batched_orbit(T, x0, N)]
+        assert np.array_equal(np.concatenate([p for p, _ in got]), np.array(pts))
+        assert np.array_equal(np.concatenate([lv for _, lv in got]), np.array(live))
+        assert list(np.array(live).sum(axis=0)[-2:]) == [0, 1]
+
+    def test_eval_T(self):
+        T = eg.lattice_tail_lab(50).T
+        t, w, c = T.pole_positions, T.pole_weights, T.c
+        xs = np.random.default_rng(22).uniform(-60, 60, (4, 50))
+        want = xs + c + (w / (t - xs[..., None])).sum(axis=-1)
+        assert np.array_equal(eg.eval_T(T, xs), want)
+        assert eg.eval_T(T, float(xs[1, 2])) == want[1, 2]

@@ -207,6 +207,22 @@ class TestValidationAndJson:
             mc.AtomicMeasure(np.array([0.0]), np.array([0.5]))
         mc.AtomicMeasure(np.array([0.0]), np.array([0.5]), is_probability=False)
 
+    @pytest.mark.parametrize("pairs", [[(math.nan, 0.5), (1.0, 0.5)],
+                                       [(0.0, math.nan), (1.0, 0.5)],
+                                       [(-math.inf, 0.5), (1.0, 0.5)],
+                                       [(0.0, math.inf), (1.0, 0.5)]])
+    def test_non_finite_atoms_rejected(self, pairs):
+        pos, mas = np.array(pairs).T
+        for finite in (False, True):
+            with pytest.raises(ValueError, match="finite"):
+                mc.AtomicMeasure(pos, mas, is_probability=not finite)
+            with pytest.raises(ValueError, match="finite"):
+                mc.atomic(pairs, is_probability=not finite)
+            # json.dumps writes NaN and Infinity, json.loads reads them back
+            text = json.dumps({"type": "atomic", "atoms": pairs, "finite": finite})
+            with pytest.raises(ValueError, match="finite"):
+                mc.measure_from_json(text)
+
     def test_grid_density_validation(self):
         with pytest.raises(ValueError):
             mc.GridDensity(0.0, 1e-3, np.array([-1.0, 1.0]))

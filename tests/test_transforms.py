@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate
 
 import monoclt as mc
+from monoclt import clt, ergodic as eg, transforms as tf
 from monoclt.errors import CoverageError, DomainError
 
 from test_measures import BERN, BOOLE, random_atomic
@@ -106,6 +107,17 @@ class TestFEval:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             mc.f_eval(mc.ArcsineMap(), -1j)
+
+    @pytest.mark.parametrize("z", [complex(0.0, math.nan), complex(math.nan, 1.0),
+                                   complex(math.inf, 1.0), complex(0.0, math.inf)])
+    def test_non_finite_point(self, z):
+        for F in (mc.MeasureMap(BOOLE), mc.ArcsineMap(), mc.IterateMap(mc.MeasureMap(BOOLE), 3)):
+            with pytest.raises(DomainError):
+                mc.f_eval(F, z)
+        with pytest.raises(DomainError):
+            mc.cauchy_eval(BOOLE, np.array([1j, z]))
+        with pytest.raises(DomainError):
+            mc.subordination_eval(BOOLE, BOOLE, z)
 
 
 class TestNevanlinna:
@@ -251,3 +263,88 @@ class TestTightness:
         stat = mc.tightness_stat(maps, [100.0])
         assert stat.deviations.max() < 1e-4
         assert stat.tight
+
+
+def plain_cauchy(t, w, z):
+    """``sum_k w_k / (z - t_k)`` as one plain broadcast."""
+    return (w / (z[:, None] - t)).sum(axis=-1)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, also in the sign of each zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+#: points on and off the imaginary axis: there the real parts of the
+#: symmetric laws' sums cancel to exactly 0
+MIXED_Z = np.concatenate([1j * np.linspace(0.5, 3.0, 6), [1.0 + 1j, -2.0 + 0.1j]])
+
+
+class TestPoleSumKernel:
+    """Every pole sum runs through one workspace kernel.  Its results equal
+    the plain broadcast formulas bit for bit, also in the sign of a zero
+    real part and when the points span several workspace blocks (``rows``
+    points per block; None is the default block)."""
+
+    @staticmethod
+    def blocks_of(monkeypatch, rows, n_poles):
+        if rows is not None:
+            monkeypatch.setattr(tf, "_CHUNK", rows * n_poles)
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_lattice_tail_iterate(self, rows, monkeypatch):
+        lab = eg.lattice_tail_lab(10_000)
+        s, t = lab.sigma.masses, lab.sigma.positions
+        c, w = 0.0 - float((s * t).sum()), s * (1.0 + t * t)
+        self.blocks_of(monkeypatch, rows, len(t))
+        z = np.concatenate([clt.default_z_grid(), [0.5 + 0.1j, -3.0 + 2j]])
+        want = z.copy()
+        for _ in range(4):
+            want = want + c + (w / (t - want[:, None])).sum(axis=-1)
+        assert same_bits(mc.f_eval(mc.IterateMap(lab.map, 4), z), want)
+        assert same_bits(mc.f_eval(lab.map, z), z + c + (w / (t - z[:, None])).sum(axis=-1))
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_atomic_scaled_power(self, rows, monkeypatch):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([MIXED_Z, rng.uniform(-3, 3, 40) + 1j * rng.uniform(0.05, 2.0, 40)])
+        n, B = 25, 5.0
+        for m in (random_atomic(rng, k=9), BOOLE, mc.point_mass(0.0)):
+            self.blocks_of(monkeypatch, rows, len(m))
+            want = z * B
+            for _ in range(n):
+                want = 1.0 / plain_cauchy(m.positions, m.masses, want)
+            assert same_bits(mc.f_eval(mc.ScaledPowerMap(m, n, B), z), want / B)
+            assert same_bits(mc.f_eval(mc.MeasureMap(m), z), 1.0 / plain_cauchy(m.positions, m.masses, z))
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_cauchy_eval(self, rows, monkeypatch):
+        rng = np.random.default_rng(12)
+        m = random_atomic(rng, k=12)
+        g = mc.measure_from_map(mc.ScaledPowerMap(BOOLE, 50, math.sqrt(50)),
+                                grid=mc.default_grid(-2.0, 2.0, 1e-2))
+        wts = np.full(len(g.values), g.h)
+        wts[0] = wts[-1] = 0.5 * g.h
+        z = np.concatenate([MIXED_Z, rng.uniform(-3, 3, 30) + 1j * rng.uniform(0.01, 2.0, 30)])
+        for mu in (m, BOOLE, mc.point_mass(0.0)):
+            self.blocks_of(monkeypatch, rows, len(mu))
+            assert same_bits(mc.cauchy_eval(mu, z), plain_cauchy(mu.positions, mu.masses, z))
+        self.blocks_of(monkeypatch, rows, len(g.values))
+        assert same_bits(mc.cauchy_eval(g, z), plain_cauchy(g.grid, wts * g.values, z))
+
+    def test_subordination_eval(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        z = np.concatenate([MIXED_Z, rng.uniform(-3, 3, 60) + 1j * rng.uniform(0.02, 1.0, 60)])
+        pairs = [(random_atomic(rng, k=4), random_atomic(rng, k=6)), (BOOLE, BOOLE)]
+        self.blocks_of(monkeypatch, 7, 6)
+        got = [mc.subordination_eval(m, n, z) for m, n in pairs]
+
+        def plain_step(mu):
+            return lambda v: 1.0 / plain_cauchy(mu.positions, mu.masses, v)
+
+        monkeypatch.setattr(tf, "_one_step_evaluator", plain_step)
+        want = [mc.subordination_eval(m, n, z) for m, n in pairs]
+        for g, w in zip(got, want):
+            assert g[2] == w[2]
+            assert same_bits(g[0], w[0]) and same_bits(g[1], w[1])

@@ -380,11 +380,8 @@ def cmd_preserve_check(cfg, out):
     T = _map_from_cfg(cfg)
     rng = np.random.default_rng(cfg["seed"])
     ys = rng.normal(0.0, cfg["y-scale"], cfg["samples"])
-    rows = []
-    for y in ys:
-        xs = eg.preimages(T, float(y))
-        dev = abs(float((1.0 / eg.eval_dT(T, xs)).sum()) - 1.0)
-        rows.append([float(y), len(xs), dev])
+    devs = eg._preservation_deviations(T, ys)
+    rows = [[y, T.n_poles + 1, dev] for y, dev in zip(ys.tolist(), devs.tolist())]
     return [("csv", "preserve-check", ["y", "n_preimages", "deviation"], rows)]
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from . import convolve as cv
 from . import measures as ms
 from . import transforms as tf
-from .errors import CapacityExceeded, DegenerateMeasure, DomainError
+from .errors import CapacityExceeded, DegenerateMeasure, DomainError, NonConvergence
 
 __all__ = [
     "NormingSequence",
@@ -151,7 +151,7 @@ def _cutoff_bisect(h, ns: np.ndarray, lo_seed: float) -> np.ndarray:
             break
         hi = np.where(bad, hi * 2.0, hi)
     else:
-        raise RuntimeError("could not bracket the norming cutoff")
+        raise NonConvergence("could not bracket the norming cutoff")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         pos = g(mid) >= 0

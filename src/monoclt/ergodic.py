@@ -28,6 +28,14 @@ start's nearest pole by bisection in the sorted poles and sums the poles
 with the pole-sum kernel of :mod:`monoclt.transforms`, in one workspace
 kept for the whole orbit.  Orbit starts must be finite and horizons lie
 in 1..1e8 steps; a Hopf ratio also needs every start off the poles.
+
+Preimages come from one batched bisection: each (y, branch) pair is a
+row, every step evaluates ``T`` on all live rows with one call of the
+pole-sum kernel, and a row drops out when it is done.  Each row follows
+the path a scalar bisection of its own branch would take, so a root does
+not depend on how many points are solved together.  The preservation
+identity solves all its points in one call and sums ``1/T'`` over the
+``(points, k+1)`` roots.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import numpy as np
 from . import clt as cl
 from . import measures as ms
 from . import transforms as tf
-from .errors import DomainError, PoleProximity
+from .errors import DomainError, NonConvergence, PoleProximity
 
 __all__ = [
     "RationalBooleMap",
@@ -173,88 +181,125 @@ def eval_dT(T: RationalBooleMap, x):
     if T.n_poles == 0:
         out = np.ones_like(xa)
     else:
-        out = 1.0 + (T.pole_weights / (T.pole_positions - xa[..., None]) ** 2).sum(axis=-1)
+        s = tf._pole_sum(T.pole_positions, T.pole_weights, xa.ravel(), squared=True)
+        out = 1.0 + s.reshape(xa.shape)
     return out if out.ndim else float(out)
+
+
+def _solve_preimages(T: RationalBooleMap, ys) -> tuple[np.ndarray, np.ndarray]:
+    """All preimages of every point of `ys`, and ``T'`` at each of them.
+
+    Returns two arrays of shape ``(len(ys), k+1)``; row j holds the roots of
+    ``T(x) = ys[j]`` in branch order.  Each (y, branch) pair is a row of one
+    solve: every step makes one pole-sum call for all live rows, in a
+    workspace kept for the whole solve, and a row drops out when it is
+    done.  A row takes the path of a scalar bisection of
+    ``g(x) = x + c + sum_k w_k/(t_k - x) - y``, so its root does not depend
+    on the other rows.  First each bracket end steps until g has the sign
+    it needs (below 0 at ``lo``, above 0 at ``hi``): an end on an unbounded
+    side doubles its distance from the outer pole (``lo <- t0 - 2(t0 - lo)``),
+    an end next to a pole ``t_i`` moves to ``t_i +- eps`` with ``eps``
+    halved each time.  Then at most 200 bisection steps keep the end whose
+    g has the sign of ``g(lo)``, stopping once the midpoint equals an end.
+    A residual ``|g|`` above ``1e-10 (1 + |y|) + 8 u (1 + |x|) T'(x)``, with
+    ``u`` the float64 machine epsilon, raises :class:`NonConvergence`.
+    """
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    bad = ~np.isfinite(ys)
+    if bad.any():
+        raise DomainError(f"preimages need a finite point, got {ys[bad][0]}")
+    k, t, c = T.n_poles, T.pole_positions, T.c
+    if k == 0:
+        roots = (ys - c)[:, None]
+        return roots, np.ones_like(roots)
+    psum = tf._pole_sum_loop(t, T.pole_weights, float)
+
+    def g(x, y):
+        return x + c + psum(x) - y
+
+    # one probe per bracket end, x = a + d with its pole a: the lo ends of
+    # the R rows (branch-major within each y), then their hi ends
+    R, n = len(ys) * (k + 1), len(ys)
+    y = np.repeat(ys, k + 1)
+    quarter_gap = 0.25 * np.diff(t)
+    a = np.concatenate([np.tile(np.concatenate(([t[0]], t)), n),
+                        np.tile(np.concatenate((t, [t[-1]])), n)])
+    d = np.concatenate([np.tile(np.concatenate(([0.0], quarter_gap, [0.5])), n),
+                        np.tile(np.concatenate(([-0.5], -quarter_gap, [0.0])), n)])
+    x = a + d
+    # the outer ends of the two unbounded branches step outward instead
+    outer = np.zeros(2 * R, dtype=bool)
+    outer[0:R:k + 1] = outer[R + k::k + 1] = True
+    x[0:R:k + 1] = t[0] - 1.0 - np.abs(ys - c)
+    x[R + k::k + 1] = t[-1] + 1.0 + np.abs(ys - c)
+    is_lo = np.arange(2 * R) < R
+    gx = np.empty(2 * R)
+    act = np.arange(2 * R)
+    while len(act):
+        ga = g(x[act], y[act % R])
+        gx[act] = ga
+        act = act[np.where(is_lo[act], ga >= 0, ga <= 0)]
+        # t0 - 2 (t0 - lo) is t0 + 2 (lo - t0) exactly; t_i - eps is t_i + (-eps)
+        xa, aa = x[act], a[act]
+        d[act] = np.where(outer[act], 2.0 * (xa - aa), 0.5 * d[act])
+        x[act] = aa + d[act]
+
+    lo, glo, hi = x[:R], gx[:R], x[R:]
+    act = np.arange(R)
+    for _ in range(200):
+        mid = 0.5 * (lo[act] + hi[act])
+        go = ~((mid == lo[act]) | (mid == hi[act]))
+        act, mid = act[go], mid[go]
+        if not len(act):
+            break
+        gm = g(mid, y[act])
+        same = (gm > 0) == (glo[act] > 0)
+        lo[act[same]] = mid[same]
+        glo[act[same]] = gm[same]
+        hi[act[~same]] = mid[~same]
+    roots = 0.5 * (lo + hi)
+
+    resid = np.abs(g(roots, y))
+    dT = eval_dT(T, roots)
+    # steep branches bound the attainable y-residual by T'(x) * ulp(x)
+    slope_floor = 8.0 * np.finfo(float).eps * (1.0 + np.abs(roots)) * dT
+    tol = 1e-10 * (1.0 + np.abs(y)) + slope_floor
+    if np.any(resid > tol):
+        i = int(np.argmax(resid > tol))
+        raise NonConvergence(f"preimage residual {resid[i]:.3g} exceeds {tol[i]:.3g} "
+                             f"at y = {y[i]!r}")
+    return roots.reshape(n, k + 1), dT.reshape(n, k + 1)
 
 
 def preimages(T: RationalBooleMap, y: float) -> np.ndarray:
     """All solutions of ``T(x) = y``: exactly one per branch interval.
 
-    Bisection with expanding brackets on the unbounded branches; residuals
-    certified below ``1e-10 * (1 + |y|)``.  A non-finite `y` raises
-    :class:`DomainError`.
+    The batched bisection for the single point `y`, one row per branch:
+    brackets expand on the unbounded branches and close in on the poles,
+    and every residual ``|T(x) - y|`` is certified below
+    ``1e-10 (1 + |y|) + 8 u (1 + |x|) T'(x)`` with ``u`` the float64 machine
+    epsilon (the second term is the steep branches' floor, ``T'(x)`` times
+    a few ulps of x); a larger one raises :class:`NonConvergence`.  A
+    non-finite `y` raises :class:`DomainError`.
     """
-    if not math.isfinite(y):
-        raise DomainError(f"preimages need a finite point, got {y}")
-    if T.n_poles == 0:
-        return np.array([y - T.c])
-    t = T.pole_positions
-
-    def g(x):
-        return x + T.c + (T.pole_weights / (t - x)).sum() - y
-
-    roots = np.empty(T.n_poles + 1)
-    # left unbounded branch: g -> -inf at -inf, +inf at t[0]-
-    lo = t[0] - 1.0 - abs(y - T.c)
-    while g(lo) >= 0:
-        lo = t[0] - 2.0 * (t[0] - lo)
-    eps = 0.5
-    while g(t[0] - eps) <= 0:
-        eps *= 0.5
-    roots[0] = _bisect(g, lo, t[0] - eps)
-    # interior branches
-    for i in range(T.n_poles - 1):
-        gap = t[i + 1] - t[i]
-        eps = 0.25 * gap
-        while g(t[i] + eps) >= 0:
-            eps *= 0.5
-        lo = t[i] + eps
-        eps = 0.25 * gap
-        while g(t[i + 1] - eps) <= 0:
-            eps *= 0.5
-        roots[i + 1] = _bisect(g, lo, t[i + 1] - eps)
-    # right unbounded branch
-    hi = t[-1] + 1.0 + abs(y - T.c)
-    while g(hi) <= 0:
-        hi = t[-1] + 2.0 * (hi - t[-1])
-    eps = 0.5
-    while g(t[-1] + eps) >= 0:
-        eps *= 0.5
-    roots[-1] = _bisect(g, t[-1] + eps, hi)
-    resid = np.abs(np.array([g(r) for r in roots]))
-    # steep branches bound the attainable y-residual by T'(x) * ulp(x)
-    slope_floor = 8.0 * np.finfo(float).eps * (1.0 + np.abs(roots)) * eval_dT(T, roots)
-    tol = 1e-10 * (1.0 + abs(y)) + slope_floor
-    if np.any(resid > tol):
-        raise RuntimeError(
-            f"preimage residual {resid.max():.3g} exceeds {np.max(tol):.3g}")
-    return roots
+    return _solve_preimages(T, [y])[0][0]
 
 
-def _bisect(g, lo: float, hi: float) -> float:
-    glo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        gm = g(mid)
-        if (gm > 0) == (glo > 0):
-            lo, glo = mid, gm
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _preservation_deviations(T: RationalBooleMap, ys) -> np.ndarray:
+    """``|sum over the preimages of y of 1/T' - 1|`` for each y, in one solve."""
+    _, dT = _solve_preimages(T, ys)
+    return np.abs((1.0 / dT).sum(axis=-1) - 1.0)
 
 
 def preservation_check(T: RationalBooleMap, y_list) -> float:
     """Max deviation of ``sum over preimages of 1/T'`` from 1.
 
     The identity holding for a.e. y is equivalent to T preserving Lebesgue
-    measure.
+    measure.  All points are solved in one batched call.
     """
     worst = 0.0
-    for y in np.atleast_1d(np.asarray(y_list, dtype=float)):
-        xs = preimages(T, float(y))
-        worst = max(worst, abs(float((1.0 / eval_dT(T, xs)).sum()) - 1.0))
+    for dev in _preservation_deviations(T, y_list).tolist():
+        worst = max(worst, dev)
     return worst
 
 
@@ -602,7 +647,8 @@ def hopf_ratio(T: RationalBooleMap, f, g, x0, N: int,
     1000 up to N, then N) must lie in ``1..N``.  Starts must be finite
     (:class:`DomainError`) and off the poles (:class:`PoleProximity`; a
     later pole hit truncates the orbit and keeps its sums), and N in
-    ``1..1e8``.
+    ``1..1e8``.  A start whose orbit stays so far out that a ``'cauchy'`` or
+    ``'gauss'`` denominator sums to exactly 0 raises :class:`DomainError`.
     """
     fk = _normalize_kernel(f)
     gk = _normalize_kernel(g)
@@ -619,6 +665,14 @@ def hopf_ratio(T: RationalBooleMap, f, g, x0, N: int,
     sums, truncated = _birkhoff_sums(T, x0, N, checkpoints, (fk, gk))
     if np.any(truncated == 0):
         raise PoleProximity("a start lies on a pole: its Birkhoff sums would be 0/0")
+    if gk[0] != "indicator":
+        # a positive kernel's Birkhoff sum is 0 only where every value underflowed
+        zero = np.flatnonzero((sums[1] == 0.0).any(axis=0))
+        if len(zero):
+            s = int(zero[0])
+            raise DomainError(
+                f"start {float(np.atleast_1d(x0)[s])!r} (index {s}): the {gk[0]} kernel's "
+                f"Birkhoff sum underflows to 0, so the ratio is undefined")
     with np.errstate(invalid="ignore", divide="ignore"):
         return HopfResult(checkpoints, sums[0] / sums[1], target, truncated)
 

@@ -20,7 +20,8 @@ Every map form used downstream lives here:
 
 Every pole sum ``sum_k w_k/(t_k - x)`` -- the Cauchy transform of an
 atomic or grid measure, a Nevanlinna map's partial fractions, the boundary
-maps of :mod:`monoclt.ergodic` -- runs through one kernel, `_pole_sum`.  It
+maps of :mod:`monoclt.ergodic` and, with squared denominators, their
+derivatives -- runs through one kernel, `_pole_sum`.  It
 subtracts, divides and sums in place, a block of points at a time, in a
 reused workspace of at most ``_CHUNK`` elements (points x poles, real or
 complex); an iteration loop keeps one workspace for its whole length, so a
@@ -105,8 +106,10 @@ def _rows(n_poles: int, n_points: int) -> int:
     return max(1, min(n_points, _CHUNK // max(n_poles, 1)))
 
 
-def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None) -> np.ndarray:
-    """The pole sums ``sum_k w_k / (t_k - x[i])`` over flat `x`.
+def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
+              squared: bool = False) -> np.ndarray:
+    """The pole sums ``sum_k w_k / (t_k - x[i])`` over flat `x`, or with
+    `squared` ``sum_k w_k / (t_k - x[i])**2``.
 
     The points pass through the rows of `work`, a ``(rows, len(t))`` block
     of the result's dtype (real or complex) that the caller may keep and
@@ -118,11 +121,13 @@ def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None) -> np.ndar
     if work is None:
         work = np.empty((_rows(len(t), len(x)), len(t)), dtype=np.result_type(t, w, x))
     out = np.empty(len(x), dtype=work.dtype)
-    rows = len(work)
+    rows = max(len(work), 1)            # a loop's workspace has no rows before its first point
     for i in range(0, len(x), rows):
         j = min(i + rows, len(x))
         blk = work[:j - i]
         np.subtract(t, x[i:j, None], out=blk)
+        if squared:
+            np.square(blk, out=blk)
         np.divide(w, blk, out=blk)
         np.add.reduce(blk, axis=-1, out=out[i:j])     # what ndarray.sum runs
     return out
@@ -356,11 +361,17 @@ def f_eval(F: SelfMap, z):
 
     Raises :class:`DomainError` off the open upper half-plane and
     :class:`NumericBreakdown` if any intermediate drops below the real axis
-    by more than ``1e-9`` (which would indicate a representation bug).
+    by more than ``1e-9`` (which would indicate a representation bug), or
+    if a value returned is not finite with ``Im > 0`` (say, ``Im F``
+    rounded to 0 far out on the real axis).
     """
     zarr = np.asarray(z, dtype=complex)
     _require_upper(zarr)
-    out = _eval_node(F, zarr.ravel()).reshape(zarr.shape)
+    out = _eval_node(F, zarr.ravel())
+    if not np.all(np.isfinite(out) & (out.imag > 0)):
+        raise NumericBreakdown(f"{type(F).__name__} left the open upper half-plane "
+                               "(a value is not finite or has Im <= 0)")
+    out = out.reshape(zarr.shape)
     return out if out.ndim else complex(out)
 
 

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from monoclt import cli
+from monoclt import cli, ergodic as eg
 
 
 def run_cli(args, tmp_path, outname="arts"):
@@ -143,3 +144,21 @@ def test_non_finite_orbit_start_exits_2(tmp_path, capsys):
         assert code == 2
         assert not outdir.exists()
         assert "ConfigError" in capsys.readouterr().err
+
+
+def test_underflowing_hopf_denominator_exits_2(tmp_path, capsys):
+    # far from the pole the Gauss kernel underflows to 0 on the whole orbit
+    code, outdir = run_cli(["hopf", "--measure", "boole", "--N", "1000",
+                            "--start-lo", "1e6", "--start-hi", "2e6"], tmp_path)
+    assert code == 2
+    assert not outdir.exists()
+    assert "DomainError" in capsys.readouterr().err
+
+
+def test_preimage_residual_failure_exits_3(tmp_path, monkeypatch, capsys):
+    # a residual tolerance below 0 fails every root
+    monkeypatch.setattr(eg, "eval_dT", lambda T, x: np.full(np.shape(x), -1e300))
+    code, outdir = run_cli(["preserve-check", "--measure", "boole", "--samples", "3"], tmp_path)
+    assert code == 3
+    assert not outdir.exists()
+    assert "NonConvergence" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from scipy import integrate, optimize
 
 import monoclt as mc
 from monoclt import clt
-from monoclt.errors import DegenerateMeasure, DomainError
+from monoclt.errors import DegenerateMeasure, DomainError, NonConvergence
 
 from test_measures import BERN, BOOLE, NU, random_atomic
 
@@ -63,6 +63,11 @@ class TestNormingConstants:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMeasure):
             clt.norming_constants(mc.point_mass(2.0), ns=[10])
+
+    def test_unbracketed_cutoff_is_typed(self):
+        # n*h(y) - y^2 = y^2 stays positive: no doubling of hi brackets the root
+        with pytest.raises(NonConvergence):
+            clt._cutoff_bisect(lambda y: y * y, np.array([2]), 1.0)
 
     def test_half_slope(self):
         ns = np.array([100, 316, 1000, 3162, 10_000])

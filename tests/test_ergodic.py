@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import monoclt as mc
 from monoclt import clt, ergodic as eg, transforms as tf
-from monoclt.errors import DomainError, PoleProximity
+from monoclt.errors import DomainError, NonConvergence, PoleProximity
 
 from test_measures import BOOLE, random_atomic
 
@@ -113,6 +114,145 @@ class TestPreimages:
     def test_translation_single_branch(self):
         T = eg.boundary_map(mc.NevanlinnaRep(2.0, None))
         assert np.allclose(eg.preimages(T, 5.0), [3.0])
+
+
+def scalar_preimages(T, y):
+    """The scalar bisection that the batched solver replaced, one branch and
+    one pole sum at a time: the reference for its bytes."""
+    if T.n_poles == 0:
+        return np.array([y - T.c])
+    t = T.pole_positions
+
+    def g(x):
+        return x + T.c + (T.pole_weights / (t - x)).sum() - y
+
+    def bisect(lo, hi):
+        glo = g(lo)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            gm = g(mid)
+            if (gm > 0) == (glo > 0):
+                lo, glo = mid, gm
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    roots = np.empty(T.n_poles + 1)
+    lo = t[0] - 1.0 - abs(y - T.c)
+    while g(lo) >= 0:
+        lo = t[0] - 2.0 * (t[0] - lo)
+    eps = 0.5
+    while g(t[0] - eps) <= 0:
+        eps *= 0.5
+    roots[0] = bisect(lo, t[0] - eps)
+    for i in range(T.n_poles - 1):
+        gap = t[i + 1] - t[i]
+        eps = 0.25 * gap
+        while g(t[i] + eps) >= 0:
+            eps *= 0.5
+        lo = t[i] + eps
+        eps = 0.25 * gap
+        while g(t[i + 1] - eps) <= 0:
+            eps *= 0.5
+        roots[i + 1] = bisect(lo, t[i + 1] - eps)
+    hi = t[-1] + 1.0 + abs(y - T.c)
+    while g(hi) <= 0:
+        hi = t[-1] + 2.0 * (hi - t[-1])
+    eps = 0.5
+    while g(t[-1] + eps) >= 0:
+        eps *= 0.5
+    roots[-1] = bisect(t[-1] + eps, hi)
+    return roots
+
+
+def scalar_preservation_check(T, ys):
+    worst = 0.0
+    for y in np.atleast_1d(np.asarray(ys, dtype=float)):
+        xs = scalar_preimages(T, float(y))
+        dT = 1.0 + (T.pole_weights / (T.pole_positions - xs[:, None]) ** 2).sum(axis=-1)
+        worst = max(worst, abs(float((1.0 / dT).sum()) - 1.0))
+    return worst
+
+
+class TestBatchedPreimages:
+    """The batched solver against the scalar bisection, bytes for bytes."""
+
+    MAPS = {
+        "0 poles": eg.RationalBooleMap(0.7, np.empty(0), np.empty(0)),
+        "1 pole": eg.boole_map(),
+        # T(0) = 0 exactly: g hits 0 on a midpoint
+        "1 pole, root at 0": eg.RationalBooleMap(-1.0, np.array([1.0]), np.array([1.0])),
+        # g(x) = x exactly near the root 0 of y = c = 0, down to the
+        # subnormals: that bisection runs all 200 steps
+        "2 poles, 200 steps": eg.RationalBooleMap(0.0, np.array([-1.0, 1.0]),
+                                                  np.array([1.0, 1.0])),
+        "3 poles": eg.boundary_map(random_rep(np.random.default_rng(60), k=3)),
+        "100 poles": eg.lattice_tail_lab(50).T,
+    }
+
+    @staticmethod
+    def targets(T):
+        t = T.pole_positions
+        poles = [float(t[0]), float(t[len(t) // 2])] if len(t) else []
+        rand = np.random.default_rng(61).normal(0.0, 5.0, 4).tolist()
+        return [T.c, 0.0, 1e6, -1e6, -1e-300] + poles + rand
+
+    @pytest.mark.parametrize("name", list(MAPS))
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_bytes_equal(self, name, rows, monkeypatch):
+        T = self.MAPS[name]
+        if rows is not None:
+            monkeypatch.setattr(tf, "_CHUNK", rows * max(T.n_poles, 1))
+        ys = self.targets(T)
+        want = np.array([scalar_preimages(T, y) for y in ys])
+        roots, dT = eg._solve_preimages(T, ys)
+        assert roots.tobytes() == want.tobytes()
+        for y, row in zip(ys, want):
+            assert eg.preimages(T, y).tobytes() == row.tobytes()
+        plain_dT = 1.0 + (T.pole_weights / (T.pole_positions - want[..., None]) ** 2).sum(axis=-1)
+        assert dT.tobytes() == plain_dT.tobytes()
+        assert eg.preservation_check(T, ys) == scalar_preservation_check(T, ys)
+
+    def test_preservation_random_points(self):
+        rng = np.random.default_rng(62)
+        for T in self.MAPS.values():
+            ys = rng.normal(0.0, 5.0, 30)
+            assert eg.preservation_check(T, ys) == scalar_preservation_check(T, ys)
+        assert eg.preservation_check(eg.boole_map(), []) == 0.0
+
+    def test_residual_failure_is_typed(self, monkeypatch):
+        # a residual tolerance below 0 fails every root
+        monkeypatch.setattr(eg, "eval_dT", lambda T, x: np.full(np.shape(x), -1e300))
+        with pytest.raises(NonConvergence, match="preimage residual"):
+            eg.preimages(eg.boole_map(), 0.5)
+        with pytest.raises(NonConvergence):
+            eg.preservation_check(eg.lattice_tail_lab(10).T, [0.5, 1.0])
+
+
+@st.composite
+def boole_maps(draw):
+    k = draw(st.integers(0, 6))
+    start = draw(st.floats(-10.0, 10.0))
+    gaps = draw(st.lists(st.floats(0.05, 5.0), min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(1e-3, 10.0), min_size=k, max_size=k))
+    c = draw(st.floats(-10.0, 10.0))
+    return eg.RationalBooleMap(c, start + np.cumsum(gaps), np.array(weights))
+
+
+class TestPreimageProperties:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(T=boole_maps(), y=st.floats(-1e3, 1e3))
+    def test_one_root_per_branch(self, T, y):
+        xs = eg.preimages(T, y)
+        assert len(xs) == T.n_poles + 1
+        edges = np.concatenate(([-np.inf], T.pole_positions, [np.inf]))
+        assert np.all((edges[:-1] < xs) & (xs < edges[1:]))
+        dT = eg.eval_dT(T, xs)
+        bound = 1e-10 * (1.0 + abs(y)) + 8.0 * np.finfo(float).eps * (1.0 + np.abs(xs)) * dT
+        assert np.all(np.abs(eg.eval_T(T, xs) - y) <= bound)
+        assert abs(float((1.0 / dT).sum()) - 1.0) <= 1e-8
 
 
 class TestPreservation:
@@ -249,6 +389,16 @@ class TestHopf:
                             rng.uniform(-2, 2, 4), 1_000_000)
         med = np.median(res.ratios[-1])
         assert abs(med - math.sqrt(math.pi)) / math.sqrt(math.pi) < 0.3
+
+    def test_underflowing_denominator(self):
+        # the Gauss kernel is exactly 0 beyond |x| ~ 27: the ratio is undefined
+        with pytest.raises(DomainError, match=r"1000000\.0 \(index 1\)"):
+            eg.hopf_ratio(eg.boole_map(), "cauchy", "gauss", [0.3, 1e6], 1000)
+        with pytest.raises(DomainError):
+            eg.hopf_ratio(eg.lattice_tail_lab(10).T, "gauss", "cauchy", [1e200], 10)
+        # a positive numerator over it is fine
+        res = eg.hopf_ratio(eg.boole_map(), "gauss", "cauchy", [1e6], 1000)
+        assert res.ratios.tolist() == [[0.0]]
 
     def test_indicator_over_cauchy(self):
         rng = np.random.default_rng(8)
@@ -476,3 +626,14 @@ class TestPoleKernels:
         want = xs + c + (w / (t - xs[..., None])).sum(axis=-1)
         assert np.array_equal(eg.eval_T(T, xs), want)
         assert eg.eval_T(T, float(xs[1, 2])) == want[1, 2]
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_eval_dT(self, rows, monkeypatch):
+        T = eg.lattice_tail_lab(50).T
+        t, w = T.pole_positions, T.pole_weights
+        if rows is not None:
+            monkeypatch.setattr(tf, "_CHUNK", rows * T.n_poles)
+        xs = np.random.default_rng(23).uniform(-60, 60, (4, 50))
+        want = 1.0 + (w / (t - xs[..., None]) ** 2).sum(axis=-1)
+        assert np.array_equal(eg.eval_dT(T, xs), want)
+        assert eg.eval_dT(T, float(xs[1, 2])) == want[1, 2]

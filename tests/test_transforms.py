@@ -8,7 +8,7 @@ from scipy import integrate
 
 import monoclt as mc
 from monoclt import clt, ergodic as eg, transforms as tf
-from monoclt.errors import CoverageError, DomainError
+from monoclt.errors import CoverageError, DomainError, NumericBreakdown
 
 from test_measures import BERN, BOOLE, random_atomic
 
@@ -118,6 +118,16 @@ class TestFEval:
             mc.cauchy_eval(BOOLE, np.array([1j, z]))
         with pytest.raises(DomainError):
             mc.subordination_eval(BOOLE, BOOLE, z)
+
+    @pytest.mark.parametrize("F, z", [
+        (mc.MeasureMap(BOOLE), 1e308 + 1j),       # Im F rounds to 0
+        (mc.ArcsineMap(), 1e200 + 1j),           # z^2 overflows
+    ])
+    def test_output_off_half_plane(self, F, z):
+        with pytest.raises(NumericBreakdown):
+            mc.f_eval(F, z)
+        with pytest.raises(NumericBreakdown):
+            mc.f_eval(F, np.array([1j, z]))
 
 
 class TestNevanlinna:

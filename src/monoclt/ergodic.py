@@ -647,8 +647,10 @@ def hopf_ratio(T: RationalBooleMap, f, g, x0, N: int,
     1000 up to N, then N) must lie in ``1..N``.  Starts must be finite
     (:class:`DomainError`) and off the poles (:class:`PoleProximity`; a
     later pole hit truncates the orbit and keeps its sums), and N in
-    ``1..1e8``.  A start whose orbit stays so far out that a ``'cauchy'`` or
-    ``'gauss'`` denominator sums to exactly 0 raises :class:`DomainError`.
+    ``1..1e8``.  A denominator that sums to exactly 0 at a checkpoint raises
+    :class:`DomainError` naming the start: a ``'cauchy'`` or ``'gauss'`` one
+    when the orbit stays so far out that every value underflows, an
+    indicator when the orbit has not yet visited its window.
     """
     fk = _normalize_kernel(f)
     gk = _normalize_kernel(g)
@@ -665,14 +667,18 @@ def hopf_ratio(T: RationalBooleMap, f, g, x0, N: int,
     sums, truncated = _birkhoff_sums(T, x0, N, checkpoints, (fk, gk))
     if np.any(truncated == 0):
         raise PoleProximity("a start lies on a pole: its Birkhoff sums would be 0/0")
-    if gk[0] != "indicator":
-        # a positive kernel's Birkhoff sum is 0 only where every value underflowed
-        zero = np.flatnonzero((sums[1] == 0.0).any(axis=0))
-        if len(zero):
-            s = int(zero[0])
-            raise DomainError(
-                f"start {float(np.atleast_1d(x0)[s])!r} (index {s}): the {gk[0]} kernel's "
-                f"Birkhoff sum underflows to 0, so the ratio is undefined")
+    zero = np.flatnonzero((sums[1] == 0.0).any(axis=0))
+    if len(zero):
+        s = int(zero[0])
+        if gk[0] == "indicator":
+            # the sums only grow, so the zeros are at the first checkpoints
+            last = int(checkpoints[np.count_nonzero(sums[1][:, s] == 0.0) - 1])
+            why = f"the orbit has not visited the window ({gk[1]!r}, {gk[2]!r}) by step {last}"
+        else:
+            # a positive kernel's Birkhoff sum is 0 only where every value underflowed
+            why = f"the {gk[0]} kernel's Birkhoff sum underflows to 0"
+        raise DomainError(f"start {float(np.atleast_1d(x0)[s])!r} (index {s}): {why}, "
+                          "so the ratio is undefined")
     with np.errstate(invalid="ignore", divide="ignore"):
         return HopfResult(checkpoints, sums[0] / sums[1], target, truncated)
 

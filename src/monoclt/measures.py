@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import integrate
 
-from .errors import CapacityExceeded
+from .errors import CapacityExceeded, NumericBreakdown
 
 __all__ = [
     "AtomicMeasure",
@@ -64,6 +64,14 @@ DEFAULT_ATOM_CAP = 2_000_000
 
 #: atoms lighter than this are pruned when the cap is hit
 PRUNE_MASS = 1e-15
+
+#: classical convolution forms at most this many atom pairs per atom of its
+#: cap before merging: the pairs and the merge's temporaries take about 75
+#: bytes each, so 8e6 pairs (600 MB) at the default cap.  A lattice law's
+#: pairs merge into far fewer atoms; the largest shipped use, the 10^4-fold
+#: power of a coin in the first demo, forms 2.8 pairs per atom of the
+#: default cap (5.7e6 pairs, 420 MB).
+_PAIRS_PER_CAP_ATOM = 4
 
 _PROB_TOL = 1e-12
 
@@ -518,14 +526,26 @@ def classical_convolve(m: AtomicMeasure, n: AtomicMeasure, *, cap: int = DEFAULT
     positions merge.  If the result would exceed `cap` atoms, atoms with
     mass below ``1e-15`` are pruned and the measure renormalized, with the
     removed mass recorded in ``pruned_mass``.  Raises
-    :class:`~monoclt.errors.CapacityExceeded` if pruning is not enough.
+    :class:`~monoclt.errors.CapacityExceeded` if pruning is not enough, and
+    before allocating anything if there are more than ``4 * cap`` pairs of
+    atoms to form.  Raises :class:`~monoclt.errors.NumericBreakdown` if the
+    merged positions come out of order (masses down in the subnormals).
     """
     if not isinstance(m, AtomicMeasure) or not isinstance(n, AtomicMeasure):
         raise TypeError("classical_convolve needs atomic measures")
+    if len(m) * len(n) > _PAIRS_PER_CAP_ATOM * cap:
+        raise CapacityExceeded(
+            f"convolution would form {len(m)} x {len(n)} atom pairs, more than "
+            f"{_PAIRS_PER_CAP_ATOM} per atom of the cap {cap}")
     pos = np.add.outer(m.positions, n.positions).ravel()
     mas = np.multiply.outer(m.masses, n.masses).ravel()
     nonzero = mas > 0.0          # extreme tail products underflow to exact 0
     pos, mas = _merge_atoms(pos[nonzero], mas[nonzero])
+    if np.any(np.diff(pos) <= 0.0):
+        raise NumericBreakdown(
+            "classical convolution left merged atom positions out of order: a merged "
+            "position is the mass-weighted mean of its group, and with subnormal masses "
+            "the products position*mass lose their digits")
     pruned = m.pruned_mass + n.pruned_mass
     if len(pos) > cap:
         keep = mas >= PRUNE_MASS

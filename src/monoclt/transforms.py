@@ -21,16 +21,27 @@ Every map form used downstream lives here:
 Every pole sum ``sum_k w_k/(t_k - x)`` -- the Cauchy transform of an
 atomic or grid measure, a Nevanlinna map's partial fractions, the boundary
 maps of :mod:`monoclt.ergodic` and, with squared denominators, their
-derivatives -- runs through one kernel, `_pole_sum`.  It
-subtracts, divides and sums in place, a block of points at a time, in a
-reused workspace of at most ``_CHUNK`` elements (points x poles, real or
-complex); an iteration loop keeps one workspace for its whole length, so a
-step allocates no temporary of the size of the poles.  Only the points are
-chunked and each point's terms are summed by one pairwise ``sum`` in pole
-order, so the answers do not depend on the block size.  The Cauchy
-transform ``sum_k w_k/(z - t_k)`` is 0 minus the pole sum and ``1/G`` is
-``-(1/s)``: both negations are exact, so every value equals the direct
-formula's bit for bit.
+derivatives -- runs through one kernel, `_pole_sum`, in a reused workspace
+of at most ``_CHUNK`` elements (points x poles, real or complex); an
+iteration loop keeps one workspace for its whole length, so a step
+allocates no temporary of the size of the poles.  Only the points are
+chunked, so the answers do not depend on the block size.  The kernel has
+two branches that add each point's terms in the same order, bit for bit:
+
+* few poles (at most 24 complex or 32 real, and at least 128 points per
+  pole): a loop over the poles, each term formed on a whole vector of
+  points and added in place, in the order of numpy's pairwise
+  ``np.add.reduce`` along a contiguous row (4 complex or 8 real
+  accumulators, then a balanced tree, then the rest left to right);
+* otherwise: the whole (points x poles) block at once, each row summed by
+  ``np.add.reduce``.  numpy reduces a short trailing axis slowly, which is
+  why the loop wins for a few poles -- 4x at 2 complex poles on 8001
+  points -- while with many poles, or few points, the loop's numpy calls
+  per pole cost more than the one reduce.
+
+The Cauchy transform ``sum_k w_k/(z - t_k)`` is 0 minus the pole sum and
+``1/G`` is ``-(1/s)``: both negations are exact, so every value equals the
+direct formula's bit for bit.
 
 `measure_from_map` recovers a grid density by Stieltjes inversion
 (``-Im(1/F(x + i*eta))/pi``) with optional linear Richardson extrapolation
@@ -81,6 +92,23 @@ BREAKDOWN_TOL = 1e-9
 #: a block stays in cache between its subtract, divide and sum
 _CHUNK = 1 << 16
 
+#: `_pole_sum` loops over the poles (its few-pole branch) for at most this
+#: many poles, by dtype char (complex, real).  Measured on one call over
+#: 8001 and 20 001 points (2-vCPU VM, numpy 2.4), the loop runs 4-5x
+#: faster than the reduce at 2 complex poles, 1.1-1.2x at 24 and breaks
+#: even at 28-32; for real points 10x at 2, 1.1-1.3x at 32 and even at 40.
+#: numpy's reduce order was checked up to 64 complex and 128 real terms.
+_FEW_POLES = {"D": 24, "d": 32}
+
+#: ... and only for at least this many points per pole: each pole costs the
+#: loop three or four numpy calls, which on a few points outweigh the
+#: reduce's slow inner loop (the two break even at 50-100 points per pole).
+_FEW_POINTS_PER_POLE = 128
+
+#: accumulators of numpy's pairwise add-reduce along a contiguous row: 8
+#: floats, so 4 complex numbers or 8 reals
+_LANES = {"D": 4, "d": 8}
+
 
 def sqrt_upper(w):
     """Square root with branch cut on ``[0, inf)``, values in the closed upper half-plane.
@@ -109,19 +137,49 @@ def _rows(n_poles: int, n_points: int) -> int:
 def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
               squared: bool = False) -> np.ndarray:
     """The pole sums ``sum_k w_k / (t_k - x[i])`` over flat `x`, or with
-    `squared` ``sum_k w_k / (t_k - x[i])**2``.
+    `squared` ``sum_k w_k / (t_k - x[i])**2``, as a fresh array.
 
-    The points pass through the rows of `work`, a ``(rows, len(t))`` block
-    of the result's dtype (real or complex) that the caller may keep and
-    reuse, so no temporary of the poles' size is allocated per call.  Each
-    row is one pairwise ``sum`` over the poles in their given order; only
-    the points are chunked, so the block size never changes a bit of the
-    result.
+    `work` is a ``(rows, len(t))`` block of the result's dtype (real or
+    complex) that the caller may keep and reuse, so no temporary of the
+    poles' size is allocated per call.  The points pass through it ``rows``
+    at a time; only the points are chunked, so the block size never changes
+    a bit of the result.  Two branches add the terms of each point in the
+    same order, so they agree bit for bit:
+
+    * Generic: the block holds one term per (point, pole), formed by one
+      subtract, (square,) divide over the block, and each row is summed by
+      ``np.add.reduce``.  That is pairwise summation: below 8 floats' worth
+      of terms left to right; from there up to 128 floats, one accumulator
+      per 8 floats' lane, added as a balanced tree, then the rest.
+    * Few-pole (`_few_pole_rows`): for ``1 <= len(t) <= _FEW_POLES`` (24
+      complex, 32 real) and at least ``_FEW_POINTS_PER_POLE`` (128) points
+      per pole.  It forms one pole's term at a time on a vector of points
+      and adds it in place, reproducing numpy 2.4's reduce order with
+      ``L`` = 4 complex or 8 real lanes: below ``L`` terms, left to right;
+      from ``L`` terms up, ``c_j = a_j`` for ``j < L``, ``c_j += a_{i+j}``
+      for each full group of ``L``, then ``(c0 + c1) + (c2 + c3)`` (for 8
+      lanes ``((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))``), then the
+      remaining terms left to right.  The reduce adds that sum to a
+      starting ``+0.0``, which turns a ``-0.0`` into ``+0.0``; so does the
+      branch's last step.  Its buffers are rows of `work`.
+
+    The cut is measured (see `_FEW_POLES`): numpy reduces a short trailing
+    axis slowly, so a loop of whole-vector calls wins for a few poles, but
+    it costs three or four numpy calls per pole, which lose to the one
+    reduce for many poles or few points.  numpy's order was checked up to
+    64 complex and 128 real terms (one pairwise block); a test pins it.
     """
     if work is None:
         work = np.empty((_rows(len(t), len(x)), len(t)), dtype=np.result_type(t, w, x))
     out = np.empty(len(x), dtype=work.dtype)
     rows = max(len(work), 1)            # a loop's workspace has no rows before its first point
+    if 0 < len(t) <= _FEW_POLES.get(work.dtype.char, 0) \
+            and len(x) >= _FEW_POINTS_PER_POLE * len(t):
+        bufs = work.reshape(-1)[:min(len(t), _LANES[work.dtype.char] + 1) * rows].reshape(-1, rows)
+        for i in range(0, len(x), rows):
+            j = min(i + rows, len(x))
+            _few_pole_rows(t, w, x[i:j], bufs[:, :j - i], out[i:j], squared)
+        return out
     for i in range(0, len(x), rows):
         j = min(i + rows, len(x))
         blk = work[:j - i]
@@ -131,6 +189,45 @@ def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
         np.divide(w, blk, out=blk)
         np.add.reduce(blk, axis=-1, out=out[i:j])     # what ndarray.sum runs
     return out
+
+
+def _few_pole_rows(t, w, x, bufs, out, squared):
+    """`_pole_sum`'s few-pole branch on one block of points `x`, summed into
+    `out`.  `bufs` has ``min(k, L + 1)`` rows: below ``L`` poles a
+    temporary for each new term, else the ``L - 1`` lanes after `out` and
+    the temporary; the last row holds the difference a squared term is
+    squared from (numpy squares a one-element complex array in place by a
+    scalar loop whose last bit can differ, so no square is in place)."""
+    k, lanes = len(t), _LANES[out.dtype.char]
+    tmp, diff = bufs[0 if k < lanes else lanes - 1], bufs[-1]
+
+    def term(p, dst):
+        if squared:
+            np.subtract(t[p], x, out=diff)
+            np.square(diff, out=dst)
+        else:
+            np.subtract(t[p], x, out=dst)
+        np.divide(w[p], dst, out=dst)
+        return dst
+
+    if k < lanes:
+        term(0, out)
+        for p in range(1, k):
+            np.add(out, term(p, tmp), out=out)
+    else:
+        acc = [out, *bufs[:lanes - 1]]
+        for p in range(lanes):
+            term(p, acc[p])
+        full = k - k % lanes
+        for p in range(lanes, full):
+            np.add(acc[p % lanes], term(p, tmp), out=acc[p % lanes])
+        while len(acc) > 1:
+            for a, b in zip(acc[0::2], acc[1::2]):
+                np.add(a, b, out=a)
+            acc = acc[0::2]
+        for p in range(full, k):
+            np.add(out, term(p, tmp), out=out)
+    np.add(out, 0.0, out=out)
 
 
 def _pole_sum_loop(t: np.ndarray, w: np.ndarray, dtype=complex):

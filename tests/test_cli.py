@@ -162,3 +162,17 @@ def test_preimage_residual_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert not outdir.exists()
     assert "NonConvergence" in capsys.readouterr().err
+
+
+def test_reordered_classical_merge_exits_3(tmp_path, capsys):
+    # the 265-fold classical power of this skewed law merges atoms of
+    # subnormal mass out of order
+    law = json.dumps({"type": "atomic", "atoms": [
+        [-2.0, 0.3235686273437737], [-1.0, 0.39653599468449835],
+        [0.0, 0.22711375043952328], [2.0, 0.0527816275322048]]})
+    code, outdir = run_cli(["clt-report", "--measure", law, "--n-list", "265",
+                            "--with-ks", "no"], tmp_path)
+    assert code == 3
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert "NumericBreakdown" in err and "Traceback" not in err

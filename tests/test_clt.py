@@ -9,9 +9,13 @@ from scipy import integrate, optimize
 
 import monoclt as mc
 from monoclt import clt
-from monoclt.errors import DegenerateMeasure, DomainError, NonConvergence
+from monoclt.errors import DegenerateMeasure, DomainError, NonConvergence, NumericBreakdown
 
 from test_measures import BERN, BOOLE, NU, random_atomic
+
+#: a skewed lattice law whose classical powers reach subnormal masses
+SKEWED_LATTICE_MASSES = [0.3235686273437737, 0.39653599468449835, 0.22711375043952328,
+                         0.0527816275322048]
 
 CENTERED_BERN = mc.shift(BERN, -0.5)
 
@@ -203,6 +207,14 @@ class TestCltReport:
                              with_classical="never")
         assert rep.monotone_ok
         assert rep.rows[-1].f_dev < 0.05
+
+    def test_reordered_merge_is_typed(self):
+        # the 265-fold power merges atoms of subnormal mass, whose weighted
+        # positions fall out of order: a typed error, not a bare ValueError
+        m = mc.AtomicMeasure([-2.0, -1.0, 0.0, 2.0], SKEWED_LATTICE_MASSES)
+        assert clt.clt_report(m, [256], with_ks=False).rows[0].ks_normal is not None
+        with pytest.raises(NumericBreakdown, match="out of order"):
+            clt.clt_report(m, [265], with_ks=False)
 
     def test_map_source_needs_constants(self):
         F = mc.nevanlinna_synthesize(mc.NevanlinnaRep(0.0, mc.atomic(

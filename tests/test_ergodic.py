@@ -446,8 +446,10 @@ class TestScalarOrbitLoop:
     """The scalar stepper against the batched stepper, bit for bit, through
     the public functions."""
 
+    #: an indicator denominator's window holds every start, so each row has
+    #: visited it by the first checkpoint (an unvisited window is refused)
     KERNEL_PAIRS = [("cauchy", "gauss"), (("indicator", -1.0, 1.0), "cauchy"),
-                    ("gauss", ("indicator", 0.0, 2.0))]
+                    ("gauss", ("indicator", -10.0, 10.0))]
 
     def starts(self, T, rng):
         # free starts, one on a pole and one mapped onto a pole at step 1
@@ -468,7 +470,7 @@ class TestScalarOrbitLoop:
             sc, ba = self.on_both(monkeypatch,
                                   lambda: eg.hopf_ratio(T, f, g, x0, N, checkpoints))
             assert np.array_equal(sc.truncated_at, ba.truncated_at)
-            assert np.array_equal(sc.ratios, ba.ratios, equal_nan=True)
+            assert np.all(np.isfinite(sc.ratios)) and np.array_equal(sc.ratios, ba.ratios)
         return sc
 
     def assert_visits_match(self, monkeypatch, T, x0, N):
@@ -495,6 +497,19 @@ class TestScalarOrbitLoop:
             monkeypatch.setattr(eg, "_use_scalar", lambda T, x0, s=scalar: s)
             with pytest.raises(PoleProximity):
                 eg.hopf_ratio(T, "cauchy", "gauss", x0, N)
+
+    def test_unvisited_indicator_denominator(self, monkeypatch):
+        # the orbit from -2.5 stays out of [0, 2] for 10 steps: 0 visits
+        # would make the ratio inf (or NaN for 0/0); both steppers refuse it
+        for scalar in (True, False):
+            monkeypatch.setattr(eg, "_use_scalar", lambda T, x0, s=scalar: s)
+            with pytest.raises(DomainError, match=r"start -2\.5 \(index 0\).*window"):
+                eg.hopf_ratio(eg.boole_map(), "gauss", ("indicator", 0.0, 2.0),
+                              [-2.5, 0.5], 10, checkpoints=[1, 10])
+        # a window visited by every checkpoint gives finite ratios
+        r = eg.hopf_ratio(eg.boole_map(), "gauss", ("indicator", -3.0, 2.0), [-2.5, 0.5], 10,
+                          checkpoints=[1, 10])
+        assert np.all(np.isfinite(r.ratios))
 
     @pytest.mark.parametrize("k", [1, 3, 7])
     def test_visit_counts_match(self, k, monkeypatch):

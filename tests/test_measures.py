@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,14 +192,36 @@ class TestClassicalConvolve:
         big = random_atomic(rng, k=60)
         with pytest.raises(CapacityExceeded):
             mc.classical_convolve(big, big, cap=100)
-        # a pruneable case: many near-zero masses
-        w = np.full(50, 1e-16)
+        # 64 pairs are allowed at cap 20, but 36 atoms remain after pruning
+        eight = random_atomic(rng, k=8)
+        with pytest.raises(CapacityExceeded, match="even after pruning"):
+            mc.classical_convolve(eight, eight, cap=20)
+        # a pruneable case: many near-zero masses (11 atoms, cap 10)
+        w = np.full(6, 1e-16)
         w[0] = 1.0 - w[1:].sum()
-        spread = mc.AtomicMeasure(np.linspace(0, 1, 50), w)
-        out = mc.classical_convolve(spread, spread, cap=60)
-        assert len(out) <= 60
+        spread = mc.AtomicMeasure(np.linspace(0, 1, 6), w)
+        out = mc.classical_convolve(spread, spread, cap=10)
+        assert len(out) <= 10
         assert out.pruned_mass > 0
         assert abs(out.total_mass - 1.0) < 1e-12
+
+    def test_pairs_checked_before_allocating(self):
+        # a non-lattice law: the 2^k-fold power has C(2^k + 4, 4) atoms, so
+        # the pairs outgrow any cap (the 32 -> 64 doubling would form
+        # 58 905^2 pairs, 25.9 GiB per array)
+        m = mc.atomic([(-1.3, .2), (-0.41421356, .2), (0.1, .2), (0.70710678, .2),
+                       (2.23606798, .2)])
+        base = mc.classical_power(m, 8)
+        assert len(base) == 490
+        assert len(mc.classical_convolve(base, base, cap=490**2 // 4)) == 4130
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded, match="atom pairs"):
+                mc.classical_convolve(base, base, cap=490**2 // 4 - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 490**2 * 8       # not even one array of the pairs
 
 
 class TestValidationAndJson:

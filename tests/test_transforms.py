@@ -358,3 +358,95 @@ class TestPoleSumKernel:
         for g, w in zip(got, want):
             assert g[2] == w[2]
             assert same_bits(g[0], w[0]) and same_bits(g[1], w[1])
+
+
+class TestPoleSumKernelFewPoleBranch(TestPoleSumKernel):
+    """The same checks with the kernel's few-pole branch on every call of at
+    most ``_FEW_POLES`` poles, however few the points (the tests above use
+    few points, which the kernel sends to its generic branch)."""
+
+    @pytest.fixture(autouse=True)
+    def few_pole_branch(self, monkeypatch):
+        monkeypatch.setattr(tf, "_FEW_POINTS_PER_POLE", 0)
+
+
+def few_pole_calls(monkeypatch):
+    """Count the blocks that `_pole_sum` hands to its few-pole branch."""
+    calls = []
+    inner = tf._few_pole_rows
+
+    def spy(*args):
+        calls.append(len(args[2]))
+        return inner(*args)
+
+    monkeypatch.setattr(tf, "_few_pole_rows", spy)
+    return calls
+
+
+class TestFewPoleOrder:
+    """The few-pole branch adds its terms in the order of numpy's own
+    ``np.add.reduce`` along a contiguous row, bit for bit, for every pole
+    count it serves.  The order is a numpy implementation detail: a numpy
+    whose reduce adds in another order fails here."""
+
+    @staticmethod
+    def laws(rng, k):
+        """(t, w) pairs: random, symmetric (pairs of terms cancel) and with
+        weights so small that a far point's terms underflow to zeros, all
+        -0.0 far to the right (where the reduce returns +0.0)."""
+        t = np.sort(rng.uniform(-3.0, 3.0, k))
+        half = np.sort(rng.uniform(0.5, 3.0, k // 2))
+        sym = np.concatenate((-half[::-1], [7.0] * (k % 2), half))
+        sym_w = np.concatenate((rng.uniform(0.1, 1.0, k // 2)[::-1], [0.5] * (k % 2)))
+        sym_w = np.concatenate((sym_w, sym_w[:k // 2][::-1]))
+        return [(t, rng.uniform(0.1, 1.0, k)), (sym, sym_w),
+                (t, rng.uniform(1.0, 2.0, k) * 1e-17)]
+
+    @staticmethod
+    def points(rng, dtype, t, far):
+        """Random points, zeros and points `far` out, where the terms of
+        tiny weights underflow to zeros signed as ``t - x``."""
+        x = np.concatenate([rng.uniform(-4.0, 4.0, 24), [0.0, -0.0, far, -far, 0.3 * far]])
+        if dtype is float:
+            return x[~np.isin(x, t)]
+        # on a pole's vertical line the term's real part is a signed zero
+        y = np.concatenate([rng.uniform(0.01, 2.0, 24), [0.5, 2.0, 1.0, 1.0, 1.0]])
+        return np.concatenate([x + 1j * y, t + 0.25j, -0.0 + 1j * np.array([0.3, 1.0])])
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_matches_add_reduce(self, dtype, squared, rows, monkeypatch):
+        monkeypatch.setattr(tf, "_FEW_POINTS_PER_POLE", 0)
+        calls = few_pole_calls(monkeypatch)
+        rng = np.random.default_rng(21)
+        cut = tf._FEW_POLES[np.dtype(dtype).char]
+        for k in range(1, cut + 1):
+            if rows is not None:
+                monkeypatch.setattr(tf, "_CHUNK", rows * k)
+            for t, w in self.laws(rng, k):
+                x = self.points(rng, dtype, t, 1e154 if squared else 1e308)
+                d = t - x[:, None]
+                want = np.add.reduce(w / (np.square(d) if squared else d), axis=-1)
+                del calls[:]
+                got = tf._pole_sum(t, w, x, squared=squared)
+                assert calls and sum(calls) == len(x)
+                assert same_bits(got, want), (k, squared)
+                if not squared:
+                    psum = tf._pole_sum_loop(t, w, dtype)
+                    assert same_bits(psum(x[:5]), want[:5]) and same_bits(psum(x), want)
+
+    def test_branch_by_size(self, monkeypatch):
+        calls = few_pole_calls(monkeypatch)
+        x = tf.default_grid()
+        # a 5-atom law on the 8001-point grid takes the few-pole branch
+        mc.cauchy_eval(random_atomic(np.random.default_rng(3), k=5), x + 0.01j)
+        assert sum(calls) == len(x)
+        del calls[:]
+        # the 100-pole boundary map of the orbit benchmark does not, nor
+        # does one point of a 2-pole map
+        T = eg.lattice_tail_lab(50).T
+        assert T.n_poles == 100
+        eg.eval_T(T, np.random.default_rng(4).uniform(-2.0, 2.0, 2048))
+        mc.cauchy_eval(BOOLE, 0.5 + 1j)
+        assert calls == []

@@ -36,7 +36,8 @@ import numpy as np
 from . import convolve as cv
 from . import measures as ms
 from . import transforms as tf
-from .errors import CapacityExceeded, DegenerateMeasure, DomainError, NonConvergence
+from .errors import (CapacityExceeded, DegenerateMeasure, DomainError, NonConvergence,
+                     NumericBreakdown)
 
 __all__ = [
     "NormingSequence",
@@ -135,15 +136,9 @@ def _cutoff_atomic(m: ms.AtomicMeasure, ns: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(best), best, np.sqrt(ns * S[-1]))
 
 
-def _cutoff_bisect(h, ns: np.ndarray, lo_seed: float) -> np.ndarray:
-    """Vectorized largest-root bisection of ``n*h(y) = y^2``.
-
-    `h` must be vectorized, nondecreasing, and positive at `lo_seed`.
-    """
-    ns = ns.astype(float)
-    lo = np.sqrt(ns * h(np.full(ns.shape, lo_seed)))
-    lo = np.maximum(lo, lo_seed)  # ensure h(lo) >= h(lo_seed) by monotonicity
-    g = lambda y: ns * h(y) - y * y
+def _largest_root(g, lo: np.ndarray) -> np.ndarray:
+    """Vectorized largest root of `g` above `lo` (where ``g >= 0``): ``hi``
+    doubles until ``g(hi) < 0``, at most 200 times, then 100 bisections."""
     hi = 2.0 * lo
     for _ in range(200):
         bad = g(hi) >= 0
@@ -158,6 +153,17 @@ def _cutoff_bisect(h, ns: np.ndarray, lo_seed: float) -> np.ndarray:
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
     return 0.5 * (lo + hi)
+
+
+def _cutoff_bisect(h, ns: np.ndarray, lo_seed: float) -> np.ndarray:
+    """Vectorized largest-root bisection of ``n*h(y) = y^2``.
+
+    `h` must be vectorized, nondecreasing, and positive at `lo_seed`.
+    """
+    ns = ns.astype(float)
+    lo = np.sqrt(ns * h(np.full(ns.shape, lo_seed)))
+    lo = np.maximum(lo, lo_seed)  # ensure h(lo) >= h(lo_seed) by monotonicity
+    return _largest_root(lambda y: ns * h(y) - y * y, lo)
 
 
 def norming_constants(m: ms.Measure, ns=None, N: int | None = None,
@@ -187,13 +193,8 @@ def norming_constants(m: ms.Measure, ns=None, N: int | None = None,
         raise ValueError(f"unknown method {method!r}")
     if isinstance(m, ms.AtomicMeasure):
         return NormingSequence(ns, _cutoff_atomic(m, ns), "h-cutoff")
-    if isinstance(m, ms.PowerTailLaw):
-        h = np.vectorize(h_function(m))
-        vals = _cutoff_bisect(h, ns, lo_seed=2.0 * m.scale)
-        return NormingSequence(ns, vals, "h-cutoff")
-    h = np.vectorize(h_function(m))
-    vals = _cutoff_bisect(h, ns, lo_seed=_positive_h_seed(m))
-    return NormingSequence(ns, vals, "h-cutoff")
+    seed = 2.0 * m.scale if isinstance(m, ms.PowerTailLaw) else _positive_h_seed(m)
+    return NormingSequence(ns, _cutoff_bisect(np.vectorize(h_function(m)), ns, seed), "h-cutoff")
 
 
 def _positive_h_seed(m: ms.Measure) -> float:
@@ -234,19 +235,8 @@ def sigma_criterion_constants(sigma: ms.AtomicMeasure, ns, *,
     L = _l_vectorized(sigma)
     nsf = ns.astype(float)
     lo = np.sqrt(nsf * S)                      # g(lo) = n*L(lo) >= 0 always
-    g = lambda y: nsf * (L(y) + S) - y * y
-    hi = 2.0 * lo
-    for _ in range(200):
-        bad = g(hi) >= 0
-        if not bad.any():
-            break
-        hi = np.where(bad, 2.0 * hi, hi)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        pos = g(mid) >= 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    return NormingSequence(ns, 0.5 * (lo + hi), "sigma-criterion")
+    B = _largest_root(lambda y: nsf * (L(y) + S) - y * y, lo)
+    return NormingSequence(ns, B, "sigma-criterion")
 
 
 @dataclass(frozen=True)
@@ -315,9 +305,7 @@ Source = ms.Measure | tf.SelfMap
 
 def _scaled_step(source: Source, B: float):
     """One application of the scaled map ``w -> F(B*w)/B`` (vectorized)."""
-    if isinstance(source, tf.SelfMap):
-        return lambda w: tf._eval_node(source, np.atleast_1d(np.asarray(w, dtype=complex)) * B) / B
-    raw = tf._one_step_evaluator(source)
+    raw = tf._evaluator(source)[0]
     return lambda w: raw(np.atleast_1d(np.asarray(w, dtype=complex)) * B) / B
 
 
@@ -450,10 +438,11 @@ class ConjugacyTrace:
 
 
 def conjugacy_trace(source: Source, n: int, z: complex, B: float) -> ConjugacyTrace:
-    """Telescoped iteration at ``z = -y^2`` with ``y > 10``."""
+    """Telescoped iteration at ``z = -y^2`` with ``y > 10`` (finite, else
+    :class:`DomainError`; :class:`NumericBreakdown` if a result is not)."""
     zc = complex(z)
-    if not (zc.imag == 0.0 and zc.real < -100.0):
-        raise DomainError("conjugacy trace needs z = -y^2 with y > 10")
+    if not (np.isfinite(zc) and zc.imag == 0.0 and zc.real < -100.0):
+        raise DomainError(f"conjugacy trace needs a finite z = -y^2 with y > 10, got {zc!r}")
     w = complex(tf.sqrt_upper(zc))
     step = _scaled_step(source, B)
     terms = np.empty(n, dtype=complex)
@@ -462,8 +451,10 @@ def conjugacy_trace(source: Source, n: int, z: complex, B: float) -> ConjugacyTr
         terms[j] = w_next * w_next - w * w
         w = w_next
     total = complex(terms.sum())
-    return ConjugacyTrace(lhs=w * w, telescoped=zc + total, remainder_sum=total,
-                          terms=terms)
+    lhs, telescoped = w * w, zc + total
+    if not np.isfinite([lhs, telescoped]).all():      # as is the sum, if a term is not
+        raise NumericBreakdown(f"conjugacy trace from z = {zc!r}: {lhs!r}, {telescoped!r}")
+    return ConjugacyTrace(lhs=lhs, telescoped=telescoped, remainder_sum=total, terms=terms)
 
 
 @dataclass(frozen=True)
@@ -477,7 +468,10 @@ class DriftReport:
 
 
 def drift_bound_check(source: Source, n: int, y: float, j_list, B: float) -> DriftReport:
-    """Track the orbit of ``iy`` under the scaled one-step map."""
+    """Track the orbit of ``iy`` under the scaled one-step map (`y` finite,
+    else :class:`DomainError`; :class:`NumericBreakdown` if a deviation is not)."""
+    if not math.isfinite(y):
+        raise DomainError(f"the drift bound needs a finite y, got {y!r}")
     if y <= 10:
         raise ValueError("the drift bound applies for y > 10")
     js = np.unique(np.asarray(j_list, dtype=np.int64))
@@ -492,6 +486,8 @@ def drift_bound_check(source: Source, n: int, y: float, j_list, B: float) -> Dri
             devs[k] = abs(w - 1j * y)
             k += 1
         w = complex(step(w)[0])
+    if not np.all(np.isfinite(devs)):
+        raise NumericBreakdown(f"the drift from iy = {complex(0, y)!r} is not finite: {devs!r}")
     bounds = 10.0 * js / n
     return DriftReport(js, devs, bounds, devs > bounds + 1e-12)
 

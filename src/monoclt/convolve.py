@@ -81,7 +81,7 @@ def free_convolve(m: ms.Measure, n: ms.Measure, *, tol: float = 1e-13,
 
 
 def _h_func(m: ms.Measure):
-    step = tf._one_step_evaluator(m)
+    step = tf._evaluator(m)[0]
     return lambda w: step(w) - w
 
 
@@ -158,7 +158,7 @@ def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
             f"subordination did not converge in {maxiter} steps at "
             f"Im z >= {float(np.min(zf.imag)):.3g}; raise Im z (or eta)")
 
-    value = tf._one_step_evaluator(m)(out)
+    value = tf._evaluator(m)[0](out)
     value = value.reshape(zarr.shape)
     omega1 = out.reshape(zarr.shape)
     if zarr.ndim == 0:
@@ -177,27 +177,15 @@ def free_density(m: ms.Measure, n: ms.Measure, grid: np.ndarray | None = None,
     reusing the previous subordination function as the initial guess.  This
     makes small-eta density scans feasible at fixed-point tolerance `tol`.
     """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    x = tf.default_grid() if grid is None else np.asarray(grid, dtype=float)
-    h = x[1] - x[0]
-    if not np.allclose(np.diff(x), h, rtol=1e-9, atol=0):
-        raise ValueError("inversion grid must be uniform")
 
-    targets = [0.5 * eta, eta] if richardson else [eta]
-    levels = [targets[0]]
-    while levels[-1] < 0.8e-2:
-        levels.append(min(levels[-1] * 2.0, 1e-2))
-    levels = sorted(set(levels + targets), reverse=True)
-    vals = {}
-    w = None
-    for et in levels:
-        val, w, _ = subordination_eval(m, n, x + 1j * et, tol=tol,
-                                       maxiter=maxiter, start=w)
-        if et in targets:
-            vals[et] = val
-    d = -np.imag(1.0 / vals[eta]) / np.pi
-    if richardson:
-        d = 2.0 * (-np.imag(1.0 / vals[0.5 * eta]) / np.pi) - d
-    clamped = float(-d[d < 0].sum() * h) + 0.0
-    return ms.GridDensity(float(x[0]), float(h), np.maximum(d, 0.0), clamped_mass=clamped)
+    def values(x, etas):
+        levels = [min(etas)]
+        while levels[-1] < 0.8e-2:
+            levels.append(min(levels[-1] * 2.0, 1e-2))
+        vals, w = {}, None
+        for et in sorted(set(levels + etas), reverse=True):
+            vals[et], w, _ = subordination_eval(m, n, x + 1j * et, tol=tol,
+                                                maxiter=maxiter, start=w)
+        return [vals[et] for et in etas]
+
+    return tf._inverted_density(grid, eta, richardson, values)

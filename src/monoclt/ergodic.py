@@ -49,7 +49,7 @@ import numpy as np
 from . import clt as cl
 from . import measures as ms
 from . import transforms as tf
-from .errors import DomainError, NonConvergence, PoleProximity
+from .errors import DomainError, NonConvergence, NumericBreakdown, PoleProximity
 
 __all__ = [
     "RationalBooleMap",
@@ -123,16 +123,11 @@ class RationalBooleMap:
 def boundary_map(rep: tf.NevanlinnaRep) -> RationalBooleMap:
     """Boundary restriction of the map synthesized from ``(a, sigma)``.
 
-    Uses the partial-fraction identity
-    ``(1 + t z)/(t - z) = -t + (1 + t^2)/(t - z)``, i.e.
+    It has the partial fractions of the half-plane map,
     ``w_k = s_k (1 + t_k^2)`` and ``c = a - sum s_k t_k``.  An empty sigma
     gives the pole-free translation ``x + a``.
     """
-    if rep.sigma is None:
-        return RationalBooleMap(rep.a, np.empty(0), np.empty(0))
-    t = rep.sigma.positions
-    s = rep.sigma.masses
-    return RationalBooleMap(rep.a - float((s * t).sum()), t, s * (1.0 + t * t))
+    return RationalBooleMap(*tf._partial_fractions(rep))
 
 
 def boole_map(r: float = 1.0) -> RationalBooleMap:
@@ -165,11 +160,7 @@ def eval_T(T: RationalBooleMap, x):
     xa = np.asarray(x, dtype=float)
     if np.any(_on_pole(T, xa)):
         raise PoleProximity("evaluation point is numerically on a pole")
-    if T.n_poles == 0:
-        out = xa + T.c
-    else:
-        s = tf._pole_sum(T.pole_positions, T.pole_weights, xa.ravel())
-        out = xa + T.c + s.reshape(xa.shape)
+    out = tf._pole_map(T.c, T.pole_positions, T.pole_weights, float)(xa.ravel()).reshape(xa.shape)
     return out if out.ndim else float(out)
 
 
@@ -178,11 +169,8 @@ def eval_dT(T: RationalBooleMap, x):
     xa = np.asarray(x, dtype=float)
     if np.any(_on_pole(T, xa)):
         raise PoleProximity("evaluation point is numerically on a pole")
-    if T.n_poles == 0:
-        out = np.ones_like(xa)
-    else:
-        s = tf._pole_sum(T.pole_positions, T.pole_weights, xa.ravel(), squared=True)
-        out = 1.0 + s.reshape(xa.shape)
+    s = tf._pole_sum(T.pole_positions, T.pole_weights, xa.ravel(), squared=True)
+    out = 1.0 + s.reshape(xa.shape)         # an empty pole sum is 0
     return out if out.ndim else float(out)
 
 
@@ -212,10 +200,8 @@ def _solve_preimages(T: RationalBooleMap, ys) -> tuple[np.ndarray, np.ndarray]:
     if k == 0:
         roots = (ys - c)[:, None]
         return roots, np.ones_like(roots)
-    psum = tf._pole_sum_loop(t, T.pole_weights, float)
-
-    def g(x, y):
-        return x + c + psum(x) - y
+    step = tf._pole_map(c, t, T.pole_weights, float)
+    g = lambda x, y: step(x) - y
 
     # one probe per bracket end, x = a + d with its pole a: the lo ends of
     # the R rows (branch-major within each y), then their hi ends
@@ -320,9 +306,13 @@ class AaronsonSums:
 def aaronson_sums(m: ms.Measure, N: int, z: complex = 1j) -> AaronsonSums:
     """Single-pass recurrence sums for the map of a singular measure.
 
-    Cost O(N); all terms are positive and the partial sums nondecreasing.
+    Cost O(N); all terms are positive and the partial sums nondecreasing.  A
+    non-finite `z` raises :class:`DomainError`, a non-finite sum (an orbit
+    that overflows) :class:`NumericBreakdown`.
     """
     zc = complex(z)
+    if not np.isfinite(zc):
+        raise DomainError(f"recurrence sums need a finite start, got z = {zc!r}")
     if zc.imag <= 0:
         raise ValueError("z must lie in the upper half-plane")
     terms = np.empty(N)
@@ -330,19 +320,26 @@ def aaronson_sums(m: ms.Measure, N: int, z: complex = 1j) -> AaronsonSums:
         # fast scalar path: plain python complex arithmetic beats numpy here
         atoms = [(float(t), float(w)) for t, w in zip(m.positions, m.masses)]
         w = zc
-        for n in range(N):
-            g = 0j
-            for t, mass in atoms:
-                g += mass / (w - t)
-            w = 1.0 / g
-            terms[n] = (-1.0 / w).imag
+        try:
+            for n in range(N):
+                g = 0j
+                for t, mass in atoms:
+                    g += mass / (w - t)
+                w = 1.0 / g
+                terms[n] = (-1.0 / w).imag
+        except ZeroDivisionError:       # the orbit overflowed to infinity, where G = 0
+            terms[n:] = math.nan
     else:
-        step = tf._one_step_evaluator(m)
+        fn, step = tf._evaluator(m)
+        step = step or fn       # a pole-form map steps unchecked, as in an iteration
         w = np.asarray([zc])
         for n in range(N):
             w = step(w)
             terms[n] = float((-1.0 / w).imag[0])
-    return AaronsonSums(zc, terms, np.cumsum(terms))
+    sums = np.cumsum(terms)
+    if not np.isfinite(sums[-1:]).all():       # a sum stays non-finite once it is
+        raise NumericBreakdown(f"the recurrence sums from z = {zc!r} are not finite")
+    return AaronsonSums(zc, terms, sums)
 
 
 @dataclass(frozen=True)
@@ -529,13 +526,12 @@ def _batched_orbit(T: RationalBooleMap, x0: np.ndarray, N: int):
     moved after that.  The blocks are reused buffers of about `_BLOCK`
     points and stop early once every start is dead.
     """
-    t, w, c = T.pole_positions, T.pole_weights, T.c
     x = x0.copy()
     alive = np.ones(len(x0), dtype=bool)
     rows = min(N, max(1, _BLOCK // max(1, len(x0))))
     pts = np.empty((rows, len(x0)))
     live = np.empty((rows, len(x0)), dtype=bool)
-    psum = tf._pole_sum_loop(t, w, float)
+    step = tf._pole_map(T.c, T.pole_positions, T.pole_weights, float)
     r = 0
     for _ in range(N):
         if T.n_poles:
@@ -548,11 +544,7 @@ def _batched_orbit(T: RationalBooleMap, x0: np.ndarray, N: int):
         if r == rows:
             yield pts, live
             r = 0
-        xa = x[alive]
-        if T.n_poles:
-            x[alive] = xa + c + psum(xa)
-        else:
-            x[alive] = xa + c
+        x[alive] = step(x[alive])
     if r:
         yield pts[:r], live[:r]
 

@@ -43,6 +43,14 @@ The Cauchy transform ``sum_k w_k/(z - t_k)`` is 0 minus the pole sum and
 ``1/G`` is ``-(1/s)``: both negations are exact, so every value equals the
 direct formula's bit for bit.
 
+Evaluation has one path: `_evaluator` turns a map node or a measure into
+a function of flat points, built once per `f_eval` call or loop so that
+its pole sums keep one workspace, in one dispatch over node types.
+Pole-form maps use two formulas: ``1/G`` of an atomic or grid
+measure (`_inverse_cauchy`), and ``x + c + sum w_k/(t_k - x)``
+(`_pole_map`), a Nevanlinna map's partial fractions, on the half-plane
+and, as its boundary map, on the line.
+
 `measure_from_map` recovers a grid density by Stieltjes inversion
 (``-Im(1/F(x + i*eta))/pi``) with optional linear Richardson extrapolation
 in eta, and `ks_distance` quantifies weak convergence as a sup-CDF
@@ -51,6 +59,7 @@ distance using the midpoint convention at atoms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,9 +132,10 @@ def sqrt_upper(w):
     return out if out.ndim else complex(out)
 
 
-def _require_upper(z: np.ndarray):
+def _require_upper(z: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(z) & (np.imag(z) > 0)):
         raise DomainError("evaluation point must be finite with Im z > 0")
+    return z
 
 
 def _rows(n_poles: int, n_points: int) -> int:
@@ -150,7 +160,8 @@ def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
       subtract, (square,) divide over the block, and each row is summed by
       ``np.add.reduce``.  That is pairwise summation: below 8 floats' worth
       of terms left to right; from there up to 128 floats, one accumulator
-      per 8 floats' lane, added as a balanced tree, then the rest.
+      per 8 floats' lane, added as a balanced tree, then the rest.  Squares
+      are taken out of place, from a second block (see `_few_pole_rows`).
     * Few-pole (`_few_pole_rows`): for ``1 <= len(t) <= _FEW_POLES`` (24
       complex, 32 real) and at least ``_FEW_POINTS_PER_POLE`` (128) points
       per pole.  It forms one pole's term at a time on a vector of points
@@ -180,12 +191,13 @@ def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
             j = min(i + rows, len(x))
             _few_pole_rows(t, w, x[i:j], bufs[:, :j - i], out[i:j], squared)
         return out
+    diff = np.empty_like(work) if squared else work
     for i in range(0, len(x), rows):
         j = min(i + rows, len(x))
         blk = work[:j - i]
-        np.subtract(t, x[i:j, None], out=blk)
+        np.subtract(t, x[i:j, None], out=diff[:j - i])
         if squared:
-            np.square(blk, out=blk)
+            np.square(diff[:j - i], out=blk)
         np.divide(w, blk, out=blk)
         np.add.reduce(blk, axis=-1, out=out[i:j])     # what ndarray.sum runs
     return out
@@ -245,18 +257,39 @@ def _pole_sum_loop(t: np.ndarray, w: np.ndarray, dtype=complex):
     return psum
 
 
-def _sum_kernel(z: np.ndarray, t: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``sum_k w_k / (z - t_k)`` over flat z: the pole sum subtracted from 0.
+def _pole_map(c: float, t: np.ndarray, w: np.ndarray, dtype=complex):
+    """``x -> x + c + sum_k w_k/(t_k - x)`` over flat points of `dtype`, in
+    one workspace (``x -> x + c`` without poles)."""
+    if len(t) == 0:
+        return lambda x: x + c
+    psum = _pole_sum_loop(t, w, dtype)
+    return lambda x: x + c + psum(x)
 
-    ``0 - s`` is ``-s`` exactly, except that a real part cancelled to 0
-    stays +0, as summing the terms ``w_k / (z - t_k)`` leaves it.  It runs
-    on the float view, which numpy handles about five times faster than
-    complex numbers.
-    """
-    out = _pole_sum(t, w, z)
-    v = out.view(float)
-    np.subtract(0.0, v, out=v)
-    return out
+
+def _inverse_cauchy(t: np.ndarray, w: np.ndarray):
+    """``z -> 1/G(z)`` for ``G = sum_k w_k/(z - t_k)``, in one workspace: ``-(1/s)``
+    for the pole sum s, which is ``1/(0 - s)`` bit for bit wherever ``s != 0``."""
+    psum = _pole_sum_loop(t, w)
+
+    def inverse(z):
+        s = psum(z)
+        np.divide(1.0, s, out=s)
+        v = s.view(float)
+        np.negative(v, out=v)
+        return s
+
+    return inverse
+
+
+def _poles(m):
+    """``(t, w)`` of ``G = sum_k w_k/(z - t_k)``, atomic or grid (trapezoid), else None."""
+    if isinstance(m, ms.AtomicMeasure):
+        return m.positions, m.masses
+    if isinstance(m, ms.GridDensity):
+        wts = np.full(len(m.values), m.h)
+        wts[0] = wts[-1] = 0.5 * m.h
+        return m.grid, wts * m.values
+    return None
 
 
 def cauchy_eval(m: ms.Measure, z):
@@ -268,12 +301,12 @@ def cauchy_eval(m: ms.Measure, z):
     zarr = np.asarray(z, dtype=complex)
     _require_upper(zarr)
     flat = zarr.ravel()
-    if isinstance(m, ms.AtomicMeasure):
-        out = _sum_kernel(flat, m.positions, m.masses)
-    elif isinstance(m, ms.GridDensity):
-        wts = np.full(len(m.values), m.h)
-        wts[0] = wts[-1] = 0.5 * m.h
-        out = _sum_kernel(flat, m.grid, wts * m.values)
+    poles = _poles(m)
+    if poles is not None:
+        # 0 - s on the float view (5x faster): a real part cancelled to 0 stays +0
+        out = _pole_sum(*poles, flat)
+        v = out.view(float)
+        np.subtract(0.0, v, out=v)
     elif isinstance(m, ms.ReferenceLaw):
         u = flat if m.kind == "point" else flat / m.scale
         if m.kind == "point":
@@ -332,6 +365,16 @@ class NevanlinnaRep:
         return 0.0 if self.sigma is None else self.sigma.total_mass
 
 
+def _partial_fractions(rep: NevanlinnaRep):
+    """``(c, t, w)`` with the map of `rep` ``z + c + sum w_k/(t_k - z)``: by
+    ``(1 + t z)/(t - z) = -t + (1 + t^2)/(t - z)``, ``w_k = s_k (1 + t_k^2)``
+    and ``c = a - sum s_k t_k``."""
+    if rep.sigma is None:
+        return rep.a, np.empty(0), np.empty(0)
+    t, s = rep.sigma.positions, rep.sigma.masses
+    return rep.a - float((s * t).sum()), t, s * (1.0 + t * t)
+
+
 class SelfMap:
     """Base class for evaluable analytic self-maps of the upper half-plane."""
 
@@ -358,15 +401,7 @@ class NevanlinnaMap(SelfMap):
     rep: NevanlinnaRep
 
     def __post_init__(self):
-        sig = self.rep.sigma
-        if sig is None:
-            c, t, w = self.rep.a, np.empty(0), np.empty(0)
-        else:
-            t = sig.positions
-            s = sig.masses
-            c = self.rep.a - float((s * t).sum())
-            w = s * (1.0 + t * t)
-        object.__setattr__(self, "_pf", (c, t, w))
+        object.__setattr__(self, "_pf", _partial_fractions(self.rep))
 
 
 @dataclass(frozen=True)
@@ -448,9 +483,10 @@ class FreeConvolveMap(SelfMap):
 AnalyticSelfMap = SelfMap
 
 
-def _check_upper_out(w: np.ndarray, what: str):
+def _check_upper_out(w: np.ndarray, what: str) -> np.ndarray:
     if np.min(np.imag(w)) < -BREAKDOWN_TOL:
         raise NumericBreakdown(f"{what} produced Im = {np.min(np.imag(w))!r} < -{BREAKDOWN_TOL}")
+    return w
 
 
 def f_eval(F: SelfMap, z):
@@ -464,7 +500,9 @@ def f_eval(F: SelfMap, z):
     """
     zarr = np.asarray(z, dtype=complex)
     _require_upper(zarr)
-    out = _eval_node(F, zarr.ravel())
+    if not isinstance(F, SelfMap):
+        raise TypeError(f"not an analytic self-map: {F!r}")
+    out = _evaluator(F)[0](zarr.ravel())
     if not np.all(np.isfinite(out) & (out.imag > 0)):
         raise NumericBreakdown(f"{type(F).__name__} left the open upper half-plane "
                                "(a value is not finite or has Im <= 0)")
@@ -472,86 +510,64 @@ def f_eval(F: SelfMap, z):
     return out if out.ndim else complex(out)
 
 
-def _eval_node(F: SelfMap, z: np.ndarray) -> np.ndarray:
+def _evaluator(F):
+    """``(fn, step)``: the map node or measure `F` as functions of flat points.
+
+    `fn` runs `_check_upper_out` after each node that has a check (all but
+    the identity, compositions and iterations).  `step` is the unchecked
+    formula of an atomic measure's map or a Nevanlinna map, which an
+    iteration repeats and checks once at its end; other nodes have None.
+    A measure stands for its map as a loop step: `fn` is `step` if any.
+    """
+    if not isinstance(F, SelfMap):
+        fn, step = _evaluator(MeasureMap(F))
+        return step or fn, step
+    step = None
     if isinstance(F, IdentityMap):
-        return z
+        return (lambda z: z), None
+    if isinstance(F, ComposeMap):
+        parts = [_evaluator(part)[0] for part in reversed(F.parts)]
+        return (lambda z: functools.reduce(lambda w, part: part(w), parts, z)), None
+    if isinstance(F, IterateMap):
+        base, step = _evaluator(F.base)
+        power = _repeat(step or base, F.n)
+        return (power if step is None else lambda z: _check_upper_out(power(z), "iteration")), None
+    if isinstance(F, ScaledPowerMap):
+        power, B = _repeat(_evaluator(F.measure)[0], F.n), F.B
+        return (lambda z: _check_upper_out(power(z * B) / B, "iteration")), None
     if isinstance(F, MeasureMap):
-        w = 1.0 / cauchy_eval(F.measure, z)
+        m, poles = F.measure, _poles(F.measure)
+        if poles is None:
+            raw = lambda z: 1.0 / cauchy_eval(m, z)
+        else:
+            inverse = _inverse_cauchy(*poles)
+            raw = lambda z: inverse(_require_upper(z))      # as cauchy_eval checks z
+            if isinstance(m, ms.AtomicMeasure):
+                step = inverse
     elif isinstance(F, NevanlinnaMap):
-        w = _one_step_evaluator(F)(z)
-    elif isinstance(F, ComposeMap):
-        w = z
-        for part in reversed(F.parts):
-            w = _eval_node(part, w)
-        return w
-    elif isinstance(F, IterateMap):
-        if isinstance(F.base, NevanlinnaMap) or (
-                isinstance(F.base, MeasureMap) and isinstance(F.base.measure, ms.AtomicMeasure)):
-            base = F.base.measure if isinstance(F.base, MeasureMap) else F.base
-            return _iterate_map(base, z, F.n)
-        w = z
-        for _ in range(F.n):
-            w = _eval_node(F.base, w)
-        return w
+        raw = step = _pole_map(*F._pf)
     elif isinstance(F, DilatedMap):
-        w = F.b * _eval_node(F.base, z / F.b)
+        base, b = _evaluator(F.base)[0], F.b
+        raw = lambda z: b * base(z / b)
     elif isinstance(F, ArcsineMap):
-        w = np.asarray(sqrt_upper(z * z - 2.0))
-    elif isinstance(F, ScaledPowerMap):
-        return _iterate_map(F.measure, z, F.n, F.B)
+        raw = lambda z: np.asarray(sqrt_upper(z * z - 2.0))
     elif isinstance(F, FreeConvolveMap):
         from .convolve import subordination_eval
 
-        w, _, _ = subordination_eval(F.m, F.n, z, tol=F.tol, maxiter=F.maxiter)
+        raw = lambda z: subordination_eval(F.m, F.n, z, tol=F.tol, maxiter=F.maxiter)[0]
     else:
         raise TypeError(f"not an analytic self-map: {F!r}")
-    _check_upper_out(w, type(F).__name__)
-    return w
+    what = type(F).__name__
+    return (lambda z: _check_upper_out(raw(z), what)), step
 
 
-def _one_step_evaluator(m):
-    """Return a fast ``w -> F(w)`` closure over flat points for inner loops.
+def _repeat(fn, n: int):
+    def repeated(z):
+        for _ in range(n):
+            z = fn(z)
+        return z
 
-    Accepts a measure or a :class:`NevanlinnaMap`; atomic measures and
-    Nevanlinna maps evaluate their pole sums in one workspace kept for the
-    closure's life.  Other maps fall back to the generic evaluator.
-    """
-    if isinstance(m, ms.AtomicMeasure):
-        psum = _pole_sum_loop(m.positions, m.masses)
-
-        def step(w):
-            # 1/G = 1/(-s) = -(1/s), exactly (negated on the float view)
-            s = psum(w)
-            np.divide(1.0, s, out=s)
-            v = s.view(float)
-            np.negative(v, out=v)
-            return s
-
-        return step
-    if isinstance(m, NevanlinnaMap):
-        c, t, wt = m._pf
-        if len(t) == 0:
-            return lambda w: w + c
-        psum = _pole_sum_loop(t, wt)
-        return lambda w: w + c + psum(w)
-    if isinstance(m, SelfMap):
-        return lambda w: _eval_node(m, w)
-    F = MeasureMap(m)
-    return lambda w: _eval_node(F, w)
-
-
-def _iterate_map(base, z: np.ndarray, n: int, B: float = 1.0) -> np.ndarray:
-    """``n`` iterations of ``w -> F(B*w)/B`` for a measure or map base.
-
-    Loops the vectorized one-step evaluator.
-    """
-    step = _one_step_evaluator(base)
-    out = z * B
-    for _ in range(n):
-        out = step(out)
-    out = out / B
-    _check_upper_out(out, "iteration")
-    return out
+    return repeated
 
 
 # ---------------------------------------------------------------------------
@@ -628,16 +644,22 @@ def measure_from_map(F: SelfMap, grid: np.ndarray | None = None, eta: float = 1e
     from roundoff/extrapolation are clamped at zero and the clamped mass is
     recorded on the result.
     """
+    return _inverted_density(grid, eta, richardson,
+                             lambda x, etas: [f_eval(F, x + 1j * e) for e in etas])
+
+
+def _inverted_density(grid, eta: float, richardson: bool, values) -> ms.GridDensity:
+    """`measure_from_map` from ``values(x, etas)``, ``F(x + i*e)`` for ``e`` in `etas`."""
     if eta <= 0:
         raise ValueError("eta must be positive")
     x = default_grid() if grid is None else np.asarray(grid, dtype=float)
     h = x[1] - x[0]
     if not np.allclose(np.diff(x), h, rtol=1e-9, atol=0):
         raise ValueError("inversion grid must be uniform")
-    d = -np.imag(1.0 / f_eval(F, x + 1j * eta)) / np.pi
+    F = values(x, [eta, 0.5 * eta] if richardson else [eta])
+    d = -np.imag(1.0 / F[0]) / np.pi
     if richardson:
-        d_half = -np.imag(1.0 / f_eval(F, x + 0.5j * eta)) / np.pi
-        d = 2.0 * d_half - d
+        d = 2.0 * (-np.imag(1.0 / F[1]) / np.pi) - d
     clamped = float(-d[d < 0].sum() * h) + 0.0
     return ms.GridDensity(float(x[0]), float(h), np.maximum(d, 0.0), clamped_mass=clamped)
 

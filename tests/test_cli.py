@@ -176,3 +176,26 @@ def test_reordered_classical_merge_exits_3(tmp_path, capsys):
     assert not outdir.exists()
     err = capsys.readouterr().err
     assert "NumericBreakdown" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args", [
+    ["aaronson", "--z-im", "nan"],
+    ["aaronson", "--z-re", "nan"],
+    ["aaronson", "--z-im", "inf"],
+    ["conjugacy", "--y-list", "inf"],
+    ["conjugacy", "--y-list", "10.5,1e200"],       # y^2 overflows
+])
+def test_non_finite_map_step_start_exits_2(args, tmp_path, capsys):
+    code, outdir = run_cli(args + ["--N" if args[0] == "aaronson" else "--n", "20"], tmp_path)
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert "DomainError" in err and "Traceback" not in err
+
+
+def test_non_finite_conjugacy_trace_exits_3(tmp_path, capsys):
+    code, outdir = run_cli(["conjugacy", "--n", "20", "--B", "inf"], tmp_path)
+    assert code == 3
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert "NumericBreakdown" in err and "Traceback" not in err

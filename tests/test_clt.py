@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, optimize
 
 import monoclt as mc
-from monoclt import clt
+from monoclt import clt, ergodic as eg, transforms as tf
 from monoclt.errors import DegenerateMeasure, DomainError, NonConvergence, NumericBreakdown
 
 from test_measures import BERN, BOOLE, NU, random_atomic
@@ -72,6 +72,12 @@ class TestNormingConstants:
         # n*h(y) - y^2 = y^2 stays positive: no doubling of hi brackets the root
         with pytest.raises(NonConvergence):
             clt._cutoff_bisect(lambda y: y * y, np.array([2]), 1.0)
+
+    def test_unbracketed_sigma_criterion_is_typed(self):
+        # L(y) ~ y^2 up to y ~ 1e100, beyond 200 doublings of hi from sqrt(n*S) = 1
+        sigma = mc.atomic([(1e100, 1.0)], is_probability=False)
+        with np.errstate(over="ignore"), pytest.raises(NonConvergence):
+            clt.sigma_criterion_constants(sigma, [1])
 
     def test_half_slope(self):
         ns = np.array([100, 316, 1000, 3162, 10_000])
@@ -245,6 +251,17 @@ class TestConjugacyTrace:
         with pytest.raises(DomainError):
             clt.conjugacy_trace(BOOLE, 10, -(9.0**2), 3.0)
 
+    @pytest.mark.parametrize("z", [-math.inf, -(1e200 * 1e200), complex(math.nan, 0.0)])
+    def test_non_finite_start(self, z):
+        with pytest.raises(DomainError):
+            clt.conjugacy_trace(BOOLE, 10, z, 3.0)
+
+    @pytest.mark.parametrize("B", [math.inf, 1e-320])
+    def test_non_finite_trace_is_typed(self, B):
+        for src in (BOOLE, eg.lattice_tail_lab(10).map):
+            with np.errstate(all="ignore"), pytest.raises(NumericBreakdown):
+                clt.conjugacy_trace(src, 10, -(10.5**2), B)
+
 
 class TestDriftBound:
     def test_zeroth_iterate(self):
@@ -266,6 +283,29 @@ class TestDriftBound:
         rep = clt.drift_bound_check(BOOLE, n, 11.0, [0, 250, 500, 1000], math.sqrt(n))
         assert not rep.violations.any()
         assert rep.deviations.max() <= 5.0
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf])
+    def test_non_finite_start(self, y):
+        with pytest.raises(DomainError):
+            clt.drift_bound_check(BOOLE, 100, y, [0, 50], 10.0)
+
+    @pytest.mark.parametrize("B", [math.inf, 1e-320])
+    def test_non_finite_deviation_is_typed(self, B):
+        for src in (BOOLE, eg.lattice_tail_lab(10).map):
+            with np.errstate(all="ignore"), pytest.raises(NumericBreakdown):
+                clt.drift_bound_check(src, 10, 10.5, [0, 5, 10], B)
+
+    def test_half_plane_checks_per_step(self, monkeypatch):
+        """A map source is checked after each of the 11 steps, as a map
+        node; an atomic measure steps on its bare formula, unchecked."""
+        calls = []
+        inner = tf._check_upper_out
+        monkeypatch.setattr(tf, "_check_upper_out", lambda w, what: (calls.append(what), inner(w, what))[1])
+        clt.drift_bound_check(eg.lattice_tail_lab(10).map, 10, 10.5, [0, 10], 3.0)
+        assert calls == ["NevanlinnaMap"] * 11
+        del calls[:]
+        clt.drift_bound_check(BOOLE, 10, 10.5, [0, 10], 3.0)
+        assert calls == []
 
 
 class TestLln:

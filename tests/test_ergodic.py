@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import monoclt as mc
 from monoclt import clt, ergodic as eg, transforms as tf
-from monoclt.errors import DomainError, NonConvergence, PoleProximity
+from monoclt.errors import DomainError, NonConvergence, NumericBreakdown, PoleProximity
 
 from test_measures import BOOLE, random_atomic
 
@@ -314,10 +314,28 @@ class TestAaronsonSums:
             ratio = s.partial_sums[3999] / s.partial_sums[999]
             assert 1.7 < ratio < 2.3
 
-    def test_transform_defined_measure_accepted(self):
+    def test_transform_defined_measure_accepted(self, monkeypatch):
+        # a Nevanlinna map steps on its bare formula, as in an iteration
+        calls = []
+        monkeypatch.setattr(tf, "_check_upper_out", lambda w, what: calls.append(what))
         lab = eg.lattice_tail_lab(100)
         s = eg.aaronson_sums(lab.map, 50)
         assert np.all(s.terms > 0)
+        assert calls == []
+
+    @pytest.mark.parametrize("z", [complex(0.0, math.nan), complex(math.nan, 1.0),
+                                   complex(0.0, math.inf), complex(math.inf, 1.0)])
+    def test_non_finite_start(self, z):
+        for m in (BOOLE, eg.lattice_tail_lab(10).map):
+            with pytest.raises(DomainError):
+                eg.aaronson_sums(m, 10, z=z)
+
+    def test_overflowing_orbit_is_typed(self):
+        # the first step from 1e-310j overflows to infinity, where G is 0
+        many = mc.AtomicMeasure(np.linspace(-1.0, 1.0, 65), np.full(65, 1.0 / 65))
+        for m in (BOOLE, many):                 # the scalar and the numpy branch
+            with np.errstate(all="ignore"), pytest.raises(NumericBreakdown):
+                eg.aaronson_sums(m, 10, z=1e-310j)
 
 
 class TestConservativity:

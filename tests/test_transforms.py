@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 import monoclt as mc
@@ -351,9 +352,9 @@ class TestPoleSumKernel:
         got = [mc.subordination_eval(m, n, z) for m, n in pairs]
 
         def plain_step(mu):
-            return lambda v: 1.0 / plain_cauchy(mu.positions, mu.masses, v)
+            return (lambda v: 1.0 / plain_cauchy(mu.positions, mu.masses, v)), None
 
-        monkeypatch.setattr(tf, "_one_step_evaluator", plain_step)
+        monkeypatch.setattr(tf, "_evaluator", plain_step)
         want = [mc.subordination_eval(m, n, z) for m, n in pairs]
         for g, w in zip(got, want):
             assert g[2] == w[2]
@@ -450,3 +451,114 @@ class TestFewPoleOrder:
         eg.eval_T(T, np.random.default_rng(4).uniform(-2.0, 2.0, 2048))
         mc.cauchy_eval(BOOLE, 0.5 + 1j)
         assert calls == []
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("k", [1, 3])
+def test_generic_squared_sums_ignore_block_size(dtype, k, monkeypatch):
+    """The generic branch squares each difference out of place: numpy
+    squares a one-element complex array in place by a scalar loop whose
+    last bit can differ, so one-row blocks of one pole would differ."""
+    monkeypatch.setattr(tf, "_FEW_POLES", {"D": 0, "d": 0})
+    rng = np.random.default_rng(22)
+    x = rng.uniform(-3.0, 3.0, 2000)
+    if dtype is complex:
+        x = x + 1j * rng.uniform(0.01, 2.0, 2000)
+    t, w = np.sort(rng.uniform(-1.0, 1.0, k)), rng.uniform(0.1, 1.0, k)
+    want = np.add.reduce(w / np.square(t - x[:, None]), axis=-1)
+    assert same_bits(tf._pole_sum(t, w, x, squared=True), want)
+    for rows in (1, 7):
+        monkeypatch.setattr(tf, "_CHUNK", rows * k)
+        assert same_bits(tf._pole_sum(t, w, x, squared=True), want)
+
+
+# ---------------------------------------------------------------------------
+# Properties of the evaluator on random small laws and Nevanlinna pairs
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def pole_laws(draw, probability=True):
+    """1-6 atoms on the grid 0.25*Z within [-5, 5] (symmetric laws, whose
+    real parts cancel to signed zeros on the imaginary axis, included)."""
+    k = draw(st.integers(1, 6))
+    pos = draw(st.lists(st.integers(-20, 20), min_size=k, max_size=k, unique=True))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0) if probability else st.floats(0.01, 2.0),
+                               min_size=k, max_size=k)))
+    order = np.argsort(pos)
+    pos = 0.25 * np.asarray(pos, dtype=float)[order]
+    if probability:
+        return mc.AtomicMeasure(pos, (w / w.sum())[order])
+    return mc.AtomicMeasure(pos, w[order], is_probability=False)
+
+
+@st.composite
+def nevanlinna_maps(draw):
+    sigma = draw(st.none() | pole_laws(probability=False))
+    return mc.NevanlinnaMap(mc.NevanlinnaRep(draw(st.floats(-3.0, 3.0)), sigma))
+
+
+POINTS = st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.05, 5.0)),
+                  min_size=1, max_size=8).map(lambda p: np.array([complex(x, y) for x, y in p]))
+
+
+class TestEvaluatorProperties:
+    """The paper's half-plane invariants, and the evaluator's structure:
+    an iteration or a composition gives the bits of its steps applied in
+    turn."""
+
+    @PROPERTY_SETTINGS
+    @given(m=pole_laws(), N=nevanlinna_maps(), z=POINTS)
+    def test_half_plane_and_cauchy_bound(self, m, N, z):
+        eps = np.finfo(float).eps
+        for F in (mc.MeasureMap(m), N, mc.IterateMap(mc.MeasureMap(m), 3), mc.IterateMap(N, 3)):
+            w = mc.f_eval(F, z)
+            assert np.all(np.isfinite(w))
+            assert np.all(w.imag >= z.imag * (1.0 - 4 * eps))
+        G = mc.cauchy_eval(m, z)
+        assert np.all(np.abs(G) <= m.total_mass / z.imag * (1.0 + 4 * eps))
+
+    @PROPERTY_SETTINGS
+    @given(m=pole_laws(), N=nevanlinna_maps(), z=POINTS, n=st.integers(0, 6))
+    # a symmetric law on the imaginary axis: each step's real part is -0.0
+    @example(m=BOOLE, N=mc.NevanlinnaMap(mc.NevanlinnaRep(0.0, None)), z=np.array([1j, 2j]), n=2)
+    def test_iterate_is_repeated_evaluation(self, m, N, z, n):
+        for base in (mc.MeasureMap(m), N, mc.DilatedMap(mc.MeasureMap(m), 2.0)):
+            want = z
+            for _ in range(n):
+                want = mc.f_eval(base, want)
+            assert same_bits(mc.f_eval(mc.IterateMap(base, n), z), want)
+
+    @PROPERTY_SETTINGS
+    @given(m=pole_laws(), m2=pole_laws(), N=nevanlinna_maps(), z=POINTS)
+    def test_compose_applies_parts_in_turn(self, m, m2, N, z):
+        parts = (mc.MeasureMap(m), N, mc.MeasureMap(m2))
+        want = z
+        for part in reversed(parts):
+            want = mc.f_eval(part, want)
+        assert same_bits(mc.f_eval(mc.ComposeMap(parts), z), want)
+
+    @PROPERTY_SETTINGS
+    @given(m=pole_laws(), z=POINTS)
+    def test_nevanlinna_round_trip(self, m, z):
+        want = mc.f_eval(mc.MeasureMap(m), z)
+        got = mc.f_eval(mc.nevanlinna_synthesize(mc.nevanlinna_extract(m)), z)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_half_plane_checks(self, n, monkeypatch):
+        """An iterated pole-form base is checked once per evaluation, a
+        generic base after each of its steps."""
+        calls = []
+        inner = tf._check_upper_out
+        monkeypatch.setattr(tf, "_check_upper_out", lambda w, what: (calls.append(what), inner(w, what))[1])
+        lab = eg.lattice_tail_lab(10)
+        z = clt.default_z_grid()
+        for F, want in [(mc.IterateMap(mc.MeasureMap(BOOLE), n), 1), (mc.IterateMap(lab.map, n), 1),
+                        (mc.ScaledPowerMap(BOOLE, n, 2.0), 1), (mc.IterateMap(mc.ArcsineMap(), n), n),
+                        (mc.ComposeMap((mc.MeasureMap(BOOLE), lab.map)), 2)]:
+            del calls[:]
+            mc.f_eval(F, z)
+            assert len(calls) == want, (F, calls)

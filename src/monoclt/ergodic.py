@@ -29,13 +29,14 @@ with the pole-sum kernel of :mod:`monoclt.transforms`, in one workspace
 kept for the whole orbit.  Orbit starts must be finite and horizons lie
 in 1..1e8 steps; a Hopf ratio also needs every start off the poles.
 
-Preimages come from one batched bisection: each (y, branch) pair is a
-row, every step evaluates ``T`` on all live rows with one call of the
-pole-sum kernel, and a row drops out when it is done.  Each row follows
-the path a scalar bisection of its own branch would take, so a root does
-not depend on how many points are solved together.  The preservation
-identity solves all its points in one call and sums ``1/T'`` over the
-``(points, k+1)`` roots.
+Preimages come from one batched bisection over the ordered float64
+lattice: each (y, branch) pair is a row that starts from the branch's
+exact ends (poles or infinities, never evaluated), every step evaluates
+``T`` on all live rows with one call of the pole-sum kernel and halves
+the floats left between the ends, and a row is done after at most 64
+steps.  A root does not depend on how many points are solved together.
+The preservation identity solves all its points in one call and sums
+``1/T'`` over the ``(points, k+1)`` roots.
 """
 
 from __future__ import annotations
@@ -174,23 +175,33 @@ def eval_dT(T: RationalBooleMap, x):
     return out if out.ndim else float(out)
 
 
+def _lattice(i: np.ndarray) -> np.ndarray:
+    """Flip the bits of an int64 view of float64s into order-preserving keys.
+
+    The map is its own inverse: it turns the bits of floats into keys and
+    keys back into bits.
+    """
+    return i ^ ((i >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
+
+
 def _solve_preimages(T: RationalBooleMap, ys) -> tuple[np.ndarray, np.ndarray]:
     """All preimages of every point of `ys`, and ``T'`` at each of them.
 
     Returns two arrays of shape ``(len(ys), k+1)``; row j holds the roots of
     ``T(x) = ys[j]`` in branch order.  Each (y, branch) pair is a row of one
-    solve: every step makes one pole-sum call for all live rows, in a
-    workspace kept for the whole solve, and a row drops out when it is
-    done.  A row takes the path of a scalar bisection of
-    ``g(x) = x + c + sum_k w_k/(t_k - x) - y``, so its root does not depend
-    on the other rows.  First each bracket end steps until g has the sign
-    it needs (below 0 at ``lo``, above 0 at ``hi``): an end on an unbounded
-    side doubles its distance from the outer pole (``lo <- t0 - 2(t0 - lo)``),
-    an end next to a pole ``t_i`` moves to ``t_i +- eps`` with ``eps``
-    halved each time.  Then at most 200 bisection steps keep the end whose
-    g has the sign of ``g(lo)``, stopping once the midpoint equals an end.
-    A residual ``|g|`` above ``1e-10 (1 + |y|) + 8 u (1 + |x|) T'(x)``, with
-    ``u`` the float64 machine epsilon, raises :class:`NonConvergence`.
+    bisection of ``g(x) = x + c + sum_k w_k/(t_k - x) - y`` over the ordered
+    float64 lattice: the branch's ends ``-inf, t_0, ..., t_{k-1}, +inf`` are
+    the first bracket, where g tends to -inf on the left and +inf on the
+    right, so no end is searched for or evaluated.  A step halves the count
+    of floats between the ends and keeps ``lo`` where ``g <= 0``, ``hi``
+    where ``g > 0``; at most 64 steps leave adjacent floats, and the root
+    is ``0.5 (lo + hi)``.  Every step makes one pole-sum call for all live
+    rows, in a workspace kept for the whole solve, and a row's root does not
+    depend on the other rows.  A root that is not finite raises
+    :class:`NumericBreakdown`, one within ``POLE_TOL`` of a pole (huge
+    ``|y|`` on an inner branch) :class:`PoleProximity`, and a residual
+    ``|g|`` that is not below ``1e-10 (1 + |y|) + 8 u (1 + |x|) T'(x)``, with
+    ``u`` the float64 machine epsilon, :class:`NonConvergence`.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     bad = ~np.isfinite(ys)
@@ -203,55 +214,30 @@ def _solve_preimages(T: RationalBooleMap, ys) -> tuple[np.ndarray, np.ndarray]:
     step = tf._pole_map(c, t, T.pole_weights, float)
     g = lambda x, y: step(x) - y
 
-    # one probe per bracket end, x = a + d with its pole a: the lo ends of
-    # the R rows (branch-major within each y), then their hi ends
-    R, n = len(ys) * (k + 1), len(ys)
+    # rows are branch-major within each y; lo and hi are lattice keys
+    n = len(ys)
     y = np.repeat(ys, k + 1)
-    quarter_gap = 0.25 * np.diff(t)
-    a = np.concatenate([np.tile(np.concatenate(([t[0]], t)), n),
-                        np.tile(np.concatenate((t, [t[-1]])), n)])
-    d = np.concatenate([np.tile(np.concatenate(([0.0], quarter_gap, [0.5])), n),
-                        np.tile(np.concatenate(([-0.5], -quarter_gap, [0.0])), n)])
-    x = a + d
-    # the outer ends of the two unbounded branches step outward instead
-    outer = np.zeros(2 * R, dtype=bool)
-    outer[0:R:k + 1] = outer[R + k::k + 1] = True
-    x[0:R:k + 1] = t[0] - 1.0 - np.abs(ys - c)
-    x[R + k::k + 1] = t[-1] + 1.0 + np.abs(ys - c)
-    is_lo = np.arange(2 * R) < R
-    gx = np.empty(2 * R)
-    act = np.arange(2 * R)
-    while len(act):
-        ga = g(x[act], y[act % R])
-        gx[act] = ga
-        act = act[np.where(is_lo[act], ga >= 0, ga <= 0)]
-        # t0 - 2 (t0 - lo) is t0 + 2 (lo - t0) exactly; t_i - eps is t_i + (-eps)
-        xa, aa = x[act], a[act]
-        d[act] = np.where(outer[act], 2.0 * (xa - aa), 0.5 * d[act])
-        x[act] = aa + d[act]
+    ends = _lattice(np.concatenate(([-np.inf], t, [np.inf])).view(np.int64))
+    lo, hi = np.tile(ends[:-1], n), np.tile(ends[1:], n)
+    act = np.arange(len(y))
+    while len(act := act[hi[act] > lo[act] + 1]):
+        l, h = lo[act], hi[act]
+        mid = (l >> 1) + (h >> 1) + (l & h & 1)
+        up = g(_lattice(mid).view(float), y[act]) > 0
+        hi[act[up]] = mid[up]
+        lo[act[~up]] = mid[~up]
+    roots = 0.5 * (_lattice(lo).view(float) + _lattice(hi).view(float))
 
-    lo, glo, hi = x[:R], gx[:R], x[R:]
-    act = np.arange(R)
-    for _ in range(200):
-        mid = 0.5 * (lo[act] + hi[act])
-        go = ~((mid == lo[act]) | (mid == hi[act]))
-        act, mid = act[go], mid[go]
-        if not len(act):
-            break
-        gm = g(mid, y[act])
-        same = (gm > 0) == (glo[act] > 0)
-        lo[act[same]] = mid[same]
-        glo[act[same]] = gm[same]
-        hi[act[~same]] = mid[~same]
-    roots = 0.5 * (lo + hi)
-
-    resid = np.abs(g(roots, y))
+    if not np.isfinite(roots).all():
+        raise NumericBreakdown(f"a preimage of y = {float(y[~np.isfinite(roots)][0])!r} overflows")
     dT = eval_dT(T, roots)
+    resid = np.abs(g(roots, y))
     # steep branches bound the attainable y-residual by T'(x) * ulp(x)
     slope_floor = 8.0 * np.finfo(float).eps * (1.0 + np.abs(roots)) * dT
     tol = 1e-10 * (1.0 + np.abs(y)) + slope_floor
-    if np.any(resid > tol):
-        i = int(np.argmax(resid > tol))
+    bad = ~(resid <= tol)                   # a NaN residual or bound fails too
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NonConvergence(f"preimage residual {resid[i]:.3g} exceeds {tol[i]:.3g} "
                              f"at y = {y[i]!r}")
     return roots.reshape(n, k + 1), dT.reshape(n, k + 1)
@@ -260,13 +246,16 @@ def _solve_preimages(T: RationalBooleMap, ys) -> tuple[np.ndarray, np.ndarray]:
 def preimages(T: RationalBooleMap, y: float) -> np.ndarray:
     """All solutions of ``T(x) = y``: exactly one per branch interval.
 
-    The batched bisection for the single point `y`, one row per branch:
-    brackets expand on the unbounded branches and close in on the poles,
-    and every residual ``|T(x) - y|`` is certified below
+    The batched bisection for the single point `y`, one row per branch,
+    each over the floats between the branch's ends in at most 64 steps.
+    Every residual ``|T(x) - y|`` is certified below
     ``1e-10 (1 + |y|) + 8 u (1 + |x|) T'(x)`` with ``u`` the float64 machine
     epsilon (the second term is the steep branches' floor, ``T'(x)`` times
-    a few ulps of x); a larger one raises :class:`NonConvergence`.  A
-    non-finite `y` raises :class:`DomainError`.
+    a few ulps of x); a larger or NaN one raises :class:`NonConvergence`.
+    A non-finite `y` raises :class:`DomainError`.  For a huge ``|y|`` an
+    inner root falls within ``POLE_TOL`` of a pole, which raises
+    :class:`PoleProximity`, and a root that overflows (``|y|`` near the
+    float range) raises :class:`NumericBreakdown`.
     """
     return _solve_preimages(T, [y])[0][0]
 
@@ -281,7 +270,9 @@ def preservation_check(T: RationalBooleMap, y_list) -> float:
     """Max deviation of ``sum over preimages of 1/T'`` from 1.
 
     The identity holding for a.e. y is equivalent to T preserving Lebesgue
-    measure.  All points are solved in one batched call.
+    measure.  All points are solved in one batched call, with the errors
+    of :func:`preimages`: :class:`PoleProximity` for a point so large that
+    one of its roots is numerically on a pole.
     """
     worst = 0.0
     for dev in _preservation_deviations(T, y_list).tolist():
@@ -308,7 +299,9 @@ def aaronson_sums(m: ms.Measure, N: int, z: complex = 1j) -> AaronsonSums:
 
     Cost O(N); all terms are positive and the partial sums nondecreasing.  A
     non-finite `z` raises :class:`DomainError`, a non-finite sum (an orbit
-    that overflows) :class:`NumericBreakdown`.
+    that overflows) :class:`NumericBreakdown`, and a term that underflows to
+    0 (a start so far out that ``Im(-1/w)`` is below the subnormals)
+    :class:`DomainError` naming the start.
     """
     zc = complex(z)
     if not np.isfinite(zc):
@@ -339,6 +332,9 @@ def aaronson_sums(m: ms.Measure, N: int, z: complex = 1j) -> AaronsonSums:
     sums = np.cumsum(terms)
     if not np.isfinite(sums[-1:]).all():       # a sum stays non-finite once it is
         raise NumericBreakdown(f"the recurrence sums from z = {zc!r} are not finite")
+    if not terms.all():
+        raise DomainError(f"start z = {zc!r}: term {int(np.argmin(terms != 0)) + 1} "
+                          "underflows to 0, so the terms are not all positive")
     return AaronsonSums(zc, terms, sums)
 
 

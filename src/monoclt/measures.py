@@ -12,7 +12,8 @@ The workbench manipulates four concrete representations:
   cutoff, the standard source of slowly varying truncated variances.
 
 All values are immutable after construction and every operation is a pure
-function, so instances can be shared freely across threads.
+function, so instances can be shared freely across threads.  Every numeric
+field must be finite: a NaN or an infinity raises ``ValueError``.
 
 Moment-type quantities use an explicit ``inf`` sentinel for divergent
 integrals; no operation is allowed to overflow instead.  For finite
@@ -76,9 +77,10 @@ _PAIRS_PER_CAP_ATOM = 4
 _PROB_TOL = 1e-12
 
 
-def _require_finite_atoms(positions: np.ndarray, masses: np.ndarray):
-    if not (np.all(np.isfinite(positions)) and np.all(np.isfinite(masses))):
-        raise ValueError("positions and masses must be finite")
+def _require_finite(what: str, *values):
+    """Refuse NaN and infinities, which pass every ``< 0`` or ``<= 0`` check."""
+    if not all(np.all(np.isfinite(v)) for v in values):
+        raise ValueError(f"{what} must be finite")
 
 
 def _merge_atoms(positions: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +132,7 @@ class AtomicMeasure:
             raise ValueError("positions and masses must be 1-d arrays of equal length")
         if len(pos) == 0:
             raise ValueError("an atomic measure needs at least one atom")
-        _require_finite_atoms(pos, mas)
+        _require_finite("positions, masses and pruned mass", pos, mas, self.pruned_mass)
         if np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing (use atomic() to merge)")
         if np.any(mas <= 0):
@@ -157,7 +159,7 @@ def atomic(pairs, *, is_probability: bool = True, pruned_mass: float = 0.0) -> A
     input does not need to be sorted or duplicate-free.
     """
     arr = np.asarray(list(pairs), dtype=float).reshape(-1, 2)
-    _require_finite_atoms(arr[:, 0], arr[:, 1])
+    _require_finite("positions and masses", arr)
     pos, mas = _merge_atoms(arr[:, 0], arr[:, 1])
     return AtomicMeasure(pos, mas, is_probability=is_probability, pruned_mass=pruned_mass)
 
@@ -184,6 +186,8 @@ class GridDensity:
         vals = np.asarray(self.values, dtype=float).copy()
         if vals.ndim != 1 or len(vals) < 2:
             raise ValueError("values must be a 1-d array with at least two samples")
+        _require_finite("grid origin, spacing, values and clamped mass",
+                        self.x0, self.h, vals, self.clamped_mass)
         if self.h <= 0:
             raise ValueError("grid spacing must be positive")
         if vals.min() < 0:
@@ -232,6 +236,7 @@ class ReferenceLaw:
     def __post_init__(self):
         if self.kind not in _REF_KINDS:
             raise ValueError(f"unknown reference law {self.kind!r}")
+        _require_finite("location and scale", self.c, self.scale)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -263,6 +268,7 @@ class PowerTailLaw:
     scale: float = 1.0
 
     def __post_init__(self):
+        _require_finite("exponent, weight and scale", self.exponent, self.weight, self.scale)
         if self.exponent <= 1:
             raise ValueError("exponent must exceed 1 for a finite measure")
         if self.weight <= 0 or self.scale <= 0:

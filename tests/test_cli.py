@@ -199,3 +199,35 @@ def test_non_finite_conjugacy_trace_exits_3(tmp_path, capsys):
     assert not outdir.exists()
     err = capsys.readouterr().err
     assert "NumericBreakdown" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("measure", [
+    '{"type": "grid", "x0": 0, "h": 0.1, "values": [NaN, 1, 1]}',
+    '{"type": "grid", "x0": 0, "h": Infinity, "values": [1, 1]}',
+    '{"type": "ref", "law": "arcsine", "scale": NaN}',
+    '{"type": "ref", "law": "powertail", "exponent": Infinity}',
+])
+def test_non_finite_measure_field_exits_2(measure, tmp_path, capsys):
+    code, outdir = run_cli(["moments", "--measure", measure], tmp_path)
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert "must be finite" in err and "Traceback" not in err
+
+
+def test_underflowing_aaronson_terms_exit_2(tmp_path, capsys):
+    # from 1e308 + 1j the first term Im(-1/w) is below the subnormals
+    code, outdir = run_cli(["aaronson", "--z-re", "1e308", "--N", "5"], tmp_path)
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert "DomainError" in err and "Traceback" not in err
+
+
+def test_preserve_check_huge_targets_end(tmp_path, capsys):
+    # inner preimages of |y| ~ 1e15 sit within POLE_TOL of a pole
+    code, outdir = run_cli(["preserve-check", "--measure", "ex310b", "--y-scale", "1e15",
+                            "--samples", "3"], tmp_path)
+    assert code in (0, 3)
+    assert outdir.exists() == (code == 0)
+    assert "Traceback" not in capsys.readouterr().err

@@ -117,8 +117,10 @@ class TestPreimages:
 
 
 def scalar_preimages(T, y):
-    """The scalar bisection that the batched solver replaced, one branch and
-    one pole sum at a time: the reference for its bytes."""
+    """A scalar bisection on real midpoints from searched brackets, one
+    branch and one pole sum at a time: the reference for the solver's bytes.
+    It runs until the midpoint equals an end, so it ends on the same two
+    adjacent floats as the bisection over the float lattice."""
     if T.n_poles == 0:
         return np.array([y - T.c])
     t = T.pole_positions
@@ -128,7 +130,7 @@ def scalar_preimages(T, y):
 
     def bisect(lo, hi):
         glo = g(lo)
-        for _ in range(200):
+        while True:
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
@@ -185,7 +187,7 @@ class TestBatchedPreimages:
         # T(0) = 0 exactly: g hits 0 on a midpoint
         "1 pole, root at 0": eg.RationalBooleMap(-1.0, np.array([1.0]), np.array([1.0])),
         # g(x) = x exactly near the root 0 of y = c = 0, down to the
-        # subnormals: that bisection runs all 200 steps
+        # subnormals: the real-midpoint bisection takes over 1000 steps
         "2 poles, 200 steps": eg.RationalBooleMap(0.0, np.array([-1.0, 1.0]),
                                                   np.array([1.0, 1.0])),
         "3 poles": eg.boundary_map(random_rep(np.random.default_rng(60), k=3)),
@@ -222,6 +224,53 @@ class TestBatchedPreimages:
             assert eg.preservation_check(T, ys) == scalar_preservation_check(T, ys)
         assert eg.preservation_check(eg.boole_map(), []) == 0.0
 
+    def test_bisection_steps_bounded(self, monkeypatch):
+        # one pole-map call per bisection step plus one for the residuals;
+        # a solve that does not end fails at call 200 instead of hanging
+        calls = []
+        pole_map = tf._pole_map
+
+        def counted_pole_map(*args):
+            step = pole_map(*args)
+
+            def counted(x):
+                calls.append(len(x))
+                if len(calls) > 200:
+                    raise AssertionError("the preimage bisection does not end")
+                return step(x)
+            return counted
+
+        monkeypatch.setattr(tf, "_pole_map", counted_pole_map)
+        for T in self.MAPS.values():
+            calls.clear()
+            with np.errstate(divide="raise"):       # no probe lands on a pole
+                eg._solve_preimages(T, self.targets(T))
+            assert len(calls) <= 64 + 1
+        # g(x) = x - y near 0: roots to the last ulp, where 200 real-midpoint
+        # steps stopped 3e-61 away
+        roots = eg._solve_preimages(self.MAPS["2 poles, 200 steps"], [0.0, -1e-300])[0][:, 1]
+        assert roots[0] == 0.0 and abs(roots[1] + 1e-300) <= np.spacing(1e-300)
+        calls.clear()
+        with np.errstate(divide="raise"), pytest.raises(PoleProximity):
+            eg.preimages(self.MAPS["100 poles"], -1e15)
+        assert len(calls) <= 64
+
+    @pytest.mark.parametrize("y", [-1e15, 1e15, -1e300, 1e300, -1.7976931348623157e308])
+    def test_huge_targets_certified_or_typed(self, y):
+        # inner roots of a huge |y| sit within POLE_TOL of a pole, and
+        # near the float range the outer roots overflow
+        T = eg.lattice_tail_lab(50).T
+        try:
+            with np.errstate(over="ignore"):
+                xs = eg.preimages(T, y)
+        except (PoleProximity, NumericBreakdown):
+            return
+        edges = np.concatenate(([-np.inf], T.pole_positions, [np.inf]))
+        assert np.all((edges[:-1] < xs) & (xs < edges[1:]))
+        dT = eg.eval_dT(T, xs)
+        bound = 1e-10 * (1.0 + abs(y)) + 8.0 * np.finfo(float).eps * (1.0 + np.abs(xs)) * dT
+        assert np.all(np.abs(eg.eval_T(T, xs) - y) <= bound)
+
     def test_residual_failure_is_typed(self, monkeypatch):
         # a residual tolerance below 0 fails every root
         monkeypatch.setattr(eg, "eval_dT", lambda T, x: np.full(np.shape(x), -1e300))
@@ -229,6 +278,10 @@ class TestBatchedPreimages:
             eg.preimages(eg.boole_map(), 0.5)
         with pytest.raises(NonConvergence):
             eg.preservation_check(eg.lattice_tail_lab(10).T, [0.5, 1.0])
+        # a NaN bound certifies nothing, though "residual > NaN" is false
+        monkeypatch.setattr(eg, "eval_dT", lambda T, x: np.full(np.shape(x), np.nan))
+        with pytest.raises(NonConvergence, match="exceeds nan"):
+            eg.preimages(eg.boole_map(), 0.5)
 
 
 @st.composite
@@ -329,6 +382,14 @@ class TestAaronsonSums:
         for m in (BOOLE, eg.lattice_tail_lab(10).map):
             with pytest.raises(DomainError):
                 eg.aaronson_sums(m, 10, z=z)
+
+    def test_underflowing_terms_are_typed(self):
+        # from 1e308 + 1j the first term Im(-1/w) is below the subnormals
+        many = mc.AtomicMeasure(np.linspace(-1.0, 1.0, 65), np.full(65, 1.0 / 65))
+        for m in (BOOLE, many):                 # the scalar and the numpy branch
+            with pytest.raises(DomainError, match=r"start z = \(1e\+308\+1j\): term 1 underflows"):
+                eg.aaronson_sums(m, 5, z=1e308 + 1j)
+        assert np.all(eg.aaronson_sums(BOOLE, 5, z=1e155 + 1j).terms > 0)
 
     def test_overflowing_orbit_is_typed(self):
         # the first step from 1e-310j overflows to infinity, where G is 0

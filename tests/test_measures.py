@@ -6,9 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import monoclt as mc
+from monoclt import measures as ms
 from monoclt.errors import CapacityExceeded
 
 BOOLE = mc.atomic([(-1.0, 0.5), (1.0, 0.5)])
@@ -252,6 +254,24 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             mc.GridDensity(0.0, -1e-3, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("build", [
+        lambda bad: mc.GridDensity(0.0, 0.1, np.array([bad, 1.0, 1.0])),
+        lambda bad: mc.GridDensity(bad, 0.1, np.array([1.0, 1.0])),
+        lambda bad: mc.GridDensity(0.0, bad, np.array([1.0, 1.0])),
+        lambda bad: mc.GridDensity(0.0, 0.1, np.array([1.0, 1.0]), clamped_mass=bad),
+        lambda bad: mc.ReferenceLaw("arcsine", scale=bad),
+        lambda bad: mc.ReferenceLaw("point", c=bad),
+        lambda bad: mc.PowerTailLaw(bad),
+        lambda bad: mc.PowerTailLaw(3.0, weight=bad),
+        lambda bad: mc.PowerTailLaw(3.0, scale=bad),
+        lambda bad: mc.AtomicMeasure(np.array([0.0]), np.array([1.0]), pruned_mass=bad),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, build, bad):
+        # NaN passes every "< 0" and "<= 0" check; +inf passes "> 1"
+        with pytest.raises(ValueError, match="must be finite"):
+            build(bad)
+
     def test_json_roundtrips(self):
         rng = np.random.default_rng(6)
         cases = [random_atomic(rng), mc.arcsine(), mc.normal(), mc.semicircle(),
@@ -271,3 +291,66 @@ class TestValidationAndJson:
         assert doc == {"type": "atomic", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}
         doc = json.loads(mc.measure_to_json(mc.arcsine()))
         assert doc == {"type": "ref", "law": "arcsine"}
+
+
+@st.composite
+def measure_docs(draw):
+    """A JSON document of each measure type, with finite fields in moderate ranges."""
+    num = lambda lo, hi: draw(st.floats(lo, hi))
+    kind = draw(st.sampled_from(["atomic", "grid", "arcsine", "normal", "semicircle",
+                                 "point", "powertail"]))
+    if kind == "atomic":
+        k = draw(st.integers(1, 6))
+        pos = draw(st.lists(st.floats(-100.0, 100.0), min_size=k, max_size=k))
+        mas = np.array(draw(st.lists(st.floats(1e-3, 10.0), min_size=k, max_size=k)))
+        finite = draw(st.booleans())
+        if not finite:
+            mas = mas / mas.sum()
+        return {"type": "atomic", "atoms": [[p, float(w)] for p, w in zip(pos, mas)],
+                "finite": finite}
+    if kind == "grid":
+        values = draw(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=20))
+        return {"type": "grid", "x0": num(-10.0, 10.0), "h": num(1e-3, 1.0), "values": values}
+    if kind == "point":
+        return {"type": "ref", "law": "point", "c": num(-100.0, 100.0)}
+    if kind == "powertail":
+        return {"type": "ref", "law": "powertail", "exponent": num(1.1, 5.0),
+                "weight": num(1e-2, 10.0), "scale": num(1e-2, 1e2)}
+    return {"type": "ref", "law": kind, "scale": num(1e-2, 1e2)}
+
+
+def numeric_paths(doc):
+    """Paths to every number in a measure document."""
+    paths = []
+    for key, val in doc.items():
+        if key == "atoms":
+            paths += [(key, i, j) for i in range(len(val)) for j in (0, 1)]
+        elif key == "values":
+            paths += [(key, i) for i in range(len(val))]
+        elif isinstance(val, float):
+            paths.append((key,))
+    return paths
+
+
+class TestMeasureJsonProperties:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(doc=measure_docs(), data=st.data(),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+    def test_non_finite_field_rejected(self, doc, data, bad):
+        *path, last = data.draw(st.sampled_from(numeric_paths(doc)))
+        node = doc
+        for key in path:
+            node = node[key]
+        node[last] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            mc.measure_from_json(json.dumps(doc))
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(doc=measure_docs())
+    def test_round_trip_and_cauchy_bound(self, doc):
+        m = mc.measure_from_json(json.dumps(doc))
+        text = mc.measure_to_json(m)
+        assert mc.measure_to_json(mc.measure_from_json(text)) == text
+        G = mc.cauchy_eval(m, 1j)
+        assert np.isfinite(G)
+        assert abs(G) <= ms.total_mass(m) * (1.0 + 1e-12)

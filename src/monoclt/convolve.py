@@ -9,9 +9,12 @@ where ``omega1`` solves
 
     omega1 = z + h_n(omega2),   omega2 = z + h_m(omega1),
 
-with ``h(w) = F(w) - w``.  The solver iterates
-``w <- z + h_n(z + h_m(w))`` from ``w = z``; a safeguarded Aitken
-extrapolation accelerates the plain iteration, whose linear rate
+with ``h(w) = F(w) - w``.  The solver looks for the zero of the residual
+``r(w) = phi(w) - w`` of the Belinschi--Bercovici map
+``phi(w) = z + h_n(z + h_m(w))``, starting at ``w = z``: each step is a
+secant step on ``r`` through the last two iterates, or the averaged map
+``w + r/2`` (same fixed point) where the secant point is not usable.  The
+plain iteration of ``phi`` alone converges only linearly, at a rate that
 degrades like ``1 - O(Im z)`` near the real axis.
 """
 
@@ -86,16 +89,17 @@ def _h_func(m: ms.Measure):
 
 
 def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
-                       maxiter: int = 10_000, accel: bool = True, start=None):
+                       maxiter: int = 10_000, start=None):
     """Solve the subordination fixed point at ``z`` (scalar or array).
 
     Returns ``(F_value, omega1, iterations)`` where `iterations` counts
-    applications of the iteration map (shared across an array, i.e. the
-    count for the slowest point).  The plain iteration -- with a 0.5
-    damping fallback for points whose residual stops shrinking -- is the
-    safeguard; every third step an Aitken delta-squared extrapolation is
-    attempted per point and accepted only when it stays in the upper
-    half-plane and reduces the residual.
+    evaluations of ``phi(w) = z + h_n(z + h_m(w))`` (shared across an array,
+    i.e. the count for the slowest point).  Each point steps to the secant
+    point ``w - r (w - w_prev) / (r - r_prev)`` of the residual
+    ``r = phi(w) - w``; on the first step, and wherever the secant point is
+    not finite or leaves the upper half-plane, it takes the averaged step
+    ``w + r/2`` instead.  A point stops when ``|r| < tol (1 + |phi(w)|)``
+    and answers ``phi(w)``.
 
     `start` overrides the default initial guess ``w = z`` (used for
     continuation in eta when scanning a density line).
@@ -117,42 +121,24 @@ def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
     idx = np.arange(len(zf))
     za = zf.copy()
     wa = w
-    damping = np.ones(len(zf))
-    prev_res = np.full(len(zf), np.inf)
-    hist: list[np.ndarray] = []
+    w_prev = r_prev = None
     iters = 0
     while iters < maxiter and len(idx):
-        w_new = za + h_n(za + h_m(wa))
+        phi = za + h_n(za + h_m(wa))
         iters += 1
-        res = np.abs(w_new - wa)
-        stepped = wa + damping * (w_new - wa)
-        damping[res > prev_res] = 0.5
-        prev_res = res
-        done = res < tol * (1.0 + np.abs(w_new))
-        wa = stepped
+        r = phi - wa
+        w_next = wa + 0.5 * r
+        if r_prev is not None:
+            with np.errstate(all="ignore"):
+                secant = wa - r * (wa - w_prev) / (r - r_prev)
+            usable = np.isfinite(secant) & (np.imag(secant) > 0)
+            w_next = np.where(usable, secant, w_next)
+        w_prev, r_prev, wa = wa, r, w_next
+        done = np.abs(r) < tol * (1.0 + np.abs(phi))
         if done.any():
-            out[idx[done]] = wa[done]
+            out[idx[done]] = phi[done]
             keep = ~done
-            idx, za, wa = idx[keep], za[keep], wa[keep]
-            damping, prev_res = damping[keep], prev_res[keep]
-            hist = [h[keep] for h in hist]
-            if not len(idx):
-                break
-        hist.append(wa)
-        if accel and len(hist) >= 3:
-            w0, w1, w2 = hist[-3:]
-            denom = w2 - 2.0 * w1 + w0
-            ok = np.abs(denom) > 1e-300
-            safe = np.where(ok, denom, 1.0)
-            cand = np.where(ok, w0 - (w1 - w0) ** 2 / safe, w2)
-            ok &= np.imag(cand) > 0
-            if ok.any():
-                trial = np.where(ok, cand, wa)
-                cand_next = za + h_n(za + h_m(trial))
-                iters += 1
-                better = ok & (np.abs(cand_next - trial) < np.abs(w2 - w1))
-                wa = np.where(better, cand_next, wa)
-            hist = []
+            idx, za, wa, w_prev, r_prev = idx[keep], za[keep], wa[keep], w_prev[keep], r_prev[keep]
     if len(idx):
         raise NonConvergence(
             f"subordination did not converge in {maxiter} steps at "

@@ -195,13 +195,15 @@ def _solve_preimages(T: RationalBooleMap, ys) -> tuple[np.ndarray, np.ndarray]:
     right, so no end is searched for or evaluated.  A step halves the count
     of floats between the ends and keeps ``lo`` where ``g <= 0``, ``hi``
     where ``g > 0``; at most 64 steps leave adjacent floats, and the root
-    is ``0.5 (lo + hi)``.  Every step makes one pole-sum call for all live
-    rows, in a workspace kept for the whole solve, and a row's root does not
-    depend on the other rows.  A root that is not finite raises
-    :class:`NumericBreakdown`, one within ``POLE_TOL`` of a pole (huge
-    ``|y|`` on an inner branch) :class:`PoleProximity`, and a residual
-    ``|g|`` that is not below ``1e-10 (1 + |y|) + 8 u (1 + |x|) T'(x)``, with
-    ``u`` the float64 machine epsilon, :class:`NonConvergence`.
+    is the end whose bits are even: the value ``0.5 (lo + hi)`` rounds to,
+    without the overflow of that sum beyond about 9e307.  Every step makes
+    one pole-sum call for all live rows, in a workspace kept for the whole
+    solve, and a row's root does not depend on the other rows.  A root that
+    is not finite raises :class:`NumericBreakdown`, one within ``POLE_TOL``
+    of a pole (huge ``|y|`` on an inner branch) :class:`PoleProximity`, and
+    a residual ``|g|`` that is not below
+    ``1e-10 (1 + |y|) + 8 u (1 + |x|) T'(x)``, with ``u`` the float64
+    machine epsilon, :class:`NonConvergence`.
     """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     bad = ~np.isfinite(ys)
@@ -226,7 +228,8 @@ def _solve_preimages(T: RationalBooleMap, ys) -> tuple[np.ndarray, np.ndarray]:
         up = g(_lattice(mid).view(float), y[act]) > 0
         hi[act[up]] = mid[up]
         lo[act[~up]] = mid[~up]
-    roots = 0.5 * (_lattice(lo).view(float) + _lattice(hi).view(float))
+    lo, hi = _lattice(lo), _lattice(hi)
+    roots = np.where(hi & 1, lo, hi).view(float)
 
     if not np.isfinite(roots).all():
         raise NumericBreakdown(f"a preimage of y = {float(y[~np.isfinite(roots)][0])!r} overflows")

@@ -84,7 +84,11 @@ def _require_finite(what: str, *values):
 
 
 def _merge_atoms(positions: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort atoms and coalesce numerically coincident positions."""
+    """Sort atoms and coalesce numerically coincident positions.
+
+    A group of coincident atoms sits at its mass-weighted mean position; an
+    atom with no neighbour keeps its position bit for bit.
+    """
     order = np.argsort(positions, kind="stable")
     pos = positions[order]
     mas = masses[order]
@@ -99,7 +103,10 @@ def _merge_atoms(positions: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray,
     np.add.at(merged_mass, group, mas)
     weighted_pos = np.zeros(ngroups)
     np.add.at(weighted_pos, group, pos * mas)
-    return weighted_pos / merged_mass, merged_mass
+    merged_pos = weighted_pos / merged_mass
+    single = np.bincount(group) == 1
+    merged_pos[single] = pos[single[group]]
+    return merged_pos, merged_mass
 
 
 @dataclass(frozen=True)

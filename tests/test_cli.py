@@ -1,11 +1,15 @@
 """Tests for the command-line front end: artifacts, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monoclt import cli, ergodic as eg
+from monoclt import cli, ergodic as eg, measures as ms
+from test_convolve import LATTICE_M, LATTICE_N
 
 
 def run_cli(args, tmp_path, outname="arts"):
@@ -113,6 +117,50 @@ def test_numerical_error_exits_3(tmp_path):
     code, _ = run_cli(["free-conv", "--measure", "boole", "--with", "boole",
                        "--h", "0.01", "--eta", "0.001", "--maxiter", "3"], tmp_path)
     assert code == 3
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_free_conv_independent_lattice_pair(tmp_path):
+    # the pair of TestFreeConvolve::test_independent_lattice_pair at the
+    # default maxiter, with the Richardson half-eta solve
+    code, outdir = run_cli(["free-conv", "--measure", ms.measure_to_json(LATTICE_M),
+                            "--with", ms.measure_to_json(LATTICE_N), "--xmin", "-5",
+                            "--xmax", "5", "--h", "5e-4", "--eta", "5e-3"], tmp_path)
+    assert code == 0
+    rows = np.loadtxt(next(outdir.glob("free-conv-*.csv")), delimiter=",", skiprows=2)
+    assert rows.shape == (20_001, 2) and np.isfinite(rows).all()
+
+
+@st.composite
+def atomic_laws(draw):
+    k = draw(st.integers(2, 5))
+    pos = draw(st.lists(st.floats(-3.0, 3.0), min_size=k, max_size=k))
+    w = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+    return json.dumps({"type": "atomic", "atoms": [[p, v] for p, v in zip(pos, w / w.sum())]})
+
+
+class TestFreeConvFuzz:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(m=atomic_laws(), n=atomic_laws(), xmin=st.floats(-6.0, 0.0),
+           width=st.floats(0.1, 6.0), points=st.integers(2, 200),
+           eta=st.floats(1e-4, 1.0), maxiter=st.integers(1, 2000))
+    def test_exit_codes_and_finite_artifacts(self, tmp_path_factory, m, n, xmin, width,
+                                             points, eta, maxiter):
+        # "--xmin=-1e-05": argparse reads a separate "-1e-05" as an option
+        args = ["free-conv", "--measure", m, "--with", n, f"--xmin={xmin!r}",
+                f"--xmax={xmin + width!r}", f"--h={width / (points - 1)!r}",
+                f"--eta={eta!r}", f"--maxiter={maxiter}"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, outdir = run_cli(args, tmp_path_factory.mktemp("fuzz"))
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert not outdir.exists()
+            return
+        for path in outdir.iterdir():
+            text = path.read_text().lower()
+            assert "nan" not in text and "inf" not in text
 
 
 def test_json_format(tmp_path):

@@ -151,3 +151,38 @@ class TestFreeConvolve:
         val, _, iters = mc.subordination_eval(BOOLE, BOOLE, z)
         assert iters <= 200
         assert np.abs(val - mc.sqrt_upper(z * z - 4.0)).max() < 1e-11
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eta", [5e-3, 2.5e-3])
+    def test_independent_lattice_pair(self, eta):
+        # an independent pair where the undamped map stalls above tol
+        # (benchmarks/NOTES.md, known defect 1)
+        z = mc.transforms.default_grid(-5.0, 5.0, 5e-4) + 1j * eta
+        val, omega, _ = mc.subordination_eval(LATTICE_M, LATTICE_N, z)
+        want = averaged_subordination(LATTICE_M, LATTICE_N, z)
+        assert np.all(np.abs(omega - want) <= 1e-10 * np.abs(want))
+        F_m = mc.f_eval(mc.MeasureMap(LATTICE_M), want)
+        assert np.all(np.abs(val - F_m) <= 1e-10 * np.abs(F_m))
+
+
+LATTICE_M = mc.AtomicMeasure([1.0, 2.0], [0.7056671390355612, 0.2943328609644388])
+LATTICE_N = mc.AtomicMeasure([-2.0, -1.0, 0.0, 1.0, 2.0],
+                             [0.11300140301058002, 0.2905287776786913, 0.12264935226443599,
+                              0.44042775618677543, 0.03339271085951729])
+
+
+def averaged_subordination(m, n, z, tol=1e-13, maxiter=20_000):
+    """Reference: ``w <- (w + phi(w))/2`` per point from ``w = z``, answering
+    ``phi(w)`` once ``|phi(w) - w| < tol (1 + |phi(w)|)``."""
+    F_m, F_n = mc.MeasureMap(m), mc.MeasureMap(n)
+    out = np.full_like(z, np.nan)
+    live, w = np.arange(len(z)), z.copy()
+    for _ in range(maxiter):
+        u = z[live] + mc.f_eval(F_m, w) - w
+        phi = z[live] + mc.f_eval(F_n, u) - u
+        done = np.abs(phi - w) < tol * (1.0 + np.abs(phi))
+        out[live[done]] = phi[done]
+        live, w = live[~done], (0.5 * (w + phi))[~done]
+        if not len(live):
+            return out
+    raise AssertionError("the averaged map did not converge")

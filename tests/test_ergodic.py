@@ -271,6 +271,16 @@ class TestBatchedPreimages:
         bound = 1e-10 * (1.0 + abs(y)) + 8.0 * np.finfo(float).eps * (1.0 + np.abs(xs)) * dT
         assert np.all(np.abs(eg.eval_T(T, xs) - y) <= bound)
 
+    def test_root_near_float_max(self):
+        # both ends of the right branch's last bracket exceed 9e307, where
+        # 0.5 (lo + hi) overflows; the roots of x - 1e308/x = 1e308 are -1 and
+        # 1e308 to within rounding
+        T = eg.RationalBooleMap(0.0, np.array([0.0]), np.array([1e308]))
+        with np.errstate(over="ignore"):
+            xs = eg.preimages(T, 1e308)
+        assert np.isfinite(xs).all()
+        assert abs(xs[0] + 1.0) <= 1e-15 and abs(xs[1] / 1e308 - 1.0) <= 1e-15
+
     def test_residual_failure_is_typed(self, monkeypatch):
         # a residual tolerance below 0 fails every root
         monkeypatch.setattr(eg, "eval_dT", lambda T, x: np.full(np.shape(x), -1e300))

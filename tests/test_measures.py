@@ -167,6 +167,25 @@ class TestDilateShift:
         assert abs(mc.tail(nu2, 6.0) - mc.tail(NU, 3.0)) < 1e-15
 
 
+class TestMergeProperties:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(start=st.floats(-100.0, 100.0), data=st.data(), b=st.floats(1e-2, 1e2))
+    def test_separated_atoms_keep_positions(self, start, data, b):
+        # a lone atom is no merge: its position survives bit for bit, even
+        # where p * m underflows (subnormal masses)
+        gaps = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=6))
+        pos = start + np.cumsum(gaps)
+        masses = data.draw(st.lists(st.floats(1e-320, 10.0, allow_subnormal=True),
+                                    min_size=len(pos), max_size=len(pos)))
+        order = data.draw(st.permutations(range(len(pos))))
+        m = mc.atomic([(pos[i], masses[i]) for i in order], is_probability=False)
+        assert m.positions.tobytes() == np.sort(pos).tobytes()
+        assert m.masses.tobytes() == np.array(masses)[np.argsort(pos)].tobytes()
+        d = mc.dilate(m, b)
+        assert d.positions.tobytes() == (m.positions * b).tobytes()
+        assert d.masses.tobytes() == m.masses.tobytes()
+
+
 class TestClassicalConvolve:
     def test_point_masses_add(self):
         out = mc.classical_convolve(mc.point_mass(1.5), mc.point_mass(-0.5))

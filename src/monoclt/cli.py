@@ -526,6 +526,29 @@ def _rows_to_json(header, rows):
     return [dict(zip(header, row)) for row in rows]
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--opt -1e-05`` as ``--opt=-1e-05``.  argparse reads only plain
+    negative decimals (``-5``, ``-0.5``) as values and takes any other token
+    that starts with ``-`` for an unknown option; every subcommand option
+    takes one value, so a number right after an option is its value."""
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and token.startswith("-") and _is_number(token)):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def run(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="monoclt",
@@ -539,7 +562,7 @@ def run(argv=None) -> int:
         for field, (_check, default, help_text) in spec.items():
             sp.add_argument(f"--{field}", default=None,
                             help=f"{help_text} (default {default!r})")
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
 
     spec, fn = _SUBCOMMANDS[args.subcommand]
     t0 = time.time()

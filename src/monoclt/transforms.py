@@ -10,7 +10,8 @@ composition, but evaluation stays ``O(chain length)`` per point.
 
 Every map form used downstream lives here:
 
-* :class:`MeasureMap` -- ``F = 1/G`` of a measure,
+* :class:`MeasureMap` -- ``F = 1/G`` of a measure (for an atomic probability
+  law, evaluated in partial fractions),
 * :class:`NevanlinnaMap` -- ``z + a + sum s_k (1 + t_k z)/(t_k - z)``,
 * :class:`ComposeMap`, :class:`IterateMap`, :class:`DilatedMap`,
 * :class:`ArcsineMap` -- the closed form ``sqrt(z^2 - 2)`` with the branch
@@ -46,10 +47,15 @@ direct formula's bit for bit.
 Evaluation has one path: `_evaluator` turns a map node or a measure into
 a function of flat points, built once per `f_eval` call or loop so that
 its pole sums keep one workspace, in one dispatch over node types.
-Pole-form maps use two formulas: ``1/G`` of an atomic or grid
-measure (`_inverse_cauchy`), and ``x + c + sum w_k/(t_k - x)``
-(`_pole_map`), a Nevanlinna map's partial fractions, on the half-plane
-and, as its boundary map, on the line.
+Pole-form maps use two formulas.  ``x + c + sum w_k/(t_k - x)``
+(`_pole_map`) is a Nevanlinna map's partial fractions, on the half-plane
+and, as its boundary map, on the line; it is also the map of every atomic
+probability law with k atoms, whose k - 1 poles are the zeros of G
+(`_map_form`: extracted once per measure by `nevanlinna_extract`, certified
+against ``1/G`` and cached on the measure).  It needs one pole fewer than
+G and no reciprocal, and ``Im F >= Im z`` holds term by term.  ``1/G``
+(`_inverse_cauchy`) remains for grid laws, atomic laws that are not
+probability laws, and laws whose extraction fails its certificate.
 
 `measure_from_map` recovers a grid density by Stieltjes inversion
 (``-Im(1/F(x + i*eta))/pi``) with optional linear Richardson extrapolation
@@ -67,7 +73,7 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from . import measures as ms
-from .errors import CoverageError, DomainError, NumericBreakdown
+from .errors import CoverageError, DomainError, MonocltError, NonConvergence, NumericBreakdown
 
 __all__ = [
     "sqrt_upper",
@@ -117,6 +123,10 @@ _FEW_POINTS_PER_POLE = 128
 #: accumulators of numpy's pairwise add-reduce along a contiguous row: 8
 #: floats, so 4 complex numbers or 8 reals
 _LANES = {"D": 4, "d": 8}
+
+#: relative agreement with ``1/G`` that certifies an atomic law's extracted
+#: partial fractions (see `_map_form`)
+_FORM_TOL = 1e-12
 
 
 def sqrt_upper(w):
@@ -281,6 +291,48 @@ def _inverse_cauchy(t: np.ndarray, w: np.ndarray):
     return inverse
 
 
+def _map_form(m):
+    """``(c, t, w)`` with ``F = 1/G = z + c + sum_j w_j/(t_j - z)`` for an
+    atomic probability law `m`, else None.
+
+    The triple is `_partial_fractions` of `nevanlinna_extract`, made once
+    per measure object and cached on it (measures are immutable).  It is
+    certified before use: every ``w_j`` finite and positive, every ``t_j``
+    strictly inside its gap between atoms, and F within ``_FORM_TOL``
+    relative of ``1/G`` at ``i`` and at ``p + i d`` for each atom ``p``,
+    ``d`` its distance to the nearest other atom.  The atoms' points are
+    there because the form loses digits where ``|c|`` or a term dwarfs F:
+    atoms at ``-1e10, 0, 1e-10`` pass at ``i`` but are 37% off at
+    ``1e-10 + 1e-10 i``.  A law whose extraction raises a
+    :class:`MonocltError` or fails the certificate caches None, and its map
+    stays ``1/G`` (`_inverse_cauchy`).
+    """
+    if not isinstance(m, ms.AtomicMeasure) or not m.is_probability:
+        return None
+    if "_map_form" not in vars(m):
+        object.__setattr__(m, "_map_form", _certified_form(m))
+    return m._map_form
+
+
+def _certified_form(m: ms.AtomicMeasure):
+    """`_map_form`'s triple of `m`, or None where it fails its certificate."""
+    try:
+        c, t, w = _partial_fractions(nevanlinna_extract(m))
+    except MonocltError:
+        return None
+    pos = m.positions
+    if not (np.all(np.isfinite(w) & (w > 0)) and np.all((pos[:-1] < t) & (t < pos[1:]))):
+        return None
+    gaps = np.diff(pos)
+    near = np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))
+    keep = np.isfinite(near)                # not a lone atom, nor one an infinite gap away
+    z = np.append(1j, pos[keep] + 1j * near[keep])
+    want = _inverse_cauchy(pos, m.masses)(z)
+    if not np.all(np.abs(_pole_map(c, t, w)(z) - want) <= _FORM_TOL * np.abs(want)):
+        return None
+    return c, t, w
+
+
 def _poles(m):
     """``(t, w)`` of ``G = sum_k w_k/(z - t_k)``, atomic or grid (trapezoid), else None."""
     if isinstance(m, ms.AtomicMeasure):
@@ -384,7 +436,12 @@ class SelfMap:
 
 @dataclass(frozen=True)
 class MeasureMap(SelfMap):
-    """Reciprocal Cauchy transform ``F = 1/G`` of a measure."""
+    """Reciprocal Cauchy transform ``F = 1/G`` of a measure.
+
+    An atomic probability law's map is evaluated as
+    ``z + c + sum_j w_j/(t_j - z)``, from its certified Nevanlinna
+    extraction (`_map_form`); other measures' as ``1/G``.
+    """
 
     measure: ms.Measure
 
@@ -517,6 +574,8 @@ def _evaluator(F):
     the identity, compositions and iterations).  `step` is the unchecked
     formula of an atomic measure's map or a Nevanlinna map, which an
     iteration repeats and checks once at its end; other nodes have None.
+    That formula is `_pole_map` on the partial fractions of `_map_form`
+    for an atomic probability law that has them, else `_inverse_cauchy`.
     A measure stands for its map as a loop step: `fn` is `step` if any.
     """
     if not isinstance(F, SelfMap):
@@ -536,8 +595,11 @@ def _evaluator(F):
         power, B = _repeat(_evaluator(F.measure)[0], F.n), F.B
         return (lambda z: _check_upper_out(power(z * B) / B, "iteration")), None
     if isinstance(F, MeasureMap):
-        m, poles = F.measure, _poles(F.measure)
-        if poles is None:
+        m, poles, form = F.measure, _poles(F.measure), _map_form(F.measure)
+        if form is not None:
+            step = _pole_map(*form)
+            raw = lambda z: step(_require_upper(z))
+        elif poles is None:
             raw = lambda z: 1.0 / cauchy_eval(m, z)
         else:
             inverse = _inverse_cauchy(*poles)
@@ -582,6 +644,16 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
     masses ``-res_j / (1 + t_j^2)`` where ``res_j`` is the residue of
     ``F = 1/G`` at the zero ``t_j``.  A single atom at ``c`` yields the
     degenerate pair ``(-c, 0)``.
+
+    Each zero is bracketed by halving a probe's distance to the gap's atoms
+    until G has the sign it takes next to that atom, then found by brentq.
+    A zero within an ulp of an atom (a mass of about 1e-16 of its
+    neighbour's or less) has no float probe of that sign; the halving stops
+    when the probe rounds onto the atom and raises
+    :class:`NumericBreakdown`, as does a residue that over- or underflows.
+    brentq's step cap raises :class:`NonConvergence`.  `_map_form` caches
+    the partial fractions of the result on `m`: every atomic probability
+    law's map steps by them.
     """
     if not isinstance(m, ms.AtomicMeasure) or not m.is_probability:
         raise TypeError("extraction needs an atomic probability measure")
@@ -596,22 +668,36 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
     def dG(x):
         return float(-(mas / (x - pos) ** 2).sum())
 
+    def off(atom, eps):
+        """``atom + eps``, which must be another float: a probe that rounds
+        onto the atom would halve `eps` forever."""
+        x = atom + eps
+        if x == atom:
+            raise NumericBreakdown(f"the zero of G next to the atom at {atom!r} lies within "
+                                   "an ulp of it, so F has no representable pole there")
+        return x
+
     zeros = np.empty(k - 1)
     for j in range(k - 1):
         lo_atom, hi_atom = pos[j], pos[j + 1]
         gap = hi_atom - lo_atom
         eps = 0.25 * gap
-        while G(lo_atom + eps) <= 0:
+        while G(off(lo_atom, eps)) <= 0:
             eps *= 0.5
         lo = lo_atom + eps
-        eps = 0.25 * gap
-        while G(hi_atom - eps) >= 0:
+        eps = -0.25 * gap
+        while G(off(hi_atom, eps)) >= 0:
             eps *= 0.5
-        hi = hi_atom - eps
-        zeros[j] = optimize.brentq(G, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
+        hi = hi_atom + eps
+        try:
+            zeros[j] = optimize.brentq(G, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
+        except RuntimeError as exc:         # brentq's step cap
+            raise NonConvergence(f"the zero of G in ({lo_atom!r}, {hi_atom!r}): {exc}") from exc
 
     # residue of F = 1/G at a simple zero t of G is 1/G'(t) (negative here)
     s = np.array([-1.0 / (dG(t) * (1.0 + t * t)) for t in zeros])
+    if not np.all(np.isfinite(s) & (s > 0)):
+        raise NumericBreakdown("a residue of F at a zero of G over- or underflows")
     sigma = ms.AtomicMeasure(zeros, s, is_probability=False)
     # a from F(i) = i + a + sum s (1 + i t)/(t - i): avoids large-y cancellation
     Fi = complex(1.0 / cauchy_eval(m, 1j))

@@ -146,21 +146,61 @@ class TestFreeConvFuzz:
            eta=st.floats(1e-4, 1.0), maxiter=st.integers(1, 2000))
     def test_exit_codes_and_finite_artifacts(self, tmp_path_factory, m, n, xmin, width,
                                              points, eta, maxiter):
-        # "--xmin=-1e-05": argparse reads a separate "-1e-05" as an option
-        args = ["free-conv", "--measure", m, "--with", n, f"--xmin={xmin!r}",
-                f"--xmax={xmin + width!r}", f"--h={width / (points - 1)!r}",
-                f"--eta={eta!r}", f"--maxiter={maxiter}"]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code, outdir = run_cli(args, tmp_path_factory.mktemp("fuzz"))
-        assert code in (0, 2, 3)
-        assert "Traceback" not in err.getvalue()
-        if code:
-            assert not outdir.exists()
-            return
-        for path in outdir.iterdir():
-            text = path.read_text().lower()
-            assert "nan" not in text and "inf" not in text
+        # each value its own token, so "-1e-05" follows its option
+        args = ["free-conv", "--measure", m, "--with", n, "--xmin", repr(xmin),
+                "--xmax", repr(xmin + width), "--h", repr(width / (points - 1)),
+                "--eta", repr(eta), "--maxiter", str(maxiter)]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+
+class TestInvertFuzz:
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(m=atomic_laws(), xmin=st.floats(-6.0, 0.0), width=st.floats(0.1, 6.0),
+           points=st.integers(2, 200), eta=st.floats(1e-4, 1.0))
+    def test_exit_codes_and_finite_artifacts(self, tmp_path_factory, m, xmin, width,
+                                             points, eta):
+        args = ["invert", "--measure", m, "--xmin", repr(xmin), "--xmax", repr(xmin + width),
+                "--h", repr(width / (points - 1)), "--eta", repr(eta)]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+
+def assert_exit_code_and_finite(args, tmp_path):
+    """Exit 0, 2 or 3 with no traceback; no artifact on an error, and no NaN
+    or inf in any artifact on success."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, outdir = run_cli(args, tmp_path)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert not outdir.exists()
+        return
+    for path in outdir.iterdir():
+        text = path.read_text().lower()
+        assert "nan" not in text and "inf" not in text
+
+
+@pytest.mark.parametrize("sub", ["invert", "free-conv"])
+def test_negative_values_with_exponent(sub, tmp_path):
+    # argparse alone reads "-1e-05" as an unknown option and exits 2
+    args = [sub, "--measure", "boole", "--xmin", "-1e-05", "--xmax", "1e-05", "--h", "1e-06"]
+    code, outdir = run_cli(args + ["--with", "boole"] * (sub == "free-conv"), tmp_path)
+    assert code == 0
+    man = json.loads(next(outdir.glob("*-manifest.json")).read_text())
+    assert man["config"]["xmin"] == -1e-05
+    rows = np.loadtxt(next(outdir.glob(f"{sub}-*.csv")), delimiter=",", skiprows=2)
+    assert rows.shape == (21, 2) and rows[0, 0] == -1e-05
+
+
+@pytest.mark.parametrize("sub", ["nevanlinna", "boundary-map"])
+def test_zero_within_an_ulp_of_an_atom_exits_3(sub, tmp_path):
+    # extraction raises instead of halving its probe forever
+    law = '{"type": "atomic", "atoms": [[0, 1.0], [1, 1e-18]]}'
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, outdir = run_cli([sub, "--measure", law], tmp_path)
+    assert code == 3 and "within an ulp" in err.getvalue()
+    assert not outdir.exists()
 
 
 def test_json_format(tmp_path):

@@ -164,6 +164,23 @@ class TestFreeConvolve:
         F_m = mc.f_eval(mc.MeasureMap(LATTICE_M), want)
         assert np.all(np.abs(val - F_m) <= 1e-10 * np.abs(F_m))
 
+    @pytest.mark.parametrize("pos, mass", [
+        ([-2.0, 0.0, 1.0, 2.0],
+         [0.22053550233651437, 0.3294405197719883, 0.3444206437063717, 0.10560333418512562]),
+        ([-2.0, -1.0, 0.0, 2.0],
+         [0.48853491694725293, 0.20798180075223127, 0.12100651759919623, 0.18247676470131957]),
+    ])
+    def test_secant_cycle_converges(self, pos, mass):
+        # m boxplus m for two laws of the density_scan benchmark's stream: at
+        # Im z = 1e-2 the secant cycles between two points near x = -1.006
+        # (the first law) unless it gives way to the averaged map
+        m = mc.AtomicMeasure(pos, mass)
+        x = mc.transforms.default_grid(-5.0, 5.0, 5e-4)
+        _, _, iters = mc.subordination_eval(m, m, x + 1e-2j)
+        assert 50 < iters <= 300
+        d = mc.free_density(m, m, grid=x, eta=5e-3)
+        assert np.all(np.isfinite(d.values)) and abs(d.total_mass - 1.0) < 1e-2
+
 
 LATTICE_M = mc.AtomicMeasure([1.0, 2.0], [0.7056671390355612, 0.2943328609644388])
 LATTICE_N = mc.AtomicMeasure([-2.0, -1.0, 0.0, 1.0, 2.0],
@@ -171,15 +188,22 @@ LATTICE_N = mc.AtomicMeasure([-2.0, -1.0, 0.0, 1.0, 2.0],
                               0.44042775618677543, 0.03339271085951729])
 
 
+def plain_h(m):
+    """``h(w) = F(w) - w = c + sum_j w_j/(t_j - w)`` on the extracted partial
+    fractions, as one plain broadcast: no ``F(w) - w`` to cancel at large ``|w|``."""
+    c, t, wts = mc.transforms._partial_fractions(mc.nevanlinna_extract(m))
+    return lambda w: c + (wts / (t - w[:, None])).sum(axis=-1)
+
+
 def averaged_subordination(m, n, z, tol=1e-13, maxiter=20_000):
     """Reference: ``w <- (w + phi(w))/2`` per point from ``w = z``, answering
     ``phi(w)`` once ``|phi(w) - w| < tol (1 + |phi(w)|)``."""
-    F_m, F_n = mc.MeasureMap(m), mc.MeasureMap(n)
+    h_m, h_n = plain_h(m), plain_h(n)
     out = np.full_like(z, np.nan)
     live, w = np.arange(len(z)), z.copy()
     for _ in range(maxiter):
-        u = z[live] + mc.f_eval(F_m, w) - w
-        phi = z[live] + mc.f_eval(F_n, u) - u
+        u = z[live] + h_m(w)
+        phi = z[live] + h_n(u)
         done = np.abs(phi - w) < tol * (1.0 + np.abs(phi))
         out[live[done]] = phi[done]
         live, w = live[~done], (0.5 * (w + phi))[~done]

@@ -402,11 +402,14 @@ class TestAaronsonSums:
         assert np.all(eg.aaronson_sums(BOOLE, 5, z=1e155 + 1j).terms > 0)
 
     def test_overflowing_orbit_is_typed(self):
-        # the first step from 1e-310j overflows to infinity, where G is 0
+        # the first step from 1e-310j above a pole of F overflows to
+        # infinity: the scalar branch's 1/G at 0 and the numpy branch's
+        # partial fractions at one of their poles t_j
         many = mc.AtomicMeasure(np.linspace(-1.0, 1.0, 65), np.full(65, 1.0 / 65))
-        for m in (BOOLE, many):                 # the scalar and the numpy branch
+        t = mc.nevanlinna_extract(many).sigma.positions
+        for m, z in ((BOOLE, 1e-310j), (many, complex(t[32], 1e-310))):
             with np.errstate(all="ignore"), pytest.raises(NumericBreakdown):
-                eg.aaronson_sums(m, 10, z=1e-310j)
+                eg.aaronson_sums(m, 10, z=z)
 
 
 class TestConservativity:

@@ -1,6 +1,8 @@
 """Tests for Cauchy transforms, map evaluation, extraction, and inversion."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from scipy import integrate
 
 import monoclt as mc
 from monoclt import clt, ergodic as eg, transforms as tf
-from monoclt.errors import CoverageError, DomainError, NumericBreakdown
+from monoclt.errors import CoverageError, DomainError, NonConvergence, NumericBreakdown
 
 from test_measures import BERN, BOOLE, random_atomic
 
@@ -121,7 +123,7 @@ class TestFEval:
             mc.subordination_eval(BOOLE, BOOLE, z)
 
     @pytest.mark.parametrize("F, z", [
-        (mc.MeasureMap(BOOLE), 1e308 + 1j),       # Im F rounds to 0
+        (mc.MeasureMap(BOOLE), 1e-310j),         # on F's pole at 0: w/(0 - z) overflows
         (mc.ArcsineMap(), 1e200 + 1j),           # z^2 overflows
     ])
     def test_output_off_half_plane(self, F, z):
@@ -129,6 +131,11 @@ class TestFEval:
             mc.f_eval(F, z)
         with pytest.raises(NumericBreakdown):
             mc.f_eval(F, np.array([1j, z]))
+
+    def test_far_point_of_partial_fractions(self):
+        # z - 1/z in partial fractions: the pole's term is below an ulp of
+        # z, so F(z) is z exactly (as 1/G, Im F rounded to 0 here)
+        assert mc.f_eval(mc.MeasureMap(BOOLE), 1e308 + 1j) == 1e308 + 1j
 
 
 class TestNevanlinna:
@@ -162,8 +169,22 @@ class TestNevanlinna:
         for _ in range(20):
             m = random_atomic(rng)
             F1 = mc.nevanlinna_synthesize(mc.nevanlinna_extract(m))
-            F2 = mc.MeasureMap(m)
-            assert np.abs(mc.f_eval(F1, zs) - mc.f_eval(F2, zs)).max() < 1e-10
+            assert np.abs(mc.f_eval(F1, zs) - 1.0 / mc.cauchy_eval(m, zs)).max() < 1e-10
+
+    @pytest.mark.parametrize("atoms, error, match", [
+        # the zero of G lies 1e-18 from the light atom: no float between them
+        # has the sign G takes there, and the probe's distance used to halve
+        # forever (upper atom) or stop on the atom itself (lower atom)
+        ([(0.0, 1.0), (1.0, 1e-18)], NumericBreakdown, "within an ulp"),
+        ([(1.0, 1e-18), (2.0, 1.0)], NumericBreakdown, "within an ulp"),
+        # brentq needs more than its 200 steps for a zero at 1e-300
+        ([(0.0, 1e-300), (1.0, 1.0)], NonConvergence, "zero of G"),
+        # G' at the zero 0 overflows, so the residue underflows to 0
+        ([(-1e-300, 0.5), (1e-300, 0.5)], NumericBreakdown, "residue"),
+    ])
+    def test_unrepresentable_zero_is_typed(self, atoms, error, match):
+        with alarm(10), pytest.raises(error, match=match):
+            mc.nevanlinna_extract(mc.AtomicMeasure(*zip(*atoms)))
 
     def test_variance_identity(self):
         rng = np.random.default_rng(3)
@@ -281,6 +302,26 @@ def plain_cauchy(t, w, z):
     return (w / (z[:, None] - t)).sum(axis=-1)
 
 
+@contextlib.contextmanager
+def alarm(seconds):
+    """Raise TimeoutError in the block after `seconds`, so a hang fails."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def plain_map(c, t, w, z):
+    """``z + c + sum_j w_j / (t_j - z)`` as one plain broadcast."""
+    return z + c + (w / (t - z[:, None])).sum(axis=-1)
+
+
 def same_bits(a, b):
     """Equal bit for bit, also in the sign of each zero."""
     a, b = np.asarray(a), np.asarray(b)
@@ -318,16 +359,18 @@ class TestPoleSumKernel:
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_atomic_scaled_power(self, rows, monkeypatch):
+        # an atomic probability law steps by its extracted partial fractions
         rng = np.random.default_rng(11)
         z = np.concatenate([MIXED_Z, rng.uniform(-3, 3, 40) + 1j * rng.uniform(0.05, 2.0, 40)])
         n, B = 25, 5.0
         for m in (random_atomic(rng, k=9), BOOLE, mc.point_mass(0.0)):
-            self.blocks_of(monkeypatch, rows, len(m))
+            c, t, w = tf._partial_fractions(mc.nevanlinna_extract(m))
+            self.blocks_of(monkeypatch, rows, len(t))
             want = z * B
             for _ in range(n):
-                want = 1.0 / plain_cauchy(m.positions, m.masses, want)
+                want = plain_map(c, t, w, want)
             assert same_bits(mc.f_eval(mc.ScaledPowerMap(m, n, B), z), want / B)
-            assert same_bits(mc.f_eval(mc.MeasureMap(m), z), 1.0 / plain_cauchy(m.positions, m.masses, z))
+            assert same_bits(mc.f_eval(mc.MeasureMap(m), z), plain_map(c, t, w, z))
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_cauchy_eval(self, rows, monkeypatch):
@@ -348,13 +391,12 @@ class TestPoleSumKernel:
         rng = np.random.default_rng(13)
         z = np.concatenate([MIXED_Z, rng.uniform(-3, 3, 60) + 1j * rng.uniform(0.02, 1.0, 60)])
         pairs = [(random_atomic(rng, k=4), random_atomic(rng, k=6)), (BOOLE, BOOLE)]
-        self.blocks_of(monkeypatch, 7, 6)
+        self.blocks_of(monkeypatch, 7, 5)
         got = [mc.subordination_eval(m, n, z) for m, n in pairs]
-
-        def plain_step(mu):
-            return (lambda v: 1.0 / plain_cauchy(mu.positions, mu.masses, v)), None
-
-        monkeypatch.setattr(tf, "_evaluator", plain_step)
+        # every pole sum of the solve, h = c + psum and the answer's F_m,
+        # as a plain broadcast over the extracted partial fractions
+        monkeypatch.setattr(tf, "_pole_sum_loop", lambda t, w, dtype=complex:
+                            lambda v: (w / (t - v[:, None])).sum(axis=-1))
         want = [mc.subordination_eval(m, n, z) for m, n in pairs]
         for g, w in zip(got, want):
             assert g[2] == w[2]
@@ -543,7 +585,7 @@ class TestEvaluatorProperties:
     @PROPERTY_SETTINGS
     @given(m=pole_laws(), z=POINTS)
     def test_nevanlinna_round_trip(self, m, z):
-        want = mc.f_eval(mc.MeasureMap(m), z)
+        want = 1.0 / mc.cauchy_eval(m, z)
         got = mc.f_eval(mc.nevanlinna_synthesize(mc.nevanlinna_extract(m)), z)
         assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
 
@@ -562,3 +604,48 @@ class TestEvaluatorProperties:
             del calls[:]
             mc.f_eval(F, z)
             assert len(calls) == want, (F, calls)
+
+
+@st.composite
+def light_atom_laws(draw):
+    """2-4 atoms on the grid 0.25*Z within [-5, 5], one of them as light as
+    1e-15, whose zero of G then sits that close to it."""
+    k = draw(st.integers(2, 4))
+    pos = np.sort(0.25 * np.array(draw(st.lists(st.integers(-20, 20), min_size=k,
+                                                 max_size=k, unique=True)), dtype=float))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    w[draw(st.integers(0, k - 1))] = 10.0 ** draw(st.floats(-15.0, -1.0))
+    return mc.AtomicMeasure(pos, w / w.sum())
+
+
+class TestPartialFractionForm:
+    """An atomic probability law's map steps by its extracted partial
+    fractions, certified against ``1/G`` and else ``1/G`` itself."""
+
+    @PROPERTY_SETTINGS
+    @given(m=light_atom_laws(), z=POINTS)
+    def test_matches_inverse_cauchy(self, m, z):
+        F = mc.f_eval(mc.MeasureMap(m), z)
+        want = 1.0 / plain_cauchy(m.positions, m.masses, z)
+        assert np.all(np.abs(F - want) <= 1e-10 * np.abs(want))
+        assert np.all(F.imag >= z.imag)
+
+    @pytest.mark.parametrize("m, tol", [
+        (random_atomic(np.random.default_rng(14), k=5), -1.0),     # a certificate forced to fail
+        (mc.atomic([(0.0, 1.0), (1.0, 1e-18)]), None),             # extraction raises
+        (mc.atomic([(0.0, 1e-300), (1.0, 1.0)]), None),
+        # right at i, but 37% off at 1e-10 + 1e-10 i: |c| ~ 3e9 swamps F there
+        (mc.AtomicMeasure([-1e10, 0.0, 1e-10], [0.3, 0.4, 0.3]), None),
+    ])
+    def test_uncertified_law_keeps_inverse_cauchy(self, m, tol, monkeypatch):
+        # each law steps by 1/G, bit for bit
+        if tol is not None:
+            monkeypatch.setattr(tf, "_FORM_TOL", tol)
+        rng = np.random.default_rng(15)
+        z = rng.uniform(-3, 3, 30) + 1j * rng.uniform(0.05, 2.0, 30)
+        inverse = lambda v: 1.0 / plain_cauchy(m.positions, m.masses, v)
+        assert tf._map_form(m) is None
+        assert same_bits(mc.f_eval(mc.MeasureMap(m), z), inverse(z))
+        assert same_bits(mc.f_eval(mc.ScaledPowerMap(m, 3, 2.0), z), inverse(inverse(inverse(z * 2.0))) / 2.0)
+        h = mc.convolve._h_func(m)
+        assert same_bits(h(z), inverse(z) - z)

@@ -7,8 +7,8 @@ constants three ways:
 
 * ``variance``        -- ``B_n = sqrt(n * var)`` for finite variance,
 * ``h-cutoff``        -- the largest solution of ``n*H(y) = y^2`` (the
-  classical cutoff; exact step-scan for atomic measures, bracketed
-  bisection for closed-form tails),
+  classical cutoff; exact step-scan for atomic measures, a bisection over
+  the float64 lattice up to +inf for closed-form tails),
 * ``sigma-criterion`` -- the largest solution of
   ``n*(L_sigma(y) + sigma(R)) = y^2``, phrased directly in terms of the
   singular part of the Nevanlinna representation; this is the natural
@@ -136,34 +136,34 @@ def _cutoff_atomic(m: ms.AtomicMeasure, ns: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(best), best, np.sqrt(ns * S[-1]))
 
 
-def _largest_root(g, lo: np.ndarray) -> np.ndarray:
-    """Vectorized largest root of `g` above `lo` (where ``g >= 0``): ``hi``
-    doubles until ``g(hi) < 0``, at most 200 times, then 100 bisections."""
-    hi = 2.0 * lo
-    for _ in range(200):
-        bad = g(hi) >= 0
-        if not bad.any():
-            break
-        hi = np.where(bad, hi * 2.0, hi)
-    else:
-        raise NonConvergence("could not bracket the norming cutoff")
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        pos = g(mid) >= 0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    return 0.5 * (lo + hi)
+def _largest_root(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row, the root of ``g(y, rows) = n*(...) - y^2`` between `lo`, where
+    ``g >= 0``, and `hi` (maybe +inf), by `tf._lattice_bisect` of ``-g``.  A
+    probe where g is NaN or +inf, or a row whose ``hi`` never leaves +inf,
+    raises :class:`NonConvergence`."""
+    def minus_g(y, rows):
+        v = g(y, rows)
+        bad = np.isnan(v) | (v == np.inf)
+        if bad.any():
+            raise NonConvergence(f"the norming equation is not finite at y = {y[bad][0]!r}")
+        return -v
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = tf._lattice_bisect(minus_g, lo, hi)
+    if not np.isfinite(root).all():
+        raise NonConvergence("the norming equation has no root below the largest float")
+    return root
 
 
 def _cutoff_bisect(h, ns: np.ndarray, lo_seed: float) -> np.ndarray:
-    """Vectorized largest-root bisection of ``n*h(y) = y^2``.
+    """Vectorized largest root of ``n*h(y) = y^2`` above ``max(sqrt(n*h(lo_seed)), lo_seed)``.
 
     `h` must be vectorized, nondecreasing, and positive at `lo_seed`.
     """
     ns = ns.astype(float)
     lo = np.sqrt(ns * h(np.full(ns.shape, lo_seed)))
     lo = np.maximum(lo, lo_seed)  # ensure h(lo) >= h(lo_seed) by monotonicity
-    return _largest_root(lambda y: ns * h(y) - y * y, lo)
+    return _largest_root(lambda y, rows: ns[rows] * h(y) - y * y, lo, np.full(ns.shape, np.inf))
 
 
 def norming_constants(m: ms.Measure, ns=None, N: int | None = None,
@@ -193,17 +193,18 @@ def norming_constants(m: ms.Measure, ns=None, N: int | None = None,
         raise ValueError(f"unknown method {method!r}")
     if isinstance(m, ms.AtomicMeasure):
         return NormingSequence(ns, _cutoff_atomic(m, ns), "h-cutoff")
-    seed = 2.0 * m.scale if isinstance(m, ms.PowerTailLaw) else _positive_h_seed(m)
-    return NormingSequence(ns, _cutoff_bisect(np.vectorize(h_function(m)), ns, seed), "h-cutoff")
-
-
-def _positive_h_seed(m: ms.Measure) -> float:
-    x = 1e-3
-    for _ in range(80):
-        if ms.truncated_variance(m, x) > 0:
-            return x
-        x *= 2.0
-    raise DegenerateMeasure("could not find positive truncated variance")
+    h = np.vectorize(h_function(m))
+    if isinstance(m, ms.PowerTailLaw):
+        seed = 2.0 * m.scale
+    else:
+        # just past where H exceeds m2/2: sqrt(n*H) exceeds that from n ~ 5 on, so the
+        # bisection starts where n*H(y) >= y^2, past the roots of n*H ~ y^3 near 0
+        half = 0.5 * ms.moments(m).m2
+        root = tf._lattice_bisect(lambda x, rows: h(x) - half, [0.0], [np.inf])
+        seed = np.nextafter(root[0], np.inf)
+        if seed == np.inf:
+            raise DegenerateMeasure("could not find positive truncated variance")
+    return NormingSequence(ns, _cutoff_bisect(h, ns, float(seed)), "h-cutoff")
 
 
 def _l_vectorized(sigma: ms.AtomicMeasure):
@@ -235,7 +236,9 @@ def sigma_criterion_constants(sigma: ms.AtomicMeasure, ns, *,
     L = _l_vectorized(sigma)
     nsf = ns.astype(float)
     lo = np.sqrt(nsf * S)                      # g(lo) = n*L(lo) >= 0 always
-    B = _largest_root(lambda y: nsf * (L(y) + S) - y * y, lo)
+    # L <= sum w t^2, so g(hi) <= 0
+    hi = np.sqrt(nsf * (float(np.dot(sigma.positions**2, sigma.masses)) + S))
+    B = _largest_root(lambda y, rows: nsf[rows] * (L(y) + S) - y * y, lo, hi)
     return NormingSequence(ns, B, "sigma-criterion")
 
 

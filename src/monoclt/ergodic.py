@@ -29,14 +29,14 @@ with the pole-sum kernel of :mod:`monoclt.transforms`, in one workspace
 kept for the whole orbit.  Orbit starts must be finite and horizons lie
 in 1..1e8 steps; a Hopf ratio also needs every start off the poles.
 
-Preimages come from one batched bisection over the ordered float64
-lattice: each (y, branch) pair is a row that starts from the branch's
-exact ends (poles or infinities, never evaluated), every step evaluates
-``T`` on all live rows with one call of the pole-sum kernel and halves
-the floats left between the ends, and a row is done after at most 64
-steps.  A root does not depend on how many points are solved together.
-The preservation identity solves all its points in one call and sums
-``1/T'`` over the ``(points, k+1)`` roots.
+Preimages come from the float64-lattice bisection of :mod:`monoclt.transforms`
+(which also finds the zeros of G): each (y, branch) pair is a row that
+starts from the branch's exact ends (poles or infinities, never
+evaluated), every step evaluates ``T`` on all live rows with one call of
+the pole-sum kernel and halves the floats left between the ends, and a
+row is done after at most 64 steps.  A root does not depend on how many
+points are solved together.  The preservation identity solves all its
+points in one call and sums ``1/T'`` over the ``(points, k+1)`` roots.
 """
 
 from __future__ import annotations
@@ -175,15 +175,6 @@ def eval_dT(T: RationalBooleMap, x):
     return out if out.ndim else float(out)
 
 
-def _lattice(i: np.ndarray) -> np.ndarray:
-    """Flip the bits of an int64 view of float64s into order-preserving keys.
-
-    The map is its own inverse: it turns the bits of floats into keys and
-    keys back into bits.
-    """
-    return i ^ ((i >> 63) & 0x7FFF_FFFF_FFFF_FFFF)
-
-
 def _solve_preimages(T: RationalBooleMap, ys) -> tuple[np.ndarray, np.ndarray]:
     """All preimages of every point of `ys`, and ``T'`` at each of them.
 
@@ -192,12 +183,9 @@ def _solve_preimages(T: RationalBooleMap, ys) -> tuple[np.ndarray, np.ndarray]:
     bisection of ``g(x) = x + c + sum_k w_k/(t_k - x) - y`` over the ordered
     float64 lattice: the branch's ends ``-inf, t_0, ..., t_{k-1}, +inf`` are
     the first bracket, where g tends to -inf on the left and +inf on the
-    right, so no end is searched for or evaluated.  A step halves the count
-    of floats between the ends and keeps ``lo`` where ``g <= 0``, ``hi``
-    where ``g > 0``; at most 64 steps leave adjacent floats, and the root
-    is the end whose bits are even: the value ``0.5 (lo + hi)`` rounds to,
-    without the overflow of that sum beyond about 9e307.  Every step makes
-    one pole-sum call for all live rows, in a workspace kept for the whole
+    right, so no end is searched for or evaluated (`tf._lattice_bisect`: at
+    most 64 steps, the end whose bits are even).  Every step makes one
+    pole-sum call for all live rows, in a workspace kept for the whole
     solve, and a row's root does not depend on the other rows.  A root that
     is not finite raises :class:`NumericBreakdown`, one within ``POLE_TOL``
     of a pole (huge ``|y|`` on an inner branch) :class:`PoleProximity`, and
@@ -216,20 +204,12 @@ def _solve_preimages(T: RationalBooleMap, ys) -> tuple[np.ndarray, np.ndarray]:
     step = tf._pole_map(c, t, T.pole_weights, float)
     g = lambda x, y: step(x) - y
 
-    # rows are branch-major within each y; lo and hi are lattice keys
+    # rows are branch-major within each y
     n = len(ys)
     y = np.repeat(ys, k + 1)
-    ends = _lattice(np.concatenate(([-np.inf], t, [np.inf])).view(np.int64))
-    lo, hi = np.tile(ends[:-1], n), np.tile(ends[1:], n)
-    act = np.arange(len(y))
-    while len(act := act[hi[act] > lo[act] + 1]):
-        l, h = lo[act], hi[act]
-        mid = (l >> 1) + (h >> 1) + (l & h & 1)
-        up = g(_lattice(mid).view(float), y[act]) > 0
-        hi[act[up]] = mid[up]
-        lo[act[~up]] = mid[~up]
-    lo, hi = _lattice(lo), _lattice(hi)
-    roots = np.where(hi & 1, lo, hi).view(float)
+    ends = np.concatenate(([-np.inf], t, [np.inf]))
+    roots = tf._lattice_bisect(lambda x, rows: g(x, y[rows]),
+                               np.tile(ends[:-1], n), np.tile(ends[1:], n))
 
     if not np.isfinite(roots).all():
         raise NumericBreakdown(f"a preimage of y = {float(y[~np.isfinite(roots)][0])!r} overflows")

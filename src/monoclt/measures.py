@@ -403,27 +403,32 @@ def truncated_variance(m: Measure, x: float) -> float:
     raise TypeError(f"not a measure: {m!r}")
 
 
+def _smoothed_square(t, x):
+    """``t^2 x^2/(t^2 + x^2)`` for ``x > 0`` as ``a (a/(1 + (a/b)^2))``, ``a <= b`` the
+    values ``|t|, x``: nothing is squared that overflows, so no ``inf/inf``."""
+    a = np.minimum(np.abs(t), x)
+    b = np.maximum(np.abs(t), x)
+    return a * (a / (1.0 + (a / b) ** 2))
+
+
 def harmonic_variance(m: Measure, x: float) -> float:
     """Smoothed truncated variance ``int t^2 x^2 / (t^2 + x^2) dm`` (the function L).
 
-    Nondecreasing in x and bounded by the raw second moment.
+    Nondecreasing in x and bounded by the raw second moment; finite for any x.
     """
     if x <= 0:
         raise ValueError("cutoff x must be positive")
     if isinstance(m, AtomicMeasure):
-        t2 = m.positions**2
-        return float(np.dot(t2 * x * x / (t2 + x * x), m.masses))
+        return float(np.dot(_smoothed_square(m.positions, x), m.masses))
     if isinstance(m, GridDensity):
-        g = m.grid
-        t2 = g**2
-        return float(np.trapezoid(t2 * x * x / (t2 + x * x) * m.values, dx=m.h))
+        return float(np.trapezoid(_smoothed_square(m.grid, x) * m.values, dx=m.h))
     if isinstance(m, ReferenceLaw):
         if m.kind == "point":
-            return m.c**2 * x * x / (m.c**2 + x * x) if m.c != 0.0 else 0.0
+            return float(_smoothed_square(m.c, x))
         u = x / m.scale
 
         def f(t):
-            return t * t * u * u / (t * t + u * u) * _ref_density_unit(m.kind, t)
+            return float(_smoothed_square(t, u)) * _ref_density_unit(m.kind, t)
 
         lo, hi = _ref_support_unit(m.kind)
         val, _ = integrate.quad(f, lo, hi, limit=200)
@@ -432,10 +437,11 @@ def harmonic_variance(m: Measure, x: float) -> float:
         p, w, b = m.exponent, m.weight, m.scale
         u = x / b
         if abs(p - 3.0) < 1e-12:
-            l_unit = w * math.log1p(u * u)
+            # log(1 + u^2), without forming u^2 above u = 1
+            l_unit = w * (2.0 * math.log(max(u, 1.0)) + math.log1p(min(u, 1.0 / u) ** 2))
         else:
             val, _ = integrate.quad(
-                lambda t: t ** (2.0 - p) * u * u / (t * t + u * u), 1.0, np.inf, limit=200)
+                lambda t: t ** (2.0 - p) / (1.0 + (t / u) * (t / u)), 1.0, np.inf, limit=200)
             l_unit = 2.0 * w * val
         return b**2 * l_unit
     raise TypeError(f"not a measure: {m!r}")

@@ -164,6 +164,32 @@ class TestInvertFuzz:
         assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
 
 
+class TestExtractionFuzz:
+    """The subcommands that extract a law's zeros of G or square a huge cutoff."""
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(m=atomic_laws(), sub=st.sampled_from(["nevanlinna", "boundary-map"]))
+    def test_exit_codes_and_finite_artifacts(self, tmp_path_factory, m, sub):
+        assert_exit_code_and_finite([sub, "--measure", m], tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=25, derandomize=True, database=None, deadline=None)
+    @given(m=atomic_laws(), xs=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=4))
+    def test_moments_huge_cutoffs(self, tmp_path_factory, m, xs):
+        args = ["moments", "--measure", m, "--x-list", ",".join(map(repr, xs))]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+
+def test_moments_huge_cutoff_writes_no_nan(tmp_path):
+    # x*x overflows: L used to read inf at 1e154 and nan from 1e155 on
+    law = '{"type": "atomic", "atoms": [[-2, 0.25], [1, 0.75]]}'
+    code, outdir = run_cli(["moments", "--measure", law, "--x-list", "1e154,1e200"], tmp_path)
+    assert code == 0
+    text = next(outdir.glob("moments-*.csv")).read_text()
+    assert "nan" not in text and "inf" not in text
+    ls = [float(v) for q, v in (row.split(",") for row in text.splitlines()[2:]) if q[:2] == "L("]
+    assert ls == [1.75, 1.75]
+
+
 def assert_exit_code_and_finite(args, tmp_path):
     """Exit 0, 2 or 3 with no traceback; no artifact on an error, and no NaN
     or inf in any artifact on success."""

@@ -64,6 +64,17 @@ class TestNormingConstants:
             Bc = clt.norming_constants(m, ns=ns, method="h-cutoff")
             assert np.abs(Bc.values / Bv.values - 1.0).max() < 0.01
 
+    @pytest.mark.parametrize("kind", ["normal", "arcsine", "semicircle"])
+    def test_reference_law_cutoff(self, kind):
+        # unit variance, so the largest root of n*H(y) = y^2 is sqrt(n) to
+        # H's digits; the search starts past the small roots that n*H(y) ~ y^3
+        # makes near 0, on which 1e-3 was returned up to n = 1000
+        ns = np.array([10, 100, 1000, 10_000])
+        B = clt.norming_constants(mc.ReferenceLaw(kind), ns=ns, method="h-cutoff")
+        assert np.all(np.abs(B.values[1:] / np.sqrt(ns[1:]) - 1.0) < 1e-12)
+        h = clt.h_function(mc.ReferenceLaw(kind))
+        assert abs(10 * h(B.values[0]) / B.values[0] ** 2 - 1.0) < 1e-12
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMeasure):
             clt.norming_constants(mc.point_mass(2.0), ns=[10])

@@ -99,6 +99,18 @@ class TestHarmonicVariance:
     def test_large_cutoff_limit(self):
         assert abs(mc.harmonic_variance(BOOLE, 1e8) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("x", [1e154, 1e155, 1e200, 1e300, 1.7976931348623157e308])
+    def test_huge_cutoff_stays_finite(self, x):
+        # x*x overflows: the terms used to read inf/inf (NaN), or inf at 1e154
+        assert mc.harmonic_variance(mc.atomic([(-2.0, 0.25), (1.0, 0.75)]), x) == 1.75
+        assert mc.harmonic_variance(mc.point_mass(2.0), x) == 4.0
+        grid = mc.GridDensity(-1.0, 0.5, np.full(5, 0.5))
+        assert mc.harmonic_variance(grid, x) == mc.moments(grid).m2
+        assert abs(mc.harmonic_variance(mc.ReferenceLaw("normal"), x) - 1.0) < 1e-12
+        assert abs(mc.harmonic_variance(mc.power_tail(3.5), x) - 5.0) < 1e-12
+        # log(1 + x^2) for the x^-3 tail
+        assert abs(mc.harmonic_variance(NU, x) - 2.0 * math.log(x)) < 1e-12 * math.log(x)
+
     def test_split_bound_against_h_and_tail(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

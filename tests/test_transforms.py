@@ -11,7 +11,7 @@ from scipy import integrate
 
 import monoclt as mc
 from monoclt import clt, ergodic as eg, transforms as tf
-from monoclt.errors import CoverageError, DomainError, NonConvergence, NumericBreakdown
+from monoclt.errors import CoverageError, DomainError, NumericBreakdown
 
 from test_measures import BERN, BOOLE, random_atomic
 
@@ -177,14 +177,22 @@ class TestNevanlinna:
         # forever (upper atom) or stop on the atom itself (lower atom)
         ([(0.0, 1.0), (1.0, 1e-18)], NumericBreakdown, "within an ulp"),
         ([(1.0, 1e-18), (2.0, 1.0)], NumericBreakdown, "within an ulp"),
-        # brentq needs more than its 200 steps for a zero at 1e-300
-        ([(0.0, 1e-300), (1.0, 1.0)], NonConvergence, "zero of G"),
+        # the zero of G near 1e-300 is found, but G' there overflows, so the
+        # residue underflows to 0
+        ([(0.0, 1e-300), (1.0, 1.0)], NumericBreakdown, "residue"),
         # G' at the zero 0 overflows, so the residue underflows to 0
         ([(-1e-300, 0.5), (1e-300, 0.5)], NumericBreakdown, "residue"),
     ])
     def test_unrepresentable_zero_is_typed(self, atoms, error, match):
         with alarm(10), pytest.raises(error, match=match):
             mc.nevanlinna_extract(mc.AtomicMeasure(*zip(*atoms)))
+
+    def test_zero_on_a_flat_run_is_its_middle(self):
+        # G rounds to 0 on the floats within 2^-54 of 0: the bisection alone
+        # stops at the run's top, the extraction takes its middle
+        assert mc.nevanlinna_extract(BOOLE).sigma.positions.tolist() == [0.0]
+        sym = mc.atomic([(-2.0, 0.25), (-1.0, 0.25), (1.0, 0.25), (2.0, 0.25)])
+        assert mc.nevanlinna_extract(sym).sigma.positions[1] == 0.0
 
     def test_variance_identity(self):
         rng = np.random.default_rng(3)
@@ -205,6 +213,38 @@ class TestNevanlinna:
             mc.NevanlinnaRep(0.0, mc.atomic([(0.0, r)], is_probability=False)))
         for y in (1.0, 3.0):
             assert abs(mc.f_eval(Fr, 1j * y) - 1j * y * (1 + r / y**2)) < 1e-14
+
+
+class TestLatticeBisect:
+    """The one root finder: preimages, zeros of G and norming cutoffs."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(r=st.floats(allow_nan=False, allow_infinity=False))
+    @example(r=1e308)
+    @example(r=-1e308)
+    @example(r=5e-324)
+    @example(r=-2.2250738585072014e-308)
+    @example(r=0.0)
+    @example(r=-0.0)
+    def test_root_of_a_shifted_identity(self, r):
+        probes = []
+
+        def f(x, rows):
+            probes.append(x[0])
+            return x - r
+
+        root = tf._lattice_bisect(f, [-np.inf], [np.inf])
+        with np.errstate(over="ignore"):
+            assert root[0] in (r, np.nextafter(r, np.inf))
+        assert len(probes) <= 64 and np.isfinite(probes).all()     # no end evaluated
+
+    def test_rows_are_independent(self):
+        r = np.array([-3.0, 0.5, 1e-300, 7e200])
+        lo, hi = np.array([-np.inf, 0.0, 0.0, 1.0]), np.array([0.0, 1.0, np.inf, np.inf])
+        both = tf._lattice_bisect(lambda x, rows: x - r[rows], lo, hi)
+        for j in range(len(r)):
+            one = tf._lattice_bisect(lambda x, rows: x - r[j], lo[j:j + 1], hi[j:j + 1])
+            assert one[0] == both[j] in (r[j], np.nextafter(r[j], np.inf))
 
 
 class TestInversion:
@@ -629,6 +669,16 @@ class TestPartialFractionForm:
         want = 1.0 / plain_cauchy(m.positions, m.masses, z)
         assert np.all(np.abs(F - want) <= 1e-10 * np.abs(want))
         assert np.all(F.imag >= z.imag)
+
+    @pytest.mark.parametrize("k", [400, 1000])
+    def test_dense_law_certifies(self, k):
+        # zeros of G on the float lattice certify evenly spaced laws, which
+        # brentq's relative tolerance of 1e-14 left to 1/G
+        m = mc.AtomicMeasure(np.linspace(-1.0, 1.0, k), np.full(k, 1.0 / k))
+        assert tf._map_form(m) is not None
+        z = np.array([1j, 0.3 + 1e-2j, -0.999 + 1e-3j, 2.0 + 0.5j, 1e-4 + 1e-4j])
+        want = 1.0 / mc.cauchy_eval(m, z)
+        assert np.all(np.abs(mc.f_eval(mc.MeasureMap(m), z) - want) <= 1e-10 * np.abs(want))
 
     @pytest.mark.parametrize("m, tol", [
         (random_atomic(np.random.default_rng(14), k=5), -1.0),     # a certificate forced to fail

@@ -138,9 +138,9 @@ def _cutoff_atomic(m: ms.AtomicMeasure, ns: np.ndarray) -> np.ndarray:
 
 def _largest_root(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Per row, the root of ``g(y, rows) = n*(...) - y^2`` between `lo`, where
-    ``g >= 0``, and `hi` (maybe +inf), by `tf._lattice_bisect` of ``-g``.  A
-    probe where g is NaN or +inf, or a row whose ``hi`` never leaves +inf,
-    raises :class:`NonConvergence`."""
+    ``g >= 0`` (else the row ends next to `lo`), and `hi` (maybe +inf), by
+    `tf._lattice_bisect` of ``-g``.  A probe where g is NaN or +inf, or a
+    row whose ``hi`` never leaves +inf, raises :class:`NonConvergence`."""
     def minus_g(y, rows):
         v = g(y, rows)
         bad = np.isnan(v) | (v == np.inf)
@@ -158,12 +158,17 @@ def _largest_root(g, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _cutoff_bisect(h, ns: np.ndarray, lo_seed: float) -> np.ndarray:
     """Vectorized largest root of ``n*h(y) = y^2`` above ``max(sqrt(n*h(lo_seed)), lo_seed)``.
 
-    `h` must be vectorized, nondecreasing, and positive at `lo_seed`.
+    `h` must be vectorized, nondecreasing, and positive at `lo_seed`.  A row
+    with ``n*h(lo_seed) < lo_seed^2`` has no root there to bracket (n <= 2
+    for ``power_tail(3)``, where ``2n log y < y^2`` for every y); like the
+    top plateau of `_cutoff_atomic`, it takes `lo_seed`, the least cutoff
+    the search allows.
     """
     ns = ns.astype(float)
-    lo = np.sqrt(ns * h(np.full(ns.shape, lo_seed)))
-    lo = np.maximum(lo, lo_seed)  # ensure h(lo) >= h(lo_seed) by monotonicity
-    return _largest_root(lambda y, rows: ns[rows] * h(y) - y * y, lo, np.full(ns.shape, np.inf))
+    nh = ns * h(np.full(ns.shape, lo_seed))
+    lo = np.maximum(np.sqrt(nh), lo_seed)  # ensure h(lo) >= h(lo_seed) by monotonicity
+    root = _largest_root(lambda y, rows: ns[rows] * h(y) - y * y, lo, np.full(ns.shape, np.inf))
+    return np.where(nh < lo_seed * lo_seed, lo_seed, root)
 
 
 def norming_constants(m: ms.Measure, ns=None, N: int | None = None,
@@ -173,7 +178,9 @@ def norming_constants(m: ms.Measure, ns=None, N: int | None = None,
     ``method='auto'`` takes ``sqrt(n*var)`` when the variance is finite and
     the largest solution of ``n*H(y) = y^2`` otherwise; the two routes agree
     asymptotically (and exactly, for centered atomic measures once n is
-    moderate).  Raises :class:`DegenerateMeasure` for point masses.
+    moderate).  Raises :class:`DegenerateMeasure` for point masses.  An n
+    with no cutoff above the closed-form search's seed takes the seed
+    (`_cutoff_bisect`), as an atomic law's takes its top plateau.
     """
     if _is_degenerate(m):
         raise DegenerateMeasure("norming constants are undefined for a point mass")

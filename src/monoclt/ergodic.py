@@ -30,7 +30,7 @@ kept for the whole orbit.  Orbit starts must be finite and horizons lie
 in 1..1e8 steps; a Hopf ratio also needs every start off the poles.
 
 Preimages come from the float64-lattice bisection of :mod:`monoclt.transforms`
-(which also finds the zeros of G): each (y, branch) pair is a row that
+(which also finds the norming cutoffs): each (y, branch) pair is a row that
 starts from the branch's exact ends (poles or infinities, never
 evaluated), every step evaluates ``T`` on all live rows with one call of
 the pole-sum kernel and halves the floats left between the ends, and a

@@ -70,10 +70,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
 from . import measures as ms
-from .errors import CoverageError, DomainError, MonocltError, NumericBreakdown
+from .errors import CoverageError, DomainError, MonocltError, NonConvergence, NumericBreakdown
 
 __all__ = [
     "sqrt_upper",
@@ -674,12 +674,15 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
     ``F = 1/G`` at the zero ``t_j``.  A single atom at ``c`` yields the
     degenerate pair ``(-c, 0)``.
 
-    All k-1 zeros come from one `_lattice_bisect` of ``-G(x) = sum_k
-    m_k/(t_k - x)``, which increases from -inf to +inf across each gap
-    between its atoms.  A zero within an ulp of an atom (a mass of about
-    1e-16 of its neighbour's or less) may land on the atom, which raises
+    Each zero is bracketed by halving a probe's distance to the gap's atoms
+    until G has the sign it takes next to that atom, then found by brentq.
+    A zero within an ulp of an atom (a mass of about 1e-16 of its
+    neighbour's or less) has no float probe of that sign; the halving stops
+    when the probe rounds onto the atom and raises
     :class:`NumericBreakdown`, as does a residue that over- or underflows.
-    `_map_form` caches the partial fractions of the result on `m`.
+    brentq's step cap raises :class:`NonConvergence`.  `_map_form` caches
+    the partial fractions of the result on `m`: every atomic probability
+    law's map steps by them.
     """
     if not isinstance(m, ms.AtomicMeasure) or not m.is_probability:
         raise TypeError("extraction needs an atomic probability measure")
@@ -688,22 +691,40 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
     if k == 1:
         return NevanlinnaRep(a=-float(pos[0]), sigma=None)
 
-    minus_g = _pole_sum_loop(pos, mas, float)
-    zeros = _lattice_bisect(lambda x, rows: minus_g(x), pos[:-1], pos[1:])
-    on_atom = (zeros == pos[:-1]) | (zeros == pos[1:])
-    if on_atom.any():
-        raise NumericBreakdown(f"the zero of G next to the atom at {zeros[on_atom][0]!r} lies "
-                               "within an ulp of it, so F has no representable pole there")
-    # where G rounds to 0 on a run of floats the bisection ends at the run's
-    # top; take the middle of the run (x - 1/x has its pole at 0, not 2^-54)
-    with np.errstate(divide="ignore", invalid="ignore"):     # a neighbour may be an atom
-        flat = (minus_g(zeros) == 0) | (minus_g(np.nextafter(zeros, -np.inf)) == 0)
-    if flat.any():
-        low = _lattice_bisect(lambda x, rows: np.where(minus_g(x) < 0, -1.0, 1.0),
-                              pos[:-1][flat], zeros[flat])
-        zeros[flat] = 0.5 * low + 0.5 * zeros[flat]
-    # residue of F = 1/G at a simple zero t of G is 1/G'(t) = -1/sum m/(t - t_k)^2
-    s = 1.0 / (_pole_sum(pos, mas, zeros, squared=True) * (1.0 + zeros * zeros))
+    def G(x):
+        return float((mas / (x - pos)).sum())
+
+    def dG(x):
+        return float(-(mas / (x - pos) ** 2).sum())
+
+    def off(atom, eps):
+        """``atom + eps``, which must be another float: a probe that rounds
+        onto the atom would halve `eps` forever."""
+        x = atom + eps
+        if x == atom:
+            raise NumericBreakdown(f"the zero of G next to the atom at {atom!r} lies within "
+                                   "an ulp of it, so F has no representable pole there")
+        return x
+
+    zeros = np.empty(k - 1)
+    for j in range(k - 1):
+        lo_atom, hi_atom = pos[j], pos[j + 1]
+        gap = hi_atom - lo_atom
+        eps = 0.25 * gap
+        while G(off(lo_atom, eps)) <= 0:
+            eps *= 0.5
+        lo = lo_atom + eps
+        eps = -0.25 * gap
+        while G(off(hi_atom, eps)) >= 0:
+            eps *= 0.5
+        hi = hi_atom + eps
+        try:
+            zeros[j] = optimize.brentq(G, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
+        except RuntimeError as exc:         # brentq's step cap
+            raise NonConvergence(f"the zero of G in ({lo_atom!r}, {hi_atom!r}): {exc}") from exc
+
+    # residue of F = 1/G at a simple zero t of G is 1/G'(t) (negative here)
+    s = np.array([-1.0 / (dG(t) * (1.0 + t * t)) for t in zeros])
     if not np.all(np.isfinite(s) & (s > 0)):
         raise NumericBreakdown("a residue of F at a zero of G over- or underflows")
     sigma = ms.AtomicMeasure(zeros, s, is_probability=False)

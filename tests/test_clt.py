@@ -75,6 +75,14 @@ class TestNormingConstants:
         h = clt.h_function(mc.ReferenceLaw(kind))
         assert abs(10 * h(B.values[0]) / B.values[0] ** 2 - 1.0) < 1e-12
 
+    def test_cutoff_without_a_root_takes_the_seed(self):
+        # 2n log y < y^2 for every y at n <= 2: no root, so the seed 2 (the
+        # atomic route's top-plateau fallback likewise); n = 3 has roots
+        B = clt.norming_constants(NU, ns=[1, 2, 3], method="h-cutoff")
+        assert B.values[:2].tolist() == [2.0, 2.0]
+        assert abs(3 * 2.0 * math.log(B.values[2]) / B.values[2] ** 2 - 1.0) < 1e-12
+        assert B.values[2] > math.sqrt(math.e)
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMeasure):
             clt.norming_constants(mc.point_mass(2.0), ns=[10])

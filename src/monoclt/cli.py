@@ -18,6 +18,7 @@ engine in a single call, in one thread.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -549,7 +550,9 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def run(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="monoclt",
         description="Convolution-of-measures workbench: transform-composition "
@@ -562,7 +565,11 @@ def run(argv=None) -> int:
         for field, (_check, default, help_text) in spec.items():
             sp.add_argument(f"--{field}", default=None,
                             help=f"{help_text} (default {default!r})")
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    return parser
+
+
+def run(argv=None) -> int:
+    args = _parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
 
     spec, fn = _SUBCOMMANDS[args.subcommand]
     t0 = time.time()

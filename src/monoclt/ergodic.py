@@ -23,7 +23,15 @@ The scalar stepper is taken only below 8 poles: numpy sums 8 or more
 terms pairwise rather than left to right, and the chaotic orbits amplify
 that rounding difference (on random 8- and 9-pole maps the Hopf ratios
 after 20 000 steps differed by 0.1 to 0.7).  Below both limits the two
-steppers give bit-identical results.  The batched stepper finds each
+steppers give bit-identical results.  The scalar stepper is one
+straight-line loop per pole count k, generated from one template: a step
+takes ``d_i = t_i - x`` once per pole and sums ``w_i/d_i`` left to right,
+and the pole test ``|x - t| < tol (1 + |x|)`` runs only where some
+``|d_i| < R_i = 2 tol (1 + |t_i|)``.  That bound holds wherever the test
+does (``|x|`` is then within ``tol (1 + |x|)`` of ``|t|``, so
+``1 + |x| < (1 + |t|)(1 + 1e-12)``), with a factor 2 to spare for
+rounding, and it scales with ``|t|``: near a pole at 1e12 the test
+accepts points 0.1 away.  The batched stepper finds each
 start's nearest pole by bisection in the sorted poles and sums the poles
 with the pole-sum kernel of :mod:`monoclt.transforms`, in one workspace
 kept for the whole orbit.  Orbit starts must be finite and horizons lie
@@ -41,6 +49,7 @@ points in one call and sums ``1/T'`` over the ``(points, k+1)`` roots.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -430,9 +439,9 @@ def _kernel_values(kind: str, x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 #: the scalar stepper serves at most this many start-poles, ``starts * (poles + 1)``;
-#: the batched stepper wins above (measured crossovers: 128 starts at 1 pole,
-#: about 64 at 3 poles, 32 at 7 poles)
-_SCALAR_MAX_WORK = 256
+#: the batched stepper wins above (measured crossovers, 4000- and 20 000-step
+#: orbits: about 256 starts at 1 pole, 128 at 3 poles, 64 at 7 poles)
+_SCALAR_MAX_WORK = 512
 #: and at most this many poles: from 8 terms numpy sums pairwise, not left to right
 _SCALAR_MAX_POLES = 7
 #: orbit points per chunk handed from the scalar stepper to the accumulator
@@ -448,34 +457,65 @@ def _use_scalar(T: RationalBooleMap, x0: np.ndarray) -> bool:
             and len(x0) * (T.n_poles + 1) <= _SCALAR_MAX_WORK)
 
 
+@functools.cache
+def _straight_line_stepper(k: int):
+    """The scalar stepper for `k` poles: one loop with the poles unrolled.
+
+    ``step(x, n, c, tol, buf, t_0, w_0, lo_0, hi_0, ..., t_{k-1}, ..., hi_{k-1})``
+    is generated from one template (the orbit engine asks for k up to
+    ``_SCALAR_MAX_POLES``, so at most 8 exist) and runs
+    :func:`_orbit_segment`'s loop, reading ``d_i = t_i - x`` once per pole
+    and testing for a pole only where some ``lo_i < d_i < hi_i``.  For k = 2
+    the loop reads::
+
+        for j in range(n):
+            d0 = t0 - x
+            d1 = t1 - x
+            if lo0 < d0 < hi0 or lo1 < d1 < hi1:
+                r = tol * (1.0 + abs(x))
+                if abs(d0) < r or abs(d1) < r:
+                    return j, x
+            buf[j] = x
+            x = x + c + (w0 / d0 + w1 / d1)
+        return n, x
+    """
+    poles = range(k)
+    src = [f"def step(x, n, c, tol, buf{''.join(f', t{i}, w{i}, lo{i}, hi{i}' for i in poles)}):",
+           "    for j in range(n):"]
+    src += [f"        d{i} = t{i} - x" for i in poles]
+    if k:
+        src += ["        if " + " or ".join(f"lo{i} < d{i} < hi{i}" for i in poles) + ":",
+                "            r = tol * (1.0 + abs(x))",
+                "            if " + " or ".join(f"abs(d{i}) < r" for i in poles) + ":",
+                "                return j, x"]
+    src += ["        buf[j] = x",
+            "        x = x + c" + (" + (" + " + ".join(f"w{i} / d{i}" for i in poles) + ")"
+                                   if k else ""),
+            "    return n, x"]
+    namespace: dict = {}
+    exec("\n".join(src), namespace)
+    return namespace["step"]
+
+
 def _orbit_segment(x: float, n: int, c: float, poles: list, buf: list):
     """Advance one orbit by up to `n` steps on Python floats.
 
     The visited points go to ``buf[:steps]``; returns ``(steps, x)``.  Fewer
-    than `n` steps means `x` lies on a pole by the batched stepper's test.
-    Poles are summed left to right starting from -0.0 (which leaves every
-    sum, also the empty one, unchanged), as numpy sums fewer than 8 terms.
+    than `n` steps means `x` lies on a pole by the batched stepper's test,
+    ``|x - t| < tol (1 + |x|)``.  A step is ``x + c + (w_0/d_0 + w_1/d_1 + ...)``
+    with ``d_i = t_i - x``: the poles summed left to right, as numpy sums
+    fewer than 8 terms.  The loop is the generated straight-line stepper for
+    ``len(poles)`` poles.  Its pole test reads ``|d_i|``, which is
+    ``|x - t_i|`` bit for bit since ``fl(t - x) = -fl(x - t)``, and runs
+    only where some ``|d_i| < R_i = 2 tol (1 + |t_i|)``: a point the test
+    accepts has ``|x| < |t| + tol (1 + |x|)``, so ``|t - x| < tol (1 + |t|)``
+    up to a factor ``1 + 1e-12``, and the factor 2 leaves room for rounding.
     """
-    tol = POLE_TOL
-    if len(poles) == 1:             # the Boole maps' case, unrolled: twice as fast
-        (t, w), = poles
-        for j in range(n):
-            if abs(x - t) < tol * (1.0 + abs(x)):
-                return j, x
-            buf[j] = x
-            x = x + c + w / (t - x)
-        return n, x
-    for j in range(n):
-        r = tol * (1.0 + abs(x))
-        for t, _ in poles:
-            if abs(x - t) < r:
-                return j, x
-        buf[j] = x
-        s = -0.0
-        for t, w in poles:
-            s += w / (t - x)
-        x = x + c + s
-    return n, x
+    bounds = []
+    for t, w in poles:
+        r = 2.0 * POLE_TOL * (1.0 + abs(t))
+        bounds += (t, w, -r, r)
+    return _straight_line_stepper(len(poles))(x, n, c, POLE_TOL, buf, *bounds)
 
 
 def _scalar_orbit(T: RationalBooleMap, x: float, N: int):
@@ -491,7 +531,7 @@ def _scalar_orbit(T: RationalBooleMap, x: float, N: int):
         n = min(N - done, _CHUNK)
         m, x = _orbit_segment(x, n, c, poles, buf)
         if m:
-            yield np.array(buf[:m])
+            yield np.fromiter(buf, float, m)
         done += m
         if m < n:
             return

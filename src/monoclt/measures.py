@@ -414,7 +414,9 @@ def _smoothed_square(t, x):
 def harmonic_variance(m: Measure, x: float) -> float:
     """Smoothed truncated variance ``int t^2 x^2 / (t^2 + x^2) dm`` (the function L).
 
-    Nondecreasing in x and bounded by the raw second moment; finite for any x.
+    Nondecreasing in x and bounded by the raw second moment; finite for any
+    x, except that a power tail of exponent p below 3 grows like ``x^(3-p)``
+    and raises :class:`NumericBreakdown` where L overflows.
     """
     if x <= 0:
         raise ValueError("cutoff x must be positive")
@@ -439,12 +441,37 @@ def harmonic_variance(m: Measure, x: float) -> float:
         if abs(p - 3.0) < 1e-12:
             # log(1 + u^2), without forming u^2 above u = 1
             l_unit = w * (2.0 * math.log(max(u, 1.0)) + math.log1p(min(u, 1.0 / u) ** 2))
+        elif p < 3.0:
+            # t = u s: u^(3-p) J(u), J the integral of s^(2-p)/(1 + s^2) over
+            # s > 1/u (quad on [1, inf) missed the turn at t ~ u and went
+            # negative).  With s = 1/v, J(u) for u <= 1 is the integral of
+            # v^(p-2)/(1 + v^2) over v < u.  For u > 1 the part 1/u < s < 1
+            # adds (1 - u^(p-3))/(3 - p) less the integral of s^(4-p)/(1 + s^2),
+            # which is at most half of it (s^2/(1 + s^2) <= 1/2): no
+            # cancellation, also for p near 3.
+            rest, _ = integrate.quad(_cauchy_weight, 0.0, min(u, 1.0),
+                                     weight="alg", wvar=(p - 2.0, 0.0))
+            if u > 1.0:
+                inner, _ = integrate.quad(lambda s: s ** (4.0 - p) * _cauchy_weight(s),
+                                          1.0 / u, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+                rest += -math.expm1((p - 3.0) * math.log(u)) / (3.0 - p) - inner
+            try:
+                l_unit = 2.0 * w * rest * u ** (3.0 - p)
+            except OverflowError:       # the power alone overflows
+                l_unit = math.inf
         else:
             val, _ = integrate.quad(
                 lambda t: t ** (2.0 - p) / (1.0 + (t / u) * (t / u)), 1.0, np.inf, limit=200)
             l_unit = 2.0 * w * val
-        return b**2 * l_unit
+        out = b**2 * l_unit
+        if math.isinf(out):
+            raise NumericBreakdown(f"L({x!r}) of a power tail of exponent {p!r} overflows")
+        return out
     raise TypeError(f"not a measure: {m!r}")
+
+
+def _cauchy_weight(s: float) -> float:
+    return 1.0 / (1.0 + s * s)
 
 
 def _ref_density_unit(kind: str, t: float) -> float:

@@ -179,6 +179,60 @@ class TestExtractionFuzz:
         assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
 
 
+kernels = st.sampled_from(["cauchy", "gauss", "indicator:-1:1", "indicator:-0.5:3"])
+
+
+class TestOrbitFuzz:
+    """``orbit`` and ``hopf`` on the boundary maps of random atomic laws (1 to
+    4 poles, the scalar stepper for few starts, the batched one for many)."""
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(m=atomic_laws(), N=st.integers(1, 300), starts=st.integers(1, 200),
+           lo=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0), seed=st.integers(0, 99),
+           window=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)))
+    def test_orbit(self, tmp_path_factory, m, N, starts, lo, width, seed, window):
+        args = ["orbit", "--measure", m, "--N", str(N), "--starts", str(starts),
+                "--start-lo", repr(lo), "--start-hi", repr(lo + width), "--seed", str(seed),
+                "--window-lo", repr(min(window)), "--window-hi", repr(max(window))]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(m=atomic_laws(), N=st.integers(1, 300), starts=st.integers(1, 200),
+           lo=st.floats(-5.0, 5.0), width=st.floats(1e-3, 10.0), seed=st.integers(0, 99),
+           f=kernels, g=kernels)
+    def test_hopf(self, tmp_path_factory, m, N, starts, lo, width, seed, f, g):
+        args = ["hopf", "--measure", m, "--N", str(N), "--starts", str(starts),
+                "--start-lo", repr(lo), "--start-hi", repr(lo + width), "--seed", str(seed),
+                "--f", f, "--g", g]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+
+def test_repeated_runs_match_fresh_runs(tmp_path):
+    # one parser serves every call: each run's artifacts equal those of a
+    # run on a freshly built parser, whatever ran before it
+    runs = [["hopf", "--measure", "boole", "--N", "3000", "--starts", "3", "--f", "gauss",
+             "--g", "cauchy"],
+            ["orbit", "--measure", "bern01", "--N", "500", "--start-lo=-1e-05"],
+            ["hopf", "--measure", "bern01", "--N", "2000", "--seed", "4", "--format", "json"],
+            ["orbit", "--measure", "boole", "--N", "800", "--window-lo", "0"],
+            ["hopf", "--measure", "boole", "--N", "3000", "--starts", "3"]]
+    for i, args in enumerate(runs):
+        assert run_cli(args, tmp_path, f"in-process-{i}")[0] == 0
+    for i, args in enumerate(runs):
+        cli._parser.cache_clear()
+        assert run_cli(args, tmp_path, f"fresh-{i}")[0] == 0
+        outdir, ours = tmp_path / f"fresh-{i}", tmp_path / f"in-process-{i}"
+        names = sorted(p.name for p in outdir.iterdir() if "manifest" not in p.name)
+        assert names == sorted(p.name for p in ours.iterdir() if "manifest" not in p.name)
+        for name in names:
+            assert (ours / name).read_bytes() == (outdir / name).read_bytes()
+        manifests = [json.loads(next(d.glob("*-manifest.json")).read_text())
+                     for d in (ours, outdir)]
+        for man in manifests:
+            del man["wall_time_s"], man["config"]["outdir"]
+        assert manifests[0] == manifests[1]
+
+
 def test_moments_huge_cutoff_writes_no_nan(tmp_path):
     # x*x overflows: L used to read inf at 1e154 and nan from 1e155 on
     law = '{"type": "atomic", "atoms": [[-2, 0.25], [1, 0.75]]}'

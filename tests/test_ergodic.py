@@ -534,9 +534,32 @@ class TestLatticeTailLab:
         assert lab.T.n_poles == len(lab.sigma)
 
 
+def random_map(rng, k):
+    """A boundary map with `k` random poles (k = 0: a random translation)."""
+    if k == 0:
+        return eg.RationalBooleMap(float(rng.normal()), [], [])
+    return eg.boundary_map(random_rep(rng, k=k))
+
+
+def reference_segment(x, n, c, poles, buf):
+    """The scalar stepper as two plain loops over the poles: the pole test
+    ``|x - t| < tol (1 + |x|)`` at every step, then the pole sum from -0.0."""
+    for j in range(n):
+        r = eg.POLE_TOL * (1.0 + abs(x))
+        for t, _ in poles:
+            if abs(x - t) < r:
+                return j, x
+        buf[j] = x
+        s = -0.0
+        for t, w in poles:
+            s += w / (t - x)
+        x = x + c + s
+    return n, x
+
+
 class TestScalarOrbitLoop:
-    """The scalar stepper against the batched stepper, bit for bit, through
-    the public functions."""
+    """The generated scalar stepper against the plain reference loop and
+    against the batched stepper, bit for bit, for every pole count it serves."""
 
     #: an indicator denominator's window holds every start, so each row has
     #: visited it by the first checkpoint (an unvisited window is refused)
@@ -544,9 +567,13 @@ class TestScalarOrbitLoop:
                     ("gauss", ("indicator", -10.0, 10.0))]
 
     def starts(self, T, rng):
-        # free starts, one on a pole and one mapped onto a pole at step 1
+        # free starts, then (with poles) one on a pole and one mapped onto a
+        # pole at step 1
+        free = rng.uniform(-3, 3, 4)
+        if not T.n_poles:
+            return free
         hit = eg.preimages(T, float(T.pole_positions[0]))[0]
-        return np.concatenate([rng.uniform(-3, 3, 4), [T.pole_positions[0], hit]])
+        return np.concatenate([free, [T.pole_positions[0], hit]])
 
     @staticmethod
     def on_both(monkeypatch, run):
@@ -573,14 +600,47 @@ class TestScalarOrbitLoop:
         assert sc.visits.dtype == ba.visits.dtype == np.int64
         return sc
 
-    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("k", range(eg._SCALAR_MAX_POLES + 1))
+    def test_stepper_matches_reference_loop(self, k):
+        rng = np.random.default_rng(60 + k)
+        T = random_map(rng, k)
+        poles = list(zip(T.pole_positions.tolist(), T.pole_weights.tolist()))
+        x0 = self.starts(T, rng).tolist()
+        for t, _ in poles:
+            # |t - x| between the pole test's tol (1 + |x|) and the
+            # prefilter's 2 tol (1 + |t|) on either side, then just inside
+            scale = eg.POLE_TOL * (1.0 + abs(t))
+            x0 += [t + 1.5 * scale, t - 1.5 * scale, t + 0.5 * scale]
+        cases = [(float(T.c), poles, x0)]
+        if k:
+            # a pole at 1e12, where tol (1 + |x|) is about 0.1: the start
+            # 0.05 away is on it, so the prefilter must scale with |t|
+            far = poles[:-1] + [(1e12, poles[-1][1])]
+            cases.append((float(T.c), far, [1e12 - 0.05, 1e12 + 0.05, 1e12 - 0.5, 0.3]))
+        n = 3000
+        for c, ps, starts in cases:
+            for x in starts:
+                ref, new = [0.0] * n, [0.0] * n
+                steps, end = reference_segment(x, n, c, ps, ref)
+                got, got_end = eg._orbit_segment(x, n, c, ps, new)
+                assert got == steps
+                assert (np.array(new[:got] + [got_end]).tobytes()
+                        == np.array(ref[:steps] + [end]).tobytes())
+        if k:
+            # the start 0.05 from the pole at 1e12 stops before its first step
+            assert eg._orbit_segment(1e12 - 0.05, n, float(T.c), far, [0.0] * n)[0] == 0
+
+    @pytest.mark.parametrize("k", range(eg._SCALAR_MAX_POLES + 1))
     def test_hopf_sums_match(self, k, monkeypatch):
         rng = np.random.default_rng(30 + k)
-        T = eg.boundary_map(random_rep(rng, k=k))
+        T = random_map(rng, k)
         N = eg._CHUNK + 500
         x0 = self.starts(T, rng)
-        sc = self.assert_hopf_match(monkeypatch, T, np.delete(x0, -2), N,
-                                    [1, 100, eg._CHUNK, eg._CHUNK + 1, N])
+        checkpoints = [1, 100, eg._CHUNK, eg._CHUNK + 1, N]
+        if not k:
+            self.assert_hopf_match(monkeypatch, T, x0, N, checkpoints)
+            return
+        sc = self.assert_hopf_match(monkeypatch, T, np.delete(x0, -2), N, checkpoints)
         assert sc.truncated_at[-1] == 1
         # the start truncated at step 1 keeps its one-point sums
         assert np.all(sc.ratios[1:, -1] == sc.ratios[0, -1])
@@ -603,12 +663,13 @@ class TestScalarOrbitLoop:
                           checkpoints=[1, 10])
         assert np.all(np.isfinite(r.ratios))
 
-    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("k", range(eg._SCALAR_MAX_POLES + 1))
     def test_visit_counts_match(self, k, monkeypatch):
         rng = np.random.default_rng(40 + k)
-        T = eg.boundary_map(random_rep(rng, k=k))
+        T = random_map(rng, k)
         sc = self.assert_visits_match(monkeypatch, T, self.starts(T, rng), eg._CHUNK + 500)
-        assert list(sc.truncated_at[-2:]) == [0, 1] and sc.visits[-2] == 0
+        if k:
+            assert list(sc.truncated_at[-2:]) == [0, 1] and sc.visits[-2] == 0
 
     def test_truncation_inside_a_block(self, monkeypatch):
         # starts mapped onto a pole at steps 1, 2 and 3, in batched blocks of

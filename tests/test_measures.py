@@ -11,7 +11,7 @@ from scipy import integrate
 
 import monoclt as mc
 from monoclt import measures as ms
-from monoclt.errors import CapacityExceeded
+from monoclt.errors import CapacityExceeded, NumericBreakdown
 
 BOOLE = mc.atomic([(-1.0, 0.5), (1.0, 0.5)])
 BERN = mc.atomic([(0.0, 0.5), (1.0, 0.5)])
@@ -110,6 +110,28 @@ class TestHarmonicVariance:
         assert abs(mc.harmonic_variance(mc.power_tail(3.5), x) - 5.0) < 1e-12
         # log(1 + x^2) for the x^-3 tail
         assert abs(mc.harmonic_variance(NU, x) - 2.0 * math.log(x)) < 1e-12 * math.log(x)
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 31.0, 1e5, 1e10, 1e100, 1e300])
+    def test_power_tail_exponent_2_closed_form(self, x):
+        # int_1^inf x^2/(t^2 + x^2) dt = x (pi/2 - atan(1/x)) = x atan(x); quad
+        # on [1, inf) gave -3.0 for exponent 2.5 from x ~ 1e5 on
+        w = 0.75
+        exact = 2.0 * w * x * math.atan(x)
+        assert abs(mc.harmonic_variance(mc.PowerTailLaw(2.0, w), x) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("p", [1.5, 2.5])
+    def test_heavy_power_tail_grows(self, p):
+        xs = np.concatenate([np.geomspace(1e-3, 1e200, 80), [1.0, np.nextafter(1.0, 2.0)]])
+        ls = [mc.harmonic_variance(mc.PowerTailLaw(p, 0.75), x) for x in np.sort(xs)]
+        assert all(math.isfinite(v) and v >= 0.0 for v in ls)
+        assert all(a <= b for a, b in zip(ls, ls[1:]))
+        # L grows like x^(3 - p): 2 w x^(3-p) pi/(2 cos(pi (2-p)/2)) to leading order
+        lead = 1.5 * 1e200 ** (3.0 - p) * math.pi / (2.0 * math.cos(math.pi * (2.0 - p) / 2.0))
+        assert abs(ls[-1] / lead - 1.0) < 1e-12
+
+    def test_overflowing_power_tail_is_typed(self):
+        with pytest.raises(NumericBreakdown, match="overflows"):
+            mc.harmonic_variance(mc.PowerTailLaw(1.5, 0.75), 1e300)
 
     def test_split_bound_against_h_and_tail(self):
         rng = np.random.default_rng(3)

@@ -21,7 +21,8 @@ it reproduces ``sqrt(n*var)`` exactly in the finite-variance case.
 Experiments: sup-grid transform deviation and CDF distance per n
 (`clt_report`), the square-root conjugacy telescoping (`conjugacy_trace`),
 the iterate drift bound (`drift_bound_check`), and a law-of-large-numbers
-check (`lln_check`).
+check (`lln_check`); conjugacy and drift read the half-plane orbit
+``F^(j)(B z)/B`` of `transforms._orbit`, as :mod:`monoclt.ergodic` does.
 """
 
 from __future__ import annotations
@@ -260,16 +261,20 @@ class RatioReport:
 
 
 def norming_ratio_check(rep_or_sigma, B: NormingSequence, y: float = 1.0) -> RatioReport:
-    """Check the norming selection rule against given constants."""
-    if y <= 0:
-        raise ValueError("y must be positive")
+    """Check the norming selection rule against given constants (`y` finite and
+    positive, else :class:`DomainError`; a non-finite ratio :class:`NumericBreakdown`)."""
+    if not (math.isfinite(y) and y > 0):
+        raise DomainError(f"the ratio check needs a finite y > 0, got {y!r}")
     sigma = rep_or_sigma.sigma if isinstance(rep_or_sigma, tf.NevanlinnaRep) else rep_or_sigma
     if sigma is None:
         raise DegenerateMeasure("ratio check needs a nonzero singular part")
     L = _l_vectorized(sigma)
     S = sigma.total_mass
     nsf = B.ns.astype(float)
-    r = nsf / B.values**2 * (L(B.values * y) + S)
+    with np.errstate(over="ignore", invalid="ignore"):      # (B_n y)^2 may overflow
+        r = nsf / B.values**2 * (L(B.values * y) + S)
+    if not np.isfinite(r).all():
+        raise NumericBreakdown(f"a norming ratio at y = {y!r} is not finite: {r!r}")
     tail = B.ns >= (B.ns[-1] // 2 if len(B.ns) > 1 else B.ns[-1])
     return RatioReport(B.ns, r, float(np.abs(r[tail] - 1.0).max()))
 
@@ -311,12 +316,6 @@ def default_z_grid() -> np.ndarray:
 
 
 Source = ms.Measure | tf.SelfMap
-
-
-def _scaled_step(source: Source, B: float):
-    """One application of the scaled map ``w -> F(B*w)/B`` (vectorized)."""
-    raw = tf._evaluator(source)[0]
-    return lambda w: raw(np.atleast_1d(np.asarray(w, dtype=complex)) * B) / B
 
 
 def _scaled_power_map(source: Source, n: int, B: float) -> tf.SelfMap:
@@ -453,15 +452,10 @@ def conjugacy_trace(source: Source, n: int, z: complex, B: float) -> ConjugacyTr
     zc = complex(z)
     if not (np.isfinite(zc) and zc.imag == 0.0 and zc.real < -100.0):
         raise DomainError(f"conjugacy trace needs a finite z = -y^2 with y > 10, got {zc!r}")
-    w = complex(tf.sqrt_upper(zc))
-    step = _scaled_step(source, B)
-    terms = np.empty(n, dtype=complex)
-    for j in range(n):
-        w_next = complex(step(w)[0])
-        terms[j] = w_next * w_next - w * w
-        w = w_next
+    w = tf._orbit(source, B * complex(tf.sqrt_upper(zc)), n) / B
+    terms = np.diff(w * w)
     total = complex(terms.sum())
-    lhs, telescoped = w * w, zc + total
+    lhs, telescoped = complex(w[-1] * w[-1]), zc + total
     if not np.isfinite([lhs, telescoped]).all():      # as is the sum, if a term is not
         raise NumericBreakdown(f"conjugacy trace from z = {zc!r}: {lhs!r}, {telescoped!r}")
     return ConjugacyTrace(lhs=lhs, telescoped=telescoped, remainder_sum=total, terms=terms)
@@ -487,17 +481,10 @@ def drift_bound_check(source: Source, n: int, y: float, j_list, B: float) -> Dri
     js = np.unique(np.asarray(j_list, dtype=np.int64))
     if js[0] < 0 or js[-1] > n:
         raise ValueError("j values must lie in [0, n]")
-    step = _scaled_step(source, B)
-    w = complex(0, y)
-    devs = np.empty(len(js))
-    k = 0
-    for j in range(int(js[-1]) + 1):
-        if k < len(js) and j == js[k]:
-            devs[k] = abs(w - 1j * y)
-            k += 1
-        w = complex(step(w)[0])
+    iy = complex(0.0, y)
+    devs = np.abs(tf._orbit(source, B * iy, int(js[-1]))[js] / B - iy)
     if not np.all(np.isfinite(devs)):
-        raise NumericBreakdown(f"the drift from iy = {complex(0, y)!r} is not finite: {devs!r}")
+        raise NumericBreakdown(f"the drift from iy = {iy!r} is not finite: {devs!r}")
     bounds = 10.0 * js / n
     return DriftReport(js, devs, bounds, devs > bounds + 1e-12)
 

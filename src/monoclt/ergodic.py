@@ -9,9 +9,10 @@ generalized Boole transformation
 
 strictly increasing from -inf to +inf on each of the k+1 branches cut by
 the poles.  The lab provides orbits, preimages, the branch-derivative
-preservation identity, the iterated-transform recurrence sums whose
-divergence characterizes conservativity, the norming-based divergence
-criterion, Hopf ratio experiments, and the integer-lattice tail example.
+preservation identity, recurrence sums along one half-plane orbit
+(`transforms._orbit`, as in :mod:`monoclt.clt`) whose divergence
+characterizes conservativity, the norming-based divergence criterion, Hopf
+ratio experiments, and the integer-lattice tail example.
 
 Hopf ratios and occupation times run on one orbit engine.  A stepper
 produces the visited points; one accumulator sums kernel values along
@@ -287,43 +288,22 @@ class AaronsonSums:
 
 
 def aaronson_sums(m: ms.Measure, N: int, z: complex = 1j) -> AaronsonSums:
-    """Single-pass recurrence sums for the map of a singular measure.
+    """Recurrence sums of a singular measure's map along one orbit (`transforms._orbit`).
 
     Cost O(N); all terms are positive and the partial sums nondecreasing.  A
-    non-finite `z` raises :class:`DomainError`, a non-finite sum (an orbit
-    that overflows) :class:`NumericBreakdown`, and a term that underflows to
-    0 (a start so far out that ``Im(-1/w)`` is below the subnormals)
-    :class:`DomainError` naming the start.
+    `z` not finite with ``Im z > 0`` raises :class:`DomainError`, a non-finite
+    iterate or sum (an orbit that overflows) :class:`NumericBreakdown`, and a
+    term that underflows to 0 (a start so far out that ``Im(-1/w)`` is below
+    the subnormals) :class:`DomainError` naming the start.
     """
     zc = complex(z)
-    if not np.isfinite(zc):
-        raise DomainError(f"recurrence sums need a finite start, got z = {zc!r}")
-    if zc.imag <= 0:
-        raise ValueError("z must lie in the upper half-plane")
-    terms = np.empty(N)
-    if isinstance(m, ms.AtomicMeasure) and len(m) <= 64:
-        # fast scalar path: plain python complex arithmetic beats numpy here
-        atoms = [(float(t), float(w)) for t, w in zip(m.positions, m.masses)]
-        w = zc
-        try:
-            for n in range(N):
-                g = 0j
-                for t, mass in atoms:
-                    g += mass / (w - t)
-                w = 1.0 / g
-                terms[n] = (-1.0 / w).imag
-        except ZeroDivisionError:       # the orbit overflowed to infinity, where G = 0
-            terms[n:] = math.nan
-    else:
-        fn, step = tf._evaluator(m)
-        step = step or fn       # a pole-form map steps unchecked, as in an iteration
-        w = np.asarray([zc])
-        for n in range(N):
-            w = step(w)
-            terms[n] = float((-1.0 / w).imag[0])
+    if not (np.isfinite(zc) and zc.imag > 0):
+        raise DomainError(f"recurrence sums need a finite start with Im z > 0, got z = {zc!r}")
+    orbit = tf._orbit(m, zc, N)
+    terms = (-1.0 / orbit[1:]).imag
     sums = np.cumsum(terms)
-    if not np.isfinite(sums[-1:]).all():       # a sum stays non-finite once it is
-        raise NumericBreakdown(f"the recurrence sums from z = {zc!r} are not finite")
+    if not (np.isfinite(orbit).all() and np.isfinite(sums[-1:]).all()):
+        raise NumericBreakdown(f"the orbit or the recurrence sums from z = {zc!r} are not finite")
     if not terms.all():
         raise DomainError(f"start z = {zc!r}: term {int(np.argmin(terms != 0)) + 1} "
                           "underflows to 0, so the terms are not all positive")

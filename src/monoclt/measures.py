@@ -24,6 +24,7 @@ law, so the two conventions agree on probability measures.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -326,6 +327,22 @@ class Moments:
             object.__setattr__(self, "var", max(v, 0.0))
 
 
+def _typed_overflow(fn):
+    """`fn` raising :class:`NumericBreakdown` where a result or a float power overflows."""
+    @functools.wraps(fn)
+    def checked(*args):
+        try:
+            out = fn(*args)
+        except OverflowError:
+            out = math.inf
+        if out == math.inf:
+            raise NumericBreakdown(f"{fn.__name__}({', '.join(map(repr, args[1:]))}) overflows")
+        return out
+
+    return checked
+
+
+@_typed_overflow
 def moments(m: Measure) -> Moments:
     """Mean and second moment; divergent integrals come back as ``inf``."""
     if isinstance(m, AtomicMeasure):
@@ -369,6 +386,7 @@ def _ref_h_unit(kind: str, x: float) -> float:
     raise AssertionError(kind)
 
 
+@_typed_overflow
 def truncated_variance(m: Measure, x: float) -> float:
     """Second moment truncated to ``[-x, x]`` (the function H).
 
@@ -411,6 +429,7 @@ def _smoothed_square(t, x):
     return a * (a / (1.0 + (a / b) ** 2))
 
 
+@_typed_overflow
 def harmonic_variance(m: Measure, x: float) -> float:
     """Smoothed truncated variance ``int t^2 x^2 / (t^2 + x^2) dm`` (the function L).
 
@@ -441,32 +460,26 @@ def harmonic_variance(m: Measure, x: float) -> float:
         if abs(p - 3.0) < 1e-12:
             # log(1 + u^2), without forming u^2 above u = 1
             l_unit = w * (2.0 * math.log(max(u, 1.0)) + math.log1p(min(u, 1.0 / u) ** 2))
-        elif p < 3.0:
-            # t = u s: u^(3-p) J(u), J the integral of s^(2-p)/(1 + s^2) over
-            # s > 1/u (quad on [1, inf) missed the turn at t ~ u and went
-            # negative).  With s = 1/v, J(u) for u <= 1 is the integral of
-            # v^(p-2)/(1 + v^2) over v < u.  For u > 1 the part 1/u < s < 1
-            # adds (1 - u^(p-3))/(3 - p) less the integral of s^(4-p)/(1 + s^2),
-            # which is at most half of it (s^2/(1 + s^2) <= 1/2): no
-            # cancellation, also for p near 3.
-            rest, _ = integrate.quad(_cauchy_weight, 0.0, min(u, 1.0),
-                                     weight="alg", wvar=(p - 2.0, 0.0))
-            if u > 1.0:
-                inner, _ = integrate.quad(lambda s: s ** (4.0 - p) * _cauchy_weight(s),
-                                          1.0 / u, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
-                rest += -math.expm1((p - 3.0) * math.log(u)) / (3.0 - p) - inner
-            try:
-                l_unit = 2.0 * w * rest * u ** (3.0 - p)
-            except OverflowError:       # the power alone overflows
-                l_unit = math.inf
+        elif u <= 1.0:
+            # int_1^inf t^(2-p) u^2/(t^2 + u^2) dt (quad on [1, inf) misses the
+            # turn at t ~ u); with t = 1/v, u^2 int_0^1 v^(p-2)/(1 + u^2 v^2) dv
+            l_unit = 2.0 * w * u * u * integrate.quad(
+                lambda v: _cauchy_weight(u * v), 0.0, 1.0, weight="alg", wvar=(p - 2.0, 0.0))[0]
         else:
-            val, _ = integrate.quad(
-                lambda t: t ** (2.0 - p) / (1.0 + (t / u) * (t / u)), 1.0, np.inf, limit=200)
-            l_unit = 2.0 * w * val
-        out = b**2 * l_unit
-        if math.isinf(out):
-            raise NumericBreakdown(f"L({x!r}) of a power tail of exponent {p!r} overflows")
-        return out
+            # t > u gives c u^(3-p), c that integral at u = 1; 1 < t < u gives
+            # (u^(3-p) - 1)/(3 - p) less e <= half of it, in v = log(t/u).  Below
+            # p = 3 pow factors u^(3-p) out, above e's exponent carries it: no
+            # overflow unless L's, no exp amplifying the rounding of log u
+            lu, a = math.log(u), 3.0 - p
+            k = min(a, 0.0) * lu
+            e, _ = integrate.quad(lambda v: math.exp((5.0 - p) * v + k) / (1.0 + math.exp(2.0 * v)),
+                                  -lu, 0.0, epsabs=0.0, epsrel=1e-13, limit=200)
+            c, _ = integrate.quad(_cauchy_weight, 0.0, 1.0, weight="alg", wvar=(p - 2.0, 0.0))
+            if p < 3.0:
+                l_unit = 2.0 * w * u ** a * (c - math.expm1(-a * lu) / a - e)
+            else:
+                l_unit = 2.0 * w * (c * u ** a + math.expm1(a * lu) / a - e)
+        return min(b**2 * l_unit, moments(m).m2)     # rounding may cross the bound by an ulp
     raise TypeError(f"not a measure: {m!r}")
 
 

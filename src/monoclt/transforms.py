@@ -124,6 +124,10 @@ _FEW_POINTS_PER_POLE = 128
 #: floats, so 4 complex numbers or 8 reals
 _LANES = {"D": 4, "d": 8}
 
+#: `_orbit` steps fewer poles on Python complex numbers (us/step against a
+#: one-element array: 0.33 vs 7.6 at 1 pole, even at 50-60, 9.0 vs 7.8 at 64)
+_ORBIT_SCALAR_POLES = 64
+
 #: relative agreement with ``1/G`` that certifies an atomic law's extracted
 #: partial fractions (see `_map_form`)
 _FORM_TOL = 1e-12
@@ -566,9 +570,6 @@ class FreeConvolveMap(SelfMap):
     maxiter: int = 10_000
 
 
-AnalyticSelfMap = SelfMap
-
-
 def _check_upper_out(w: np.ndarray, what: str) -> np.ndarray:
     if np.min(np.imag(w)) < -BREAKDOWN_TOL:
         raise NumericBreakdown(f"{what} produced Im = {np.min(np.imag(w))!r} < -{BREAKDOWN_TOL}")
@@ -650,6 +651,32 @@ def _evaluator(F):
         raise TypeError(f"not an analytic self-map: {F!r}")
     what = type(F).__name__
     return (lambda z: _check_upper_out(raw(z), what)), step
+
+
+def _orbit(F, z: complex, n: int) -> np.ndarray:
+    """The iterates ``z, F(z), ..., F^n(z)`` of a map node or measure `F`: a law's
+    `_map_form` or a `NevanlinnaMap`'s partial fractions step on Python complex
+    numbers below `_ORBIT_SCALAR_POLES` poles, other maps by `_evaluator`'s step
+    on a one-element array; one `_check_upper_out` covers every iterate."""
+    form = F._pf if isinstance(F, NevanlinnaMap) else _map_form(F)
+    if form is not None and len(form[1]) < _ORBIT_SCALAR_POLES:
+        c, poles = form[0], list(zip(form[1].tolist(), form[2].tolist()))
+
+        def step(z):
+            s = 0j
+            for t, w in poles:
+                s += w / (t - z)
+            return z + c + s
+    else:
+        fn, step = _evaluator(F)
+        step, z = step or fn, np.array([z], dtype=complex)
+    zs = [z]
+    try:
+        for _ in range(n):
+            zs.append(z := step(z))
+    except ZeroDivisionError:
+        raise NumericBreakdown(f"the orbit of {zs[0]!r} stepped onto a pole at {z!r}") from None
+    return _check_upper_out(np.array(zs, dtype=complex).ravel(), "orbit")
 
 
 def _repeat(fn, n: int):

@@ -207,6 +207,27 @@ class TestOrbitFuzz:
         assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
 
 
+class TestHalfPlaneOrbitFuzz:
+    """``aaronson`` and ``conjugacy`` on random atomic laws (1 to 4 poles,
+    the scalar half-plane orbit) and on the lattice-tail map."""
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(m=atomic_laws(), N=st.integers(1, 300), re=st.floats(-5.0, 5.0),
+           im=st.floats(1e-3, 10.0))
+    def test_aaronson(self, tmp_path_factory, m, N, re, im):
+        args = ["aaronson", "--measure", m, "--N", str(N), "--z-re", repr(re), "--z-im", repr(im)]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(m=st.one_of(atomic_laws(), st.just("ex310b")), n=st.integers(1, 300),
+           ys=st.lists(st.floats(10.0, 1e3, exclude_min=True), min_size=1, max_size=3),
+           B=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
+    def test_conjugacy(self, tmp_path_factory, m, n, ys, B):
+        args = ["conjugacy", "--measure", m, "--K", "50", "--n", str(n),
+                "--y-list", ",".join(map(repr, ys)), "--B", repr(B)]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+
 def test_repeated_runs_match_fresh_runs(tmp_path):
     # one parser serves every call: each run's artifacts equal those of a
     # run on a freshly built parser, whatever ran before it
@@ -381,6 +402,16 @@ def test_non_finite_measure_field_exits_2(measure, tmp_path, capsys):
     assert not outdir.exists()
     err = capsys.readouterr().err
     assert "must be finite" in err and "Traceback" not in err
+
+
+def test_overflowing_measure_field_exits_3(tmp_path, capsys):
+    # the normal law's second moment scale^2 overflows
+    code, outdir = run_cli(["moments", "--measure",
+                            '{"type": "ref", "law": "normal", "scale": 1e200}'], tmp_path)
+    assert code == 3
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert "NumericBreakdown" in err and "Traceback" not in err
 
 
 def test_underflowing_aaronson_terms_exit_2(tmp_path, capsys):

@@ -116,6 +116,27 @@ class TestNormingConstants:
         assert 0.5 < slope_far < slope_near
 
 
+class TestRatioCheck:
+    def test_non_finite_y(self):
+        lab = eg.lattice_tail_lab(10)
+        B = clt.sigma_criterion_constants(lab.sigma, [10, 100])
+        for y in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                clt.norming_ratio_check(lab.sigma, B, y=y)
+
+    def test_non_finite_ratio_is_typed(self):
+        # (B_n y)^2 overflows, and L(B_n y) read NaN
+        lab = eg.lattice_tail_lab(10)
+        B = clt.sigma_criterion_constants(lab.sigma, [10, 100])
+        with pytest.raises(NumericBreakdown, match="not finite"):
+            clt.norming_ratio_check(lab.sigma, B, y=1e160)
+        assert np.isfinite(clt.norming_ratio_check(lab.sigma, B, y=1e100).ratios).all()
+
+    def test_overflowing_variance_is_typed(self):
+        with pytest.raises(NumericBreakdown, match="overflows"):
+            clt.norming_constants(mc.normal(1e200), ns=[10])
+
+
 class TestSigmaCriterion:
     def test_origin_atom_exact(self):
         sigma = mc.atomic([(0.0, 0.25)], is_probability=False)
@@ -303,6 +324,17 @@ class TestDriftBound:
         assert not rep.violations.any()
         assert rep.deviations.max() <= 5.0
 
+    def test_deviations_follow_the_scaled_power_map(self):
+        # one orbit of B*iy, rescaled once: F^(j)(B iy)/B as ScaledPowerMap
+        # evaluates it, on both sides of the scalar-orbit pole cut
+        k4 = mc.atomic([(-1.5, 0.2), (0.0, 0.3), (0.7, 0.4), (2.2, 0.1)])
+        many = mc.AtomicMeasure(np.linspace(-1.0, 1.0, 65), np.full(65, 1.0 / 65))
+        js = [0, 1, 10, 500, 2000]
+        for m, B in ((BOOLE, math.sqrt(2000.0)), (mc.shift(k4, -0.2), 40.0), (many, 20.0)):
+            rep = clt.drift_bound_check(m, 2000, 10.5, js, B)
+            want = [abs(tf.f_eval(tf.ScaledPowerMap(m, j, B), 10.5j) - 10.5j) for j in js]
+            assert np.max(np.abs(rep.deviations - want)) < 1e-12
+
     @pytest.mark.parametrize("y", [math.nan, math.inf])
     def test_non_finite_start(self, y):
         with pytest.raises(DomainError):
@@ -315,16 +347,17 @@ class TestDriftBound:
                 clt.drift_bound_check(src, 10, 10.5, [0, 5, 10], B)
 
     def test_half_plane_checks_per_step(self, monkeypatch):
-        """A map source is checked after each of the 11 steps, as a map
-        node; an atomic measure steps on its bare formula, unchecked."""
+        """A map source and an atomic measure both step on their bare
+        formula, and one check after the loop covers all 11 iterates."""
         calls = []
         inner = tf._check_upper_out
-        monkeypatch.setattr(tf, "_check_upper_out", lambda w, what: (calls.append(what), inner(w, what))[1])
+        monkeypatch.setattr(tf, "_check_upper_out",
+                            lambda w, what: (calls.append((what, len(w))), inner(w, what))[1])
         clt.drift_bound_check(eg.lattice_tail_lab(10).map, 10, 10.5, [0, 10], 3.0)
-        assert calls == ["NevanlinnaMap"] * 11
+        assert calls == [("orbit", 11)]
         del calls[:]
         clt.drift_bound_check(BOOLE, 10, 10.5, [0, 10], 3.0)
-        assert calls == []
+        assert calls == [("orbit", 11)]
 
 
 class TestLln:

@@ -363,6 +363,42 @@ class TestAaronsonSums:
         oracle = 1.0 / (1.0 + ns**2 * c**2)
         assert np.abs(s.terms - oracle).max() < 1e-12
 
+    def test_point_mass_terms_exact(self):
+        # F(z) = z - 1 steps exactly, so only 1/(i - n) rounds
+        s = eg.aaronson_sums(mc.point_mass(1.0), 100_000)
+        oracle = 1.0 / (1.0 + np.arange(1, 100_001, dtype=float) ** 2)
+        assert np.max(np.abs(s.terms - oracle) / oracle) < 1e-14
+
+    def test_terms_follow_the_map(self):
+        """Each term is Im(-1/F^(n)(z)) with F^(n) the evaluator's, for laws
+        on both sides of the scalar-orbit pole cut, and for map nodes."""
+        rng = np.random.default_rng(0)
+        laws = []
+        for _ in range(6):
+            k = int(rng.integers(2, 9))
+            pos, mass = rng.normal(0.0, 2.0, k), rng.uniform(0.05, 1.0, k)
+            laws.append(mc.atomic(list(zip(pos, mass / mass.sum()))))
+        many = mc.AtomicMeasure(np.linspace(-1.0, 1.0, 65), np.full(65, 1.0 / 65))
+        assert len(tf._map_form(laws[0])[1]) < tf._ORBIT_SCALAR_POLES
+        assert len(tf._map_form(many)[1]) == tf._ORBIT_SCALAR_POLES
+        for m in laws + [many, eg.lattice_tail_lab(10).map]:
+            F = m if isinstance(m, tf.SelfMap) else tf.MeasureMap(m)
+            s = eg.aaronson_sums(m, 2000)
+            w, ref = 1j, np.empty(2000)
+            for n in range(2000):           # n f_eval calls are an IterateMap, bit for bit
+                w = tf.f_eval(F, w)
+                ref[n] = (-1.0 / w).imag
+            assert np.max(np.abs(s.terms - ref) / ref) < 1e-13
+        ns = [1, 7, 300]
+        want = [(-1.0 / tf.f_eval(tf.IterateMap(tf.MeasureMap(laws[1]), n), 1j)).imag for n in ns]
+        assert np.allclose(eg.aaronson_sums(laws[1], 300).terms[np.subtract(ns, 1)], want,
+                           rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("z", [1.0 + 0.0j, 2.0 - 1e-3j])
+    def test_start_off_the_half_plane(self, z):
+        with pytest.raises(DomainError, match="Im z > 0"):
+            eg.aaronson_sums(BOOLE, 10, z=z)
+
     def test_terms_track_reciprocal_norming(self):
         # the n-th term behaves like a constant over B_n for finite variance
         s = eg.aaronson_sums(BOOLE, 10_000)
@@ -378,13 +414,16 @@ class TestAaronsonSums:
             assert 1.7 < ratio < 2.3
 
     def test_transform_defined_measure_accepted(self, monkeypatch):
-        # a Nevanlinna map steps on its bare formula, as in an iteration
+        # a Nevanlinna map steps on its bare formula, and one half-plane
+        # check after the loop covers all N + 1 iterates, as in an iteration
         calls = []
-        monkeypatch.setattr(tf, "_check_upper_out", lambda w, what: calls.append(what))
+        inner = tf._check_upper_out
+        monkeypatch.setattr(tf, "_check_upper_out",
+                            lambda w, what: (calls.append((what, len(w))), inner(w, what))[1])
         lab = eg.lattice_tail_lab(100)
         s = eg.aaronson_sums(lab.map, 50)
         assert np.all(s.terms > 0)
-        assert calls == []
+        assert calls == [("orbit", 51)]
 
     @pytest.mark.parametrize("z", [complex(0.0, math.nan), complex(math.nan, 1.0),
                                    complex(0.0, math.inf), complex(math.inf, 1.0)])
@@ -403,8 +442,8 @@ class TestAaronsonSums:
 
     def test_overflowing_orbit_is_typed(self):
         # the first step from 1e-310j above a pole of F overflows to
-        # infinity: the scalar branch's 1/G at 0 and the numpy branch's
-        # partial fractions at one of their poles t_j
+        # infinity: the scalar branch's pole at 0 and the numpy branch's
+        # at one of its poles t_j
         many = mc.AtomicMeasure(np.linspace(-1.0, 1.0, 65), np.full(65, 1.0 / 65))
         t = mc.nevanlinna_extract(many).sigma.positions
         for m, z in ((BOOLE, 1e-310j), (many, complex(t[32], 1e-310))):

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,30 @@ class TestHarmonicVariance:
         lead = 1.5 * 1e200 ** (3.0 - p) * math.pi / (2.0 * math.cos(math.pi * (2.0 - p) / 2.0))
         assert abs(ls[-1] / lead - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("p, w, closed", [
+        (4.0, 0.75, lambda x: 1.5 * (1.0 - math.atan(x) / x)),
+        (5.0, 2.0, lambda x: 2.0 - 2.0 * math.log1p(x * x) / (x * x)),
+    ])
+    @pytest.mark.parametrize("x", [2.0, 10.0, 1e3, 1e5, 1e8, 1e12])
+    def test_light_power_tail_closed_form(self, p, w, closed, x):
+        # quad on [1, inf) missed the turn at t ~ x: 1.5000000001490 at p = 4, x = 1e5
+        law = mc.PowerTailLaw(p, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")          # every quad converges
+            got = mc.harmonic_variance(law, x)
+        assert abs(got - closed(x)) <= 1e-12 * closed(x)
+        assert got <= mc.moments(law).m2
+
+    @pytest.mark.parametrize("p", [3.5, 8.0, 12.0])
+    def test_light_power_tail_quadrature_converges(self, p):
+        law = mc.PowerTailLaw(p, 0.75)
+        xs = np.concatenate([np.geomspace(1e-3, 1e12, 31), [1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ls = [mc.harmonic_variance(law, x) for x in xs]
+        assert all(a <= b for a, b in zip(ls, ls[1:]))
+        assert ls[-1] == mc.moments(law).m2
+
     def test_overflowing_power_tail_is_typed(self):
         with pytest.raises(NumericBreakdown, match="overflows"):
             mc.harmonic_variance(mc.PowerTailLaw(1.5, 0.75), 1e300)
@@ -151,6 +176,22 @@ class TestHarmonicVariance:
             oracle, _ = integrate.quad(
                 lambda t: 2.0 * t**-3.0 * t * t * x * x / (t * t + x * x), 1.0, np.inf)
             assert abs(mc.harmonic_variance(NU, x) - oracle) < 1e-9
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mc.moments(mc.ReferenceLaw("normal", scale=1e200)),
+    lambda: mc.moments(mc.ReferenceLaw("point", c=1e200)),
+    lambda: mc.moments(mc.PowerTailLaw(4.0, 0.75, 1e200)),
+    lambda: mc.truncated_variance(mc.PowerTailLaw(4.0, 0.75, 1e200), 1e250),
+    lambda: mc.truncated_variance(mc.PowerTailLaw(1.5, 0.25), 1e300),
+    lambda: mc.truncated_variance(mc.ReferenceLaw("point", c=1e200), 1e250),
+    lambda: mc.harmonic_variance(mc.PowerTailLaw(2.5, 0.75, 1e200), 1e250),
+    lambda: mc.harmonic_variance(mc.ReferenceLaw("normal", scale=1e200), 1e250),
+])
+def test_overflowing_closed_form_is_typed(call):
+    # Python's float power used to raise a bare OverflowError here
+    with pytest.raises(NumericBreakdown, match="overflows"):
+        call()
 
 
 class TestTail:

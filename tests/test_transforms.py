@@ -688,3 +688,46 @@ class TestPartialFractionForm:
         assert same_bits(mc.f_eval(mc.ScaledPowerMap(m, 3, 2.0), z), inverse(inverse(inverse(z * 2.0))) / 2.0)
         h = mc.convolve._h_func(m)
         assert same_bits(h(z), inverse(z) - z)
+
+
+class TestOrbit:
+    """`_orbit`: the iterates of one start, stepped on Python complex
+    numbers below the pole cut and on a one-element array above it."""
+
+    @pytest.mark.parametrize("F", [
+        random_atomic(np.random.default_rng(21), k=6),
+        mc.AtomicMeasure(np.linspace(-1.0, 1.0, 64), np.full(64, 1.0 / 64)),    # 63 poles
+        mc.nevanlinna_synthesize(mc.NevanlinnaRep(0.4, mc.atomic(
+            [(-1.0, 0.3), (2.0, 0.5)], is_probability=False))),
+        mc.point_mass(0.7),
+    ])
+    def test_branches_agree_with_f_eval(self, F, monkeypatch):
+        z, n = 0.3 + 0.8j, 400
+        scalar = tf._orbit(F, z, n)
+        monkeypatch.setattr(tf, "_ORBIT_SCALAR_POLES", 0)
+        array = tf._orbit(F, z, n)
+        G = F if isinstance(F, mc.SelfMap) else mc.MeasureMap(F)
+        want = [z]
+        for _ in range(n):
+            want.append(mc.f_eval(G, want[-1]))
+        assert same_bits(array, np.array(want))      # the evaluator's own step
+        assert np.max(np.abs(scalar - array) / np.abs(array)) < 1e-14
+
+    def test_other_maps_step_their_evaluator(self):
+        z = tf._orbit(mc.ArcsineMap(), 0.5 + 2j, 5)
+        assert z[0] == 0.5 + 2j and len(z) == 6
+        assert np.allclose(z[5], mc.f_eval(mc.IterateMap(mc.ArcsineMap(), 5), 0.5 + 2j),
+                           rtol=1e-15, atol=0.0)
+
+    def test_one_check_covers_every_iterate(self, monkeypatch):
+        calls = []
+        inner = tf._check_upper_out
+        monkeypatch.setattr(tf, "_check_upper_out",
+                            lambda w, what: (calls.append(len(w)), inner(w, what))[1])
+        tf._orbit(BOOLE, 1j, 30)
+        assert calls == [31]
+
+    def test_step_onto_a_pole_is_typed(self):
+        # Boole's map z - 1/z has its pole at 0
+        with pytest.raises(NumericBreakdown, match="onto a pole"):
+            tf._orbit(BOOLE, 0j, 3)

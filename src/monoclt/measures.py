@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -344,16 +345,21 @@ def _typed_overflow(fn):
 
 @_typed_overflow
 def moments(m: Measure) -> Moments:
-    """Mean and second moment; divergent integrals come back as ``inf``."""
+    """Mean and second moment; divergent integrals come back as ``inf``.
+
+    Atomic and grid laws have finite moments, so where theirs overflow (or
+    a closed form's does) this raises :class:`NumericBreakdown`."""
     if isinstance(m, AtomicMeasure):
-        mean = float(np.dot(m.positions, m.masses))
-        m2 = float(np.dot(m.positions**2, m.masses))
-        return Moments(mean, m2, m.total_mass)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.dot(m.positions, m.masses))
+            m2 = float(np.dot(m.positions**2, m.masses))
+        return _bounded_moments(mean, m2, m.total_mass)
     if isinstance(m, GridDensity):
         x = m.grid
-        mean = float(np.trapezoid(x * m.values, dx=m.h))
-        m2 = float(np.trapezoid(x**2 * m.values, dx=m.h))
-        return Moments(mean, m2, m.total_mass)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.trapezoid(x * m.values, dx=m.h))
+            m2 = float(np.trapezoid(x**2 * m.values, dx=m.h))
+        return _bounded_moments(mean, m2, m.total_mass)
     if isinstance(m, ReferenceLaw):
         if m.kind == "point":
             return Moments(m.c, m.c**2)
@@ -369,6 +375,31 @@ def moments(m: Measure) -> Moments:
             m2 = math.inf
         return Moments(mean, m2, m.total_mass)
     raise TypeError(f"not a measure: {m!r}")
+
+
+def _bounded_moments(mean: float, m2: float, total: float) -> Moments:
+    """`Moments` of a law of bounded support, whose integrals are finite:
+    an infinite or NaN one overflowed (`moments` makes that a
+    :class:`NumericBreakdown`), and ``inf`` would read as divergence."""
+    if not (math.isfinite(mean) and math.isfinite(m2)):
+        raise OverflowError
+    return Moments(mean, m2, total)
+
+
+def _scaled_power(b: float, u: float, a: float) -> float:
+    """``b**2 * u**a`` for ``b > 0``, ``u >= 1`` and ``0 < a < 2``.  Where
+    ``b**2`` is not a normal float or ``u**a`` overflows, which a tiny scale
+    at a huge cutoff brings about while the product is a float, it is
+    ``(b * u**(a/2))**2``: no factor leaves the floats, and no rounding is
+    amplified as a logarithm's would be."""
+    b2 = b * b
+    if b2 >= sys.float_info.min:
+        try:
+            if (v := b2 * u ** a) < math.inf:
+                return v
+        except OverflowError:
+            pass
+    return (b * u ** (0.5 * a)) ** 2
 
 
 def _ref_h_unit(kind: str, x: float) -> float:
@@ -415,6 +446,8 @@ def truncated_variance(m: Measure, x: float) -> float:
             return 0.0
         if abs(p - 3.0) < 1e-12:
             h_unit = 2.0 * w * math.log(u)
+        elif p < 3.0:
+            return 2.0 * w * (_scaled_power(b, u, 3.0 - p) - b * b) / (3.0 - p)
         else:
             h_unit = 2.0 * w * (u ** (3.0 - p) - 1.0) / (3.0 - p)
         return b**2 * h_unit
@@ -476,9 +509,8 @@ def harmonic_variance(m: Measure, x: float) -> float:
                                   -lu, 0.0, epsabs=0.0, epsrel=1e-13, limit=200)
             c, _ = integrate.quad(_cauchy_weight, 0.0, 1.0, weight="alg", wvar=(p - 2.0, 0.0))
             if p < 3.0:
-                l_unit = 2.0 * w * u ** a * (c - math.expm1(-a * lu) / a - e)
-            else:
-                l_unit = 2.0 * w * (c * u ** a + math.expm1(a * lu) / a - e)
+                return 2.0 * w * _scaled_power(b, u, a) * (c - math.expm1(-a * lu) / a - e)
+            l_unit = 2.0 * w * (c * u ** a + math.expm1(a * lu) / a - e)
         return min(b**2 * l_unit, moments(m).m2)     # rounding may cross the bound by an ulp
     raise TypeError(f"not a measure: {m!r}")
 

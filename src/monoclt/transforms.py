@@ -40,6 +40,16 @@ two branches that add each point's terms in the same order, bit for bit:
   points -- while with many poles, or few points, the loop's numpy calls
   per pole cost more than the one reduce.
 
+The workspace (`_Workspace`) holds the poles and weights cast once to the
+points' dtype, so that complex points do not have numpy cast the real
+poles buffer by buffer on every call.  A loop's workspace also holds them
+tiled to as many rows of its block as its generic-branch calls use, for
+rows of at most ``_TILE_POLES`` (2730) poles: the points are copied into
+the block and the subtract and divide run flat, where numpy would buffer a
+broadcast subtract of such short rows; longer rows subtract the points
+broadcast from the poles.  Each term is the same IEEE subtract and divide
+of the same operands on every path.
+
 The Cauchy transform ``sum_k w_k/(z - t_k)`` is 0 minus the pole sum and
 ``1/G`` is ``-(1/s)``: both negations are exact, so every value equals the
 direct formula's bit for bit.
@@ -120,6 +130,16 @@ _FEW_POLES = {"D": 24, "d": 32}
 #: reduce's slow inner loop (the two break even at 50-100 points per pole).
 _FEW_POINTS_PER_POLE = 128
 
+#: `_pole_sum` subtracts and divides on poles tiled to its block for rows
+#: of at most this many poles, and subtracts the points broadcast from the
+#: poles above it.  numpy buffers a broadcast subtract whose rows fit in a
+#: third of its 8192-element ufunc buffer, which makes it 2-4x slower than
+#: a flat one.  Measured on one block (2-vCPU VM, numpy 2.4; 3-24 rows,
+#: real and complex alike), copy + flat subtract + flat divide takes
+#: 0.61-0.89 of broadcast subtract + divide at 20-2730 poles and 1.02-1.25
+#: at 2731-20 000; with a 16 384-element buffer the step moves to 5461/5462.
+_TILE_POLES = 8192 // 3
+
 #: accumulators of numpy's pairwise add-reduce along a contiguous row: 8
 #: floats, so 4 complex numbers or 8 reals
 _LANES = {"D": 4, "d": 8}
@@ -158,17 +178,42 @@ def _rows(n_poles: int, n_points: int) -> int:
     return max(1, min(n_points, _CHUNK // max(n_poles, 1)))
 
 
+class _Workspace:
+    """What :func:`_pole_sum` computes in: the poles `t` and weights `w`
+    cast once to the points' `dtype`, so that no call casts them again
+    buffer by buffer inside its subtract and divide, and a
+    ``(rows, len(t))`` block of that dtype.  If `tiled`, for at most
+    ``_TILE_POLES`` poles, it also holds `t` and `w` tiled to the rows of
+    the block that a generic-branch call uses (`tiles`)."""
+
+    def __init__(self, t, w, rows: int, dtype, tiled: bool = True):
+        self.t, self.w = np.asarray(t, dtype), np.asarray(w, dtype)
+        self.block = np.empty((rows, len(t)), dtype)
+        self.tiled = tiled and len(t) <= _TILE_POLES
+        self._tiles = None
+
+    def tiles(self, rows: int):
+        """`t` and `w` tiled to at least `rows` rows, made on first use and
+        regrown when a call needs more (a loop whose points mostly take the
+        few-pole branch tiles only the few rows its other calls use); None
+        where the workspace does not tile."""
+        if self.tiled and (self._tiles is None or len(self._tiles[0]) < rows):
+            self._tiles = np.tile(self.t, (rows, 1)), np.tile(self.w, (rows, 1))
+        return self._tiles
+
+
 def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
               squared: bool = False) -> np.ndarray:
     """The pole sums ``sum_k w_k / (t_k - x[i])`` over flat `x`, or with
     `squared` ``sum_k w_k / (t_k - x[i])**2``, as a fresh array.
 
-    `work` is a ``(rows, len(t))`` block of the result's dtype (real or
-    complex) that the caller may keep and reuse, so no temporary of the
-    poles' size is allocated per call.  The points pass through it ``rows``
-    at a time; only the points are chunked, so the block size never changes
-    a bit of the result.  Two branches add the terms of each point in the
-    same order, so they agree bit for bit:
+    `work` is a `_Workspace` for these `t` and `w` and the result's dtype
+    (real or complex) that the caller may keep and reuse, so no temporary
+    of the poles' size is allocated per call; without one, a call makes its
+    own, untiled.  The points pass through its block ``rows`` at a time;
+    only the points are chunked, so the block size never changes a bit of
+    the result.  The branches add the terms of each point in the same
+    order, so they agree bit for bit:
 
     * Generic: the block holds one term per (point, pole), formed by one
       subtract, (square,) divide over the block, and each row is summed by
@@ -176,6 +221,12 @@ def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
       of terms left to right; from there up to 128 floats, one accumulator
       per 8 floats' lane, added as a balanced tree, then the rest.  Squares
       are taken out of place, from a second block (see `_few_pole_rows`).
+      The operands are the workspace's cast poles.  With tiles (at most
+      ``_TILE_POLES`` poles), the points are copied into the block and the
+      subtract and divide run flat over contiguous blocks, where numpy
+      would buffer a broadcast subtract of such short rows; longer rows
+      subtract the points broadcast from the poles.  Each term is the same
+      IEEE subtract and divide of the same operands either way.
     * Few-pole (`_few_pole_rows`): for ``1 <= len(t) <= _FEW_POLES`` (24
       complex, 32 real) and at least ``_FEW_POINTS_PER_POLE`` (128) points
       per pole.  It forms one pole's term at a time on a vector of points
@@ -186,7 +237,7 @@ def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
       lanes ``((c0 + c1) + (c2 + c3)) + ((c4 + c5) + (c6 + c7))``), then the
       remaining terms left to right.  The reduce adds that sum to a
       starting ``+0.0``, which turns a ``-0.0`` into ``+0.0``; so does the
-      branch's last step.  Its buffers are rows of `work`.
+      branch's last step.  Its buffers are rows of the block.
 
     The cut is measured (see `_FEW_POLES`): numpy reduces a short trailing
     axis slowly, so a loop of whole-vector calls wins for a few poles, but
@@ -195,25 +246,34 @@ def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
     64 complex and 128 real terms (one pairwise block); a test pins it.
     """
     if work is None:
-        work = np.empty((_rows(len(t), len(x)), len(t)), dtype=np.result_type(t, w, x))
-    out = np.empty(len(x), dtype=work.dtype)
-    rows = max(len(work), 1)            # a loop's workspace has no rows before its first point
-    if 0 < len(t) <= _FEW_POLES.get(work.dtype.char, 0) \
+        work = _Workspace(t, w, _rows(len(t), len(x)), np.result_type(t, w, x), tiled=False)
+    t, w, blk = work.t, work.w, work.block
+    out = np.empty(len(x), dtype=blk.dtype)
+    rows = max(len(blk), 1)             # a loop's workspace has no rows before its first point
+    if 0 < len(t) <= _FEW_POLES.get(blk.dtype.char, 0) \
             and len(x) >= _FEW_POINTS_PER_POLE * len(t):
-        bufs = work.reshape(-1)[:min(len(t), _LANES[work.dtype.char] + 1) * rows].reshape(-1, rows)
+        bufs = blk.reshape(-1)[:min(len(t), _LANES[blk.dtype.char] + 1) * rows].reshape(-1, rows)
         for i in range(0, len(x), rows):
             j = min(i + rows, len(x))
             _few_pole_rows(t, w, x[i:j], bufs[:, :j - i], out[i:j], squared)
         return out
-    diff = np.empty_like(work) if squared else work
+    tiles = work.tiles(min(rows, len(x)))
+    diff = np.empty_like(blk) if squared else blk
     for i in range(0, len(x), rows):
         j = min(i + rows, len(x))
-        blk = work[:j - i]
-        np.subtract(t, x[i:j, None], out=diff[:j - i])
+        b, d = blk[:j - i], diff[:j - i]
+        if tiles is None:
+            np.subtract(t, x[i:j, None], out=d)
+            num = w
+        else:
+            tt, tw = tiles
+            d[...] = x[i:j, None]
+            np.subtract(tt[:j - i], d, out=d)
+            num = tw[:j - i]
         if squared:
-            np.square(diff[:j - i], out=blk)
-        np.divide(w, blk, out=blk)
-        np.add.reduce(blk, axis=-1, out=out[i:j])     # what ndarray.sum runs
+            np.square(d, out=b)
+        np.divide(num, b, out=b)
+        np.add.reduce(b, axis=-1, out=out[i:j])     # what ndarray.sum runs
     return out
 
 
@@ -258,14 +318,15 @@ def _few_pole_rows(t, w, x, bufs, out, squared):
 
 def _pole_sum_loop(t: np.ndarray, w: np.ndarray, dtype=complex):
     """``x -> _pole_sum(t, w, x)`` on points of `dtype`, for a loop that
-    calls it many times: one workspace serves every call (regrown only when
-    a call brings more points than it holds)."""
-    work = np.empty((0, len(t)), dtype=dtype)
+    calls it many times: one `_Workspace` serves every call, with the poles
+    cast once and, for rows of at most ``_TILE_POLES`` poles, tiled (it is
+    regrown only when a call brings more points than it holds)."""
+    work = _Workspace(t, w, 0, dtype)
 
     def psum(x):
         nonlocal work
-        if len(x) > len(work) and len(work) < _rows(len(t), len(x)):
-            work = np.empty((_rows(len(t), len(x)), len(t)), dtype=dtype)
+        if len(x) > len(work.block) and len(work.block) < _rows(len(t), len(x)):
+            work = _Workspace(work.t, work.w, _rows(len(t), len(x)), dtype)
         return _pole_sum(t, w, x, work)
 
     return psum

@@ -228,6 +228,29 @@ class TestHalfPlaneOrbitFuzz:
         assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
 
 
+class TestNormingFuzz:
+    """``norming`` and ``clt-report`` on random atomic laws, at powers up to
+    64 and on grids of at most 200 points."""
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(m=atomic_laws(), ns=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+           method=st.sampled_from(["auto", "variance", "h-cutoff"]))
+    def test_norming(self, tmp_path_factory, m, ns, method):
+        args = ["norming", "--measure", m, "--n-list", ",".join(map(str, ns)),
+                "--method", method]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(m=atomic_laws(), ns=st.lists(st.integers(1, 64), min_size=1, max_size=3),
+           xmin=st.floats(-6.0, 0.0), width=st.floats(0.1, 6.0), points=st.integers(2, 200),
+           eta=st.floats(1e-3, 1.0), ks=st.sampled_from(["yes", "no"]))
+    def test_clt_report(self, tmp_path_factory, m, ns, xmin, width, points, eta, ks):
+        args = ["clt-report", "--measure", m, "--n-list", ",".join(map(str, ns)),
+                "--xmin", repr(xmin), "--xmax", repr(xmin + width),
+                "--h", repr(width / (points - 1)), "--eta", repr(eta), "--with-ks", ks]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+
 def test_repeated_runs_match_fresh_runs(tmp_path):
     # one parser serves every call: each run's artifacts equal those of a
     # run on a freshly built parser, whatever ran before it
@@ -412,6 +435,18 @@ def test_overflowing_measure_field_exits_3(tmp_path, capsys):
     assert not outdir.exists()
     err = capsys.readouterr().err
     assert "NumericBreakdown" in err and "Traceback" not in err
+
+
+def test_overflowing_atomic_moments_exit_3(tmp_path, capsys):
+    # the atoms' squares overflow: m2 used to read inf (a divergent second
+    # moment) with exit 0
+    law = '{"type": "atomic", "atoms": [[-1e200, 0.5], [1e200, 0.5]]}'
+    for sub in ("moments", "norming"):
+        code, outdir = run_cli([sub, "--measure", law], tmp_path, sub)
+        assert code == 3
+        assert not outdir.exists()
+        err = capsys.readouterr().err
+        assert "NumericBreakdown" in err and "Traceback" not in err
 
 
 def test_underflowing_aaronson_terms_exit_2(tmp_path, capsys):

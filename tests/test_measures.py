@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import monoclt as mc
-from monoclt import measures as ms
+from monoclt import clt, measures as ms
 from monoclt.errors import CapacityExceeded, NumericBreakdown
 
 BOOLE = mc.atomic([(-1.0, 0.5), (1.0, 0.5)])
@@ -192,6 +192,51 @@ def test_overflowing_closed_form_is_typed(call):
     # Python's float power used to raise a bare OverflowError here
     with pytest.raises(NumericBreakdown, match="overflows"):
         call()
+
+
+@pytest.mark.parametrize("law", [
+    mc.atomic([(-1e200, 0.5), (1e200, 0.5)]),
+    mc.atomic([(1e160, 1.0)], is_probability=False),
+    mc.atomic([(1e308, 10.0)], is_probability=False),
+    mc.GridDensity(1e200, 1e190, np.full(3, 1e-190)),
+])
+def test_overflowing_bounded_moments_are_typed(law):
+    # a law of bounded support has finite moments: inf would read as divergence
+    with pytest.raises(NumericBreakdown, match="overflows"):
+        mc.moments(law)
+    if isinstance(law, mc.AtomicMeasure) and law.is_probability:
+        with pytest.raises(NumericBreakdown, match="overflows"):
+            clt.norming_constants(law, [4])
+
+
+class TestTinyScalePowerTail:
+    """H and L of ``PowerTailLaw(p, w, scale)`` for p < 3, whose
+    ``scale**2 * u**(3 - p)`` (u = x/scale) is a float although a factor is
+    not, against 50-digit references."""
+
+    CASES = [(1e-200, 1.0), (1e-200, 1e100), (1.0, 2.0), (1.0, 1e3), (1.0, 1e100),
+             (1e100, 2e100), (1e100, 1e150)]
+
+    @staticmethod
+    def references(p, w, b, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            p, w, b, x = map(mpmath.mpf, (p, w, b, x))
+            u, a = x / b, 3 - p
+            h = 2 * w * b**2 * (u**a - 1) / a
+            # int_1^inf s^(2-p) u^2/(s^2 + u^2) ds = u^a int_(1/u)^inf r^(2-p)/(1 + r^2) dr
+            head = u**-a / a * mpmath.hyp2f1(1, a / 2, a / 2 + 1, -u**-2)
+            l = 2 * w * b**2 * u**a * (mpmath.pi / (2 * mpmath.cos(mpmath.pi * (2 - p) / 2)) - head)
+            return float(h), float(l)
+
+    @pytest.mark.parametrize("p", [1.5, 2.5])
+    @pytest.mark.parametrize("b, x", CASES)
+    def test_against_mpmath(self, p, b, x):
+        w = 0.25 if p == 1.5 else 0.75
+        m = mc.PowerTailLaw(p, w, b)
+        h, l = self.references(p, w, b, x)
+        assert abs(mc.truncated_variance(m, x) - h) <= 1e-12 * h
+        assert abs(mc.harmonic_variance(m, x) - l) <= 1e-12 * l
 
 
 class TestTail:

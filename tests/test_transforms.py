@@ -534,6 +534,64 @@ class TestFewPoleOrder:
         assert calls == []
 
 
+class TestKernelPaths:
+    """The kernel's three paths -- poles tiled to the block, points broadcast
+    from the poles, and the few-pole loop -- give the bytes of
+    ``np.add.reduce(w / (t - x[:, None]), axis=-1)`` on either side of
+    ``_TILE_POLES`` and ``_FEW_POLES``, for real and complex points and any
+    number of rows, on `TestFewPoleOrder`'s laws and points."""
+
+    @staticmethod
+    def pole_counts(dtype):
+        few = tf._FEW_POLES[np.dtype(dtype).char]
+        return [1, few, few + 1, tf._TILE_POLES, tf._TILE_POLES + 1]
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("squared", [False, True])
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_paths_match_add_reduce(self, dtype, squared, rows, monkeypatch):
+        rng = np.random.default_rng(23)
+        for k in self.pole_counts(dtype):
+            for t, w in TestFewPoleOrder.laws(rng, k):
+                # complex points on the vertical lines of at most 32 poles
+                lines = t[::-(-k // 32)]
+                x = TestFewPoleOrder.points(rng, dtype, lines, 1e154 if squared else 1e308)
+                d = t - x[:, None]
+                want = np.add.reduce(w / (np.square(d) if squared else d), axis=-1)
+                n = tf._rows(k, len(x)) if rows is None else rows
+                with monkeypatch.context() as mp:
+                    mp.setattr(tf, "_FEW_POLES", {"D": 0, "d": 0})
+                    mp.setattr(tf, "_TILE_POLES", k)
+                    tiled = tf._Workspace(t, w, n, dtype)
+                    broadcast = tf._Workspace(t, w, n, dtype, tiled=False)
+                    assert tiled.tiled and not broadcast.tiled
+                    for work in (tiled, broadcast):
+                        got = tf._pole_sum(t, w, x, work, squared=squared)
+                        assert same_bits(got, want), (k, squared, work.tiled)
+                    assert len(tiled.tiles(1)[0]) == min(n, len(x))
+                if k <= tf._FEW_POLES[np.dtype(dtype).char]:
+                    with monkeypatch.context() as mp:
+                        mp.setattr(tf, "_FEW_POINTS_PER_POLE", 0)
+                        calls = few_pole_calls(mp)
+                        work = tf._Workspace(t, w, n, dtype)
+                        assert same_bits(tf._pole_sum(t, w, x, work, squared=squared), want)
+                        assert sum(calls) == len(x)
+                if not squared and rows is None:
+                    # as a loop runs it: its own workspace, regrown from a few points
+                    psum = tf._pole_sum_loop(t, w, dtype)
+                    assert same_bits(psum(x[:3]), want[:3]) and same_bits(psum(x), want)
+
+    def test_workspace_casts_once_and_tiles_short_rows(self):
+        for k in (1, 100, tf._TILE_POLES, tf._TILE_POLES + 1, 20_000):
+            t = np.arange(k, dtype=float)
+            work = tf._Workspace(t, np.ones(k), 3, complex)
+            assert work.t.dtype == work.w.dtype == complex
+            assert work.tiled == (k <= tf._TILE_POLES)
+            if work.tiled:
+                assert all(a.shape == (2, k) and np.array_equal(a[1], b)
+                           for a, b in zip(work.tiles(2), (work.t, work.w)))
+
+
 @pytest.mark.parametrize("dtype", [complex, float])
 @pytest.mark.parametrize("k", [1, 3])
 def test_generic_squared_sums_ignore_block_size(dtype, k, monkeypatch):

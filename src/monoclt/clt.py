@@ -85,10 +85,11 @@ class NormingSequence:
         object.__setattr__(self, "values", vals)
 
     def at(self, n: int) -> float:
-        idx = np.searchsorted(self.ns, n)
-        if idx >= len(self.ns) or self.ns[idx] != n:
+        """The constant stored for `n`, in whatever order `ns` was given."""
+        hit = np.flatnonzero(self.ns == n)
+        if not hit.size:
             raise KeyError(f"no norming constant stored for n={n}")
-        return float(self.values[idx])
+        return float(self.values[hit[0]])
 
 
 def _is_degenerate(m: ms.Measure) -> bool:

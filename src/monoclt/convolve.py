@@ -13,22 +13,27 @@ with ``h(w) = F(w) - w``.  For an atomic probability law h is its partial
 fractions ``c + sum_j w_j/(t_j - w)`` (see `transforms._map_form`), which
 do not cancel at large ``|w|``; for other laws it is ``F(w) - w``.  The
 solver looks for the zero of the residual ``r(w) = phi(w) - w`` of the
-Belinschi--Bercovici map ``phi(w) = z + h_n(z + h_m(w))``, starting at
-``w = z``: in its first ``_SECANT_CALLS`` (50) steps each step is a secant
-step on ``r`` through the last two iterates, or the averaged map
-``w + r/2`` (same fixed point) where the secant point is not usable; after
-them every step is averaged, since the secant can cycle.  The plain
-iteration of ``phi`` alone converges only linearly, at a rate that
-degrades like ``1 - O(Im z)`` near the real axis.
+Belinschi--Bercovici map ``phi(w) = z + h_n(z + h_m(w))``.  Its fixed
+point is the Denjoy--Wolff point of ``phi``, which attracts every start in
+the upper half-plane, so a solve starts one standard deviation of
+``m boxplus n`` above ``z`` (`_start_scale`), away from the real axis where
+the secant can cycle.  In its first ``_SECANT_CALLS`` (50) steps each step
+is a secant step on ``r`` through the last two iterates, or the averaged
+map ``w + r/2`` (same fixed point) where the secant point is not usable;
+after them every step is averaged.  The plain iteration of ``phi`` alone
+converges only linearly, at a rate that degrades like ``1 - O(Im z)`` near
+the real axis.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from . import measures as ms
 from . import transforms as tf
-from .errors import NonConvergence
+from .errors import NonConvergence, NumericBreakdown
 
 __all__ = [
     "monotone_convolve",
@@ -88,11 +93,23 @@ def free_convolve(m: ms.Measure, n: ms.Measure, *, tol: float = 1e-13,
 
 
 #: a solve takes the secant point only in its first this many phi calls and
-#: the averaged step after them.  Near the real axis the secant can cycle
-#: between two points where the averaged map converges (two 4-atom laws
-#: cycled at Im z = 1e-2, at relative residuals 0.1-0.5); Boole boxplus
-#: Boole converges in 16 calls.
+#: the averaged step after them.  Started at ``w = z`` near the real axis,
+#: the secant can cycle between two points where the averaged map converges
+#: (two 4-atom laws cycled at Im z = 1e-2, at relative residuals 0.1-0.5);
+#: from the default start above the axis they converge in 11-12 calls.
 _SECANT_CALLS = 50
+
+
+def _start_scale(m: ms.Measure, n: ms.Measure) -> float:
+    """Height of the default start above ``z``: the standard deviation
+    ``sqrt(var_m + var_n)`` of ``m boxplus n``, which dilates with the laws,
+    or 1 where that is not finite and positive (a point mass, a divergent
+    or overflowing variance)."""
+    try:
+        s = math.sqrt(ms.moments(m).var + ms.moments(n).var)
+    except NumericBreakdown:
+        return 1.0
+    return s if 0.0 < s < math.inf else 1.0
 
 
 def _h_func(m: ms.Measure):
@@ -123,8 +140,10 @@ def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
     ``|r| < tol (1 + |phi(w)|)`` and answers ``phi(w)``.  ``h_m`` and
     ``h_n`` are partial fractions for atomic probability laws (`_h_func`).
 
-    `start` overrides the default initial guess ``w = z`` (used for
-    continuation in eta when scanning a density line).
+    `start` overrides the default initial guess ``w = z + i s``, with
+    ``s`` the standard deviation of ``m boxplus n`` (`_start_scale`); it is
+    used for continuation in eta when scanning a density line.  A start
+    with ``Im <= 0`` takes the default one.
     """
     zarr = np.asarray(z, dtype=complex)
     tf._require_upper(zarr)
@@ -133,10 +152,12 @@ def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
     h_n = _h_func(n)
 
     if start is None:
-        w = zf.copy()
+        w = zf + 1j * _start_scale(m, n)
     else:
         w = np.broadcast_to(np.asarray(start, dtype=complex).ravel(), zf.shape).copy()
-        w[np.imag(w) <= 0] = zf[np.imag(w) <= 0]
+        low = np.imag(w) <= 0
+        if low.any():
+            w[low] = zf[low] + 1j * _start_scale(m, n)
 
     out = np.empty_like(zf)
     # active-set compression: iterate only the unconverged points
@@ -181,9 +202,10 @@ def free_density(m: ms.Measure, n: ms.Measure, grid: np.ndarray | None = None,
 
     Same output convention as :func:`monoclt.transforms.measure_from_map`,
     but the subordination fixed point is continued in eta: the solve starts
-    at ``Im z ~ 1e-2`` (where plain cold starts are cheap) and halves eta,
-    reusing the previous subordination function as the initial guess.  This
-    makes small-eta density scans feasible at fixed-point tolerance `tol`.
+    cold at ``Im z ~ 1e-2`` (from the default start of
+    :func:`subordination_eval`) and halves eta, reusing the previous
+    subordination function as the initial guess.  This makes small-eta
+    density scans feasible at fixed-point tolerance `tol`.
     """
 
     def values(x, etas):

@@ -352,7 +352,11 @@ def conservativity_criterion(m: ms.Measure, N: int, *,
     ``a - b/n^g`` to the partial sums at log-spaced checkpoints; the verdict
     is the best divergent model unless the convergent fit wins by a factor
     of 2 in RMSE.  Includes the slow-variation diagnostic for H of `m`.
+    The checkpoints start at n = 10, and each model has two parameters, so
+    ``N < 12`` (fewer than three checkpoints) raises ``ValueError``.
     """
+    if N < 12:
+        raise ValueError(f"horizon N = {N} is below 12: too few checkpoints to fit")
     if B is None:
         B = cl.norming_constants(m, N=N)
     elif B.ns[0] != 1 or len(B.ns) < N or np.any(np.diff(B.ns) != 1):

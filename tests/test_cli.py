@@ -207,6 +207,39 @@ class TestOrbitFuzz:
         assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
 
 
+class TestMapCheckFuzz:
+    """``preserve-check`` and ``conservativity`` on random atomic laws and the
+    lattice-tail example, and the two worked examples at random sizes."""
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(m=st.one_of(atomic_laws(), st.just("ex310b")), K=st.integers(1, 50),
+           samples=st.integers(1, 200), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 99))
+    def test_preserve_check(self, tmp_path_factory, m, K, samples, scale, seed):
+        args = ["preserve-check", "--measure", m, "--K", str(K), "--samples", str(samples),
+                "--y-scale", repr(scale), "--seed", str(seed)]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(m=st.one_of(atomic_laws(), st.just("ex310b")), K=st.integers(1, 200),
+           N=st.integers(1, 5000))
+    def test_conservativity(self, tmp_path_factory, m, K, N):
+        args = ["conservativity", "--measure", m, "--K", str(K), "--N", str(N)]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(n=st.integers(1, 2000),
+           ys=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=3))
+    def test_example_3_5(self, tmp_path_factory, n, ys):
+        args = ["example-3-5", "--n", str(n), "--y-list", ",".join(map(repr, ys))]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(K=st.integers(1, 200), N=st.integers(1, 5000))
+    def test_example_3_10b(self, tmp_path_factory, K, N):
+        args = ["example-3-10b", "--K", str(K), "--N", str(N)]
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+
 class TestHalfPlaneOrbitFuzz:
     """``aaronson`` and ``conjugacy`` on random atomic laws (1 to 4 poles,
     the scalar half-plane orbit) and on the lattice-tail map."""
@@ -374,6 +407,18 @@ def test_preimage_residual_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert not outdir.exists()
     assert "NonConvergence" in capsys.readouterr().err
+
+
+def test_clt_report_keeps_the_n_list_order(tmp_path):
+    # norming constants are looked up by n, not bisected in a sorted list
+    rows = {}
+    for order in ("32,5", "5,32"):
+        code, outdir = run_cli(["clt-report", "--measure", "bern01", "--n-list", order,
+                                "--with-ks", "no"], tmp_path, order)
+        assert code == 0
+        rows[order] = next(outdir.glob("clt-report-*.csv")).read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows[order]] == order.split(",")
+    assert rows["32,5"] == rows["5,32"][::-1]
 
 
 def test_reordered_classical_merge_exits_3(tmp_path, capsys):

@@ -83,6 +83,12 @@ class TestNormingConstants:
         assert abs(3 * 2.0 * math.log(B.values[2]) / B.values[2] ** 2 - 1.0) < 1e-12
         assert B.values[2] > math.sqrt(math.e)
 
+    def test_lookup_in_caller_order(self):
+        B = clt.norming_constants(BERN, ns=[32, 5, 100])
+        assert [B.at(n) for n in (5, 32, 100)] == [math.sqrt(n) / 2.0 for n in (5, 32, 100)]
+        with pytest.raises(KeyError):
+            B.at(6)
+
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateMeasure):
             clt.norming_constants(mc.point_mass(2.0), ns=[10])

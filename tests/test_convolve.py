@@ -171,15 +171,47 @@ class TestFreeConvolve:
          [0.48853491694725293, 0.20798180075223127, 0.12100651759919623, 0.18247676470131957]),
     ])
     def test_secant_cycle_converges(self, pos, mass):
-        # m boxplus m for two laws of the density_scan benchmark's stream: at
-        # Im z = 1e-2 the secant cycles between two points near x = -1.006
-        # (the first law) unless it gives way to the averaged map
+        # m boxplus m for two laws of the density_scan benchmark's stream:
+        # started at w = z with Im z = 1e-2, the secant cycles between two
+        # points near x = -1.006 (the first law) unless it gives way to the
+        # averaged map; the default start above the axis avoids the cycle
         m = mc.AtomicMeasure(pos, mass)
         x = mc.transforms.default_grid(-5.0, 5.0, 5e-4)
-        _, _, iters = mc.subordination_eval(m, m, x + 1e-2j)
+        z = x + 1e-2j
+        _, omega_z, iters = mc.subordination_eval(m, m, z, start=z)
         assert 50 < iters <= 300
+        _, omega, iters = mc.subordination_eval(m, m, z)
+        assert iters <= 20
+        assert np.all(np.abs(omega - omega_z) <= 1e-10 * np.abs(omega_z))
         d = mc.free_density(m, m, grid=x, eta=5e-3)
         assert np.all(np.isfinite(d.values)) and abs(d.total_mass - 1.0) < 1e-2
+
+    @pytest.mark.parametrize("b", [1e-3, 1.0, 1e3, 1e6])
+    def test_default_start_is_scale_invariant(self, b):
+        # the cycling law above, dilated: the start's height dilates with it
+        m = mc.AtomicMeasure(b * np.array([-2.0, 0.0, 1.0, 2.0]),
+                             [0.22053550233651437, 0.3294405197719883,
+                              0.3444206437063717, 0.10560333418512562])
+        z = b * (mc.transforms.default_grid(-5.0, 5.0, 5e-4) + 1e-2j)
+        val, _, iters = mc.subordination_eval(m, m, z)
+        assert iters <= 20
+        assert np.all(np.isfinite(val) & (val.imag >= z.imag))
+
+    def test_infinite_variance_start(self):
+        # power_tail(2.5) has no variance: the start falls back to z + i
+        m = mc.power_tail(2.5)
+        assert mc.convolve._start_scale(m, BOOLE) == 1.0
+        z = np.array([-3.0 + 0.1j, -1.0 + 1e-2j, 0.5 + 0.5j, 2.0 + 1e-2j, 40.0 + 1j])
+        val, _, _ = mc.subordination_eval(m, BOOLE, z)
+        assert np.all(np.isfinite(val) & (val.imag >= z.imag))
+
+    def test_start_below_axis_takes_default(self):
+        z = np.array([-1.5 + 1e-2j, 0.3 + 1e-2j, 2.0 + 0.5j])
+        # one standard deviation of BERN boxplus BOOLE above z
+        want = mc.subordination_eval(BERN, BOOLE, z, start=z + 1j * math.sqrt(0.25 + 1.0))
+        for start in (None, np.array([-1.5 - 1j, 0.3 + 0.0j, 2.0 - 1e-9j])):
+            got = mc.subordination_eval(BERN, BOOLE, z, start=start)
+            assert np.array_equal(got[0], want[0]) and got[2] == want[2]
 
 
 LATTICE_M = mc.AtomicMeasure([1.0, 2.0], [0.7056671390355612, 0.2943328609644388])

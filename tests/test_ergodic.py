@@ -474,6 +474,13 @@ class TestConservativity:
         assert rep.norming_provenance == "h-cutoff"
         assert rep.verdict.startswith("divergent")
 
+    @pytest.mark.parametrize("N", [1, 9, 11])
+    def test_short_horizon_rejected(self, N):
+        # the checkpoints start at n = 10: N < 10 indexed past the partial sums
+        with pytest.raises(ValueError, match="checkpoints"):
+            eg.conservativity_criterion(BOOLE, N)
+        assert len(eg.conservativity_criterion(BOOLE, 12).ns) == 3
+
 
 class TestOrbits:
     def test_occupation_grows_for_boole(self):

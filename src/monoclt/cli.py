@@ -145,11 +145,13 @@ def _str(v):
     return str(v)
 
 
-def _fmt_choice(v):
-    v = str(v)
-    if v not in ("csv", "json"):
-        raise ConfigError("format must be csv or json")
-    return v
+def _choice(*values):
+    def check(v):
+        v = str(v)
+        if v not in values:
+            raise ConfigError(f"expected {'|'.join(values)}, got {v!r}")
+        return v
+    return check
 
 
 def _nonneg_int(v):
@@ -162,7 +164,7 @@ def _nonneg_int(v):
 # field spec: name -> (validator, default, help)
 _COMMON = {
     "outdir": (_str, "artifacts", "output directory"),
-    "format": (_fmt_choice, "csv", "artifact format (csv|json)"),
+    "format": (_choice("csv", "json"), "csv", "artifact format (csv|json)"),
     "seed": (_nonneg_int, 0, "seed for any random sampling"),
 }
 
@@ -244,7 +246,7 @@ CLT_SPEC = {**_COMMON, **_grid_cfg(),
             "measure": (_str, "boole", "measure token/JSON/@file"),
             "K": (_positive(int), 1000, "lattice truncation for ex310b"),
             "n-list": (_int_list, [100, 1000], "powers"),
-            "with-ks": (_str, "yes", "compute inversion KS column (yes|no)")}
+            "with-ks": (_choice("yes", "no"), "yes", "compute inversion KS column (yes|no)")}
 
 
 def cmd_conjugacy(cfg, out):

@@ -378,7 +378,21 @@ def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,
     distance of the inverted scaled power to the arc-sine law, and (for
     atomic inputs) the exact classical column against the Gaussian with the
     *same* constants.
+
+    `with_classical` selects that column: ``"auto"`` computes it for an
+    atomic source, ``"always"`` as well but raises :class:`ValueError` for
+    any other source, and ``"never"`` leaves ``ks_normal`` None.  The
+    classical power is taken of the law as given and shifted by ``-n*mean``
+    (the same law as the power of the centered law, whose positions need
+    not keep an exact lattice); it is None where the power exceeds the atom
+    cap.
     """
+    if with_classical not in ("auto", "always", "never"):
+        raise ValueError(f"with_classical must be 'auto', 'always' or 'never', "
+                         f"got {with_classical!r}")
+    do_classical = with_classical != "never" and isinstance(source, ms.AtomicMeasure)
+    if with_classical == "always" and not do_classical:
+        raise ValueError("with_classical='always' needs an atomic source")
     n_arr = np.atleast_1d(np.asarray(n_list, dtype=np.int64))
     if isinstance(source, tf.SelfMap):
         if B is None:
@@ -397,8 +411,6 @@ def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,
         h_fn = h_function(centered)
     zg = default_z_grid() if z_grid is None else np.asarray(z_grid)
     target = tf.f_eval(tf.ArcsineMap(), zg)
-    do_classical = (with_classical == "always") or (
-        with_classical == "auto" and isinstance(centered, ms.AtomicMeasure))
 
     rows = []
     for n in n_arr:
@@ -413,7 +425,7 @@ def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,
         ks_norm = None
         if do_classical:
             try:
-                power = cv.classical_power(centered, int(n))
+                power = ms.shift(cv.classical_power(source, int(n)), -int(n) * mean)
                 ks_norm = tf.ks_distance(ms.dilate(power, 1.0 / Bn), ms.normal())
             except CapacityExceeded:
                 ks_norm = None

@@ -96,6 +96,15 @@ def test_invalid_config_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["Yes", "true", ""])
+def test_with_ks_must_be_yes_or_no(value, tmp_path, capsys):
+    code, outdir = run_cli(["clt-report", "--measure", "bern01", "--n-list", "5",
+                            "--with-ks", value], tmp_path)
+    assert code == 2
+    assert not outdir.exists()
+    assert "yes|no" in capsys.readouterr().err
+
+
 def test_unknown_config_field_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"measure": "boole", "bogus": 1}))
@@ -422,11 +431,11 @@ def test_clt_report_keeps_the_n_list_order(tmp_path):
 
 
 def test_reordered_classical_merge_exits_3(tmp_path, capsys):
-    # the 265-fold classical power of this skewed law merges atoms of
-    # subnormal mass out of order
+    # the 265-fold classical power of this skewed law, a hair off the
+    # lattice 0.1*Z, merges atoms of subnormal mass out of order
     law = json.dumps({"type": "atomic", "atoms": [
-        [-2.0, 0.3235686273437737], [-1.0, 0.39653599468449835],
-        [0.0, 0.22711375043952328], [2.0, 0.0527816275322048]]})
+        [-0.2, 0.3235686273437737], [-0.1, 0.39653599468449835],
+        [0.0, 0.22711375043952328], [0.2000000000000001, 0.0527816275322048]]})
     code, outdir = run_cli(["clt-report", "--measure", law, "--n-list", "265",
                             "--with-ks", "no"], tmp_path)
     assert code == 3

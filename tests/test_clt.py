@@ -261,12 +261,25 @@ class TestCltReport:
         assert rep.rows[-1].f_dev < 0.05
 
     def test_reordered_merge_is_typed(self):
-        # the 265-fold power merges atoms of subnormal mass, whose weighted
-        # positions fall out of order: a typed error, not a bare ValueError
+        # on its lattice the law powers by mass vectors, whose positions are
+        # exact at any n
         m = mc.AtomicMeasure([-2.0, -1.0, 0.0, 2.0], SKEWED_LATTICE_MASSES)
-        assert clt.clt_report(m, [256], with_ks=False).rows[0].ks_normal is not None
+        for n in (256, 265):
+            assert math.isfinite(clt.clt_report(m, [n], with_ks=False).rows[0].ks_normal)
+        # off any lattice it forms atom pairs: the 265-fold power merges
+        # atoms of subnormal mass, whose weighted positions fall out of
+        # order, and that is a typed error, not a bare ValueError
+        off = mc.AtomicMeasure([-0.2, -0.1, 0.0, 0.2000000000000001], SKEWED_LATTICE_MASSES)
         with pytest.raises(NumericBreakdown, match="out of order"):
-            clt.clt_report(m, [265], with_ks=False)
+            clt.clt_report(off, [265], with_ks=False)
+
+    @pytest.mark.parametrize("source, value", [
+        (BOOLE, "yes"), (BOOLE, None), (mc.normal(), "always"),
+        (mc.ArcsineMap(), "always")])
+    def test_with_classical_validated(self, source, value):
+        B = clt.NormingSequence([10], [math.sqrt(10.0)], "given")
+        with pytest.raises(ValueError, match="with_classical"):
+            clt.clt_report(source, [10], B=B, with_ks=False, with_classical=value)
 
     def test_map_source_needs_constants(self):
         F = mc.nevanlinna_synthesize(mc.NevanlinnaRep(0.0, mc.atomic(

@@ -1,12 +1,16 @@
 """Tests for monotone/classical/free convolution engines."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import monoclt as mc
-from monoclt.errors import NonConvergence
+from monoclt import convolve as cv, measures as ms
+from monoclt.errors import CapacityExceeded, NonConvergence
 
 from test_measures import BERN, BOOLE, random_atomic
 
@@ -105,6 +109,114 @@ class TestClassicalPower:
         fast = mc.classical_power(m, 5)
         assert np.allclose(direct.positions, fast.positions)
         assert np.allclose(direct.masses, fast.masses)
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """Records each call of the pair path, ``measures.classical_convolve``."""
+    calls = []
+    real = ms.classical_convolve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ms, "classical_convolve", counted)
+    return calls
+
+
+def pair_power(monkeypatch, m, n, **kwargs):
+    """`classical_power` with every law on the pair path."""
+    with monkeypatch.context() as mp:
+        mp.setattr(cv, "_lattice", lambda *args: None)
+        return mc.classical_power(m, n, **kwargs)
+
+
+class TestLatticePower:
+    @pytest.mark.parametrize("n", [1, 2, 7, 1024])
+    def test_binomial(self, n, pair_calls):
+        k = np.arange(n + 1)
+        pmf = stats.binom.pmf(k, n, 0.5)
+        for law, positions in ((BERN, k), (BOOLE, 2 * k - n)):
+            p = mc.classical_power(law, n)
+            assert np.array_equal(p.positions, positions)
+            assert np.abs(p.masses - pmf).max() < 1e-15
+        assert not pair_calls
+
+    def test_half_spacing_with_offset_and_gap(self, pair_calls, monkeypatch):
+        m = mc.AtomicMeasure([-0.75, -0.25, 0.75], [0.2, 0.5, 0.3])   # -0.75 + 0.5*{0, 1, 3}
+        p = mc.classical_power(m, 9)
+        assert not pair_calls
+        ref = pair_power(monkeypatch, m, 9)
+        reachable = np.delete(np.arange(28), 26)        # 26 is no sum of nine of {0, 1, 3}
+        assert np.array_equal(p.positions, 9 * -0.75 + 0.5 * reachable)
+        assert len(ref) == len(p)
+        assert np.abs(p.masses - ref.masses).max() <= 1e-15 * ref.masses.max()
+
+    def test_finite_measure_and_pruned_mass_pass_through(self, pair_calls, monkeypatch):
+        m = mc.AtomicMeasure([-1.0, 2.0], [0.25, 0.5], is_probability=False,
+                             pruned_mass=1e-3)
+        p = mc.classical_power(m, 5)
+        assert not pair_calls
+        ref = pair_power(monkeypatch, m, 5)
+        assert not p.is_probability
+        assert p.pruned_mass == ref.pruned_mass == pytest.approx(5e-3, rel=1e-15)
+        assert np.array_equal(p.positions, ref.positions)
+        assert np.abs(p.masses - ref.masses).max() <= 1e-15 * ref.masses.max()
+
+    def test_prunes_at_the_cap(self, pair_calls, monkeypatch):
+        # the cube forms 5 x 9 mass products, within 4 per atom of the cap
+        # 12, and has 13 atoms: pruning the two below 1e-15 leaves 11
+        m = mc.AtomicMeasure(np.arange(5.0), [1e-6, 0.3, 0.4, 0.3 - 2e-6, 1e-6])
+        p = mc.classical_power(m, 3, cap=12)
+        assert not pair_calls
+        ref = pair_power(monkeypatch, m, 3, cap=12)
+        assert np.array_equal(p.positions, np.arange(1.0, 12.0))
+        assert p.pruned_mass == pytest.approx(ref.pruned_mass, rel=1e-12)
+        assert p.pruned_mass == pytest.approx(2e-18, rel=1e-12)
+        assert abs(p.total_mass - 1.0) < 1e-15
+        assert np.abs(p.masses - ref.masses).max() <= 1e-15 * ref.masses.max()
+        heavier = mc.AtomicMeasure(np.arange(5.0), [1e-4, 0.3, 0.4, 0.3 - 2e-4, 1e-4])
+        with pytest.raises(CapacityExceeded, match="after pruning"):
+            mc.classical_power(heavier, 3, cap=12)
+
+    def test_sparse_lattice_forms_pairs(self, pair_calls):
+        # on Z, but its mass vectors would be 64e6 long for 2145 atoms
+        m = mc.AtomicMeasure([0.0, 1.0, 1e6], [0.3, 0.3, 0.4])
+        t0 = time.perf_counter()
+        p = mc.classical_power(m, 64)
+        assert time.perf_counter() - t0 < 2.0
+        assert pair_calls
+        assert len(p) == math.comb(66, 2)
+
+    def test_huge_power_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded, match="per atom of the cap"):
+                mc.classical_power(BERN, 10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20      # the refused product alone is 8e6 masses, 64 MB
+
+    def test_agrees_with_pairs(self, pair_calls, monkeypatch):
+        rng = np.random.default_rng(17)
+        for _ in range(30):
+            k = int(rng.integers(2, 6))
+            pos = np.sort(rng.choice(np.arange(-4, 5), size=k, replace=False)).astype(float)
+            w = rng.uniform(0.05, 1.0, k)
+            m = mc.AtomicMeasure(pos, w / w.sum())
+            n = int(rng.integers(2, 64))        # no subnormal masses: pairs stay in order
+            p = mc.classical_power(m, n)
+            assert not pair_calls
+            ref = pair_power(monkeypatch, m, n)
+            pair_calls.clear()
+            assert np.array_equal(p.positions, np.rint(p.positions))
+            assert len(p) == len(ref)
+            assert np.abs(p.positions - ref.positions).max() < 1e-12
+            # both sum the same products in another order: 2.1e-15 at most
+            # over 300 such laws
+            assert np.abs(p.masses - ref.masses).max() <= 4e-15 * ref.masses.max()
 
 
 class TestFreeConvolve:

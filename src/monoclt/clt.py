@@ -381,11 +381,11 @@ def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,
 
     `with_classical` selects that column: ``"auto"`` computes it for an
     atomic source, ``"always"`` as well but raises :class:`ValueError` for
-    any other source, and ``"never"`` leaves ``ks_normal`` None.  The
-    classical power is taken of the law as given and shifted by ``-n*mean``
-    (the same law as the power of the centered law, whose positions need
-    not keep an exact lattice); it is None where the power exceeds the atom
-    cap.
+    any other source, and ``"never"`` leaves ``ks_normal`` None.  It is the
+    classical power of the centered law; a law on a lattice ``b + a*Z`` (see
+    :func:`~monoclt.convolve.classical_power`) is powered on ``b - mean +
+    a*Z``, since the centered positions need not keep an exact lattice.  It
+    is None where the power exceeds the atom cap.
     """
     if with_classical not in ("auto", "always", "never"):
         raise ValueError(f"with_classical must be 'auto', 'always' or 'never', "
@@ -425,7 +425,7 @@ def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,
         ks_norm = None
         if do_classical:
             try:
-                power = ms.shift(cv.classical_power(source, int(n)), -int(n) * mean)
+                power = cv._centered_power(source, int(n), mean)
                 ks_norm = tf.ks_distance(ms.dilate(power, 1.0 / Bn), ms.normal())
             except CapacityExceeded:
                 ks_norm = None

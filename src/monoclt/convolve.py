@@ -70,15 +70,6 @@ def scaled_monotone_power(m: ms.Measure, n: int, B: float) -> tf.ScaledPowerMap:
     return tf.ScaledPowerMap(m, n, float(B))
 
 
-#: a lattice law's power convolves mass vectors when their multiply-adds,
-#: summed over the doubling, are at most this many per atom pair that the
-#: pair path would form.  One multiply-add of ``np.convolve`` costs 1/37 to
-#: 1/640 of a pair of `measures.classical_convolve` (vectors of 5 to 500
-#: masses, 2-core VM, numpy 2.4); a sparse lattice such as ``{0, 1, 1e6}``
-#: has vectors of mostly zeros and keeps the pairs.
-_MULADDS_PER_PAIR = 16
-
-
 def classical_power(m: ms.AtomicMeasure, n: int, *, cap: int = ms.DEFAULT_ATOM_CAP) -> ms.AtomicMeasure:
     """Exact n-fold classical convolution power via iterated doubling.
 
@@ -88,23 +79,35 @@ def classical_power(m: ms.AtomicMeasure, n: int, *, cap: int = ms.DEFAULT_ATOM_C
     (underflowed) ends are trimmed.  The power's positions are then exactly
     ``n*b + a*k``: nothing is sorted or merged, so no atom can be reordered,
     and products of subnormal masses stay where they belong.  This path is
-    taken when its multiply-adds, summed over the doubling, are at most
-    `_MULADDS_PER_PAIR` per atom pair the pair path would form, and when
-    the power's neighbours stay farther apart than the merge tolerance.
-    Every other law doubles by :func:`~monoclt.measures.classical_convolve`.
+    taken when the law's own mass vector is dense, at most
+    ``_PAIRS_PER_CAP_ATOM`` (4) masses per atom (a sparse lattice such as
+    ``{0, 1, 1e6}`` is not), and when the power's neighbours stay farther
+    apart than the merge tolerance.  Every other law doubles by :func:`~monoclt.measures.classical_convolve`.
 
     Both paths prune atoms below ``1e-15`` (recorded in ``pruned_mass``)
     when a product has more than `cap` atoms, and raise
     :class:`~monoclt.errors.CapacityExceeded` before allocating a product of
-    more than ``4 * cap`` atom pairs or mass products.
+    more than ``4 * cap`` pairs of atoms (of nonzero masses).
     """
     if n < 0:
         raise ValueError("power must be >= 0")
-    lattice = _lattice(m, n, cap)
+    lattice = _lattice(m, n)
     if lattice is not None:
         return _vector_power(m, n, *lattice, cap)
     return _doubling(n, ms.point_mass(0.0), m,
                      lambda u, v: ms.classical_convolve(u, v, cap=cap))
+
+
+def _centered_power(m: ms.AtomicMeasure, n: int, mean: float) -> ms.AtomicMeasure:
+    """The n-th classical power of ``m`` shifted by ``-n*mean``: the power of
+    the centered law, except that a law on a lattice ``b + a*Z`` is powered
+    on ``b - mean + a*Z``, since the centered positions ``fl(p - mean)``
+    need not keep an exact lattice."""
+    lattice = _lattice(m, n)
+    if lattice is None:
+        return classical_power(ms.shift(m, -mean) if mean != 0.0 else m, n)
+    b, a, k = lattice
+    return _vector_power(m, n, b - mean, a, k, ms.DEFAULT_ATOM_CAP)
 
 
 def _doubling(n: int, one, base, product):
@@ -119,50 +122,31 @@ def _doubling(n: int, one, base, product):
     return result
 
 
-def _sums_bound(j: int, span: int, atoms: int) -> float:
-    """At most this many distinct sums of j of `atoms` points of the lattice
-    ``{0, ..., span}``: multisets of size j, and ``j*span + 1`` values."""
-    multisets = math.lgamma(j + atoms) - math.lgamma(j + 1) - math.lgamma(atoms)
-    return min(j * span + 1, math.exp(min(multisets, 700.0)))
-
-
-def _lattice(m, n: int, cap: int):
+def _lattice(m, n: int):
     """``(b, a, k)`` with ``m.positions == b + a*k`` exactly, for integers
-    ``0 = k_0 < k_1 < ...``, where mass vectors on ``b + a*Z`` give the n-th
-    power of `m` (see :func:`classical_power`); else None."""
+    ``0 = k_0 < k_1 < ... < 4*len(m)``, where mass vectors on ``b + a*Z``
+    give the n-th power of `m` (see :func:`classical_power`); else None."""
     if n < 1 or not isinstance(m, ms.AtomicMeasure):
         return None
     p = m.positions
     b, span = p[0], p[-1] - p[0]
-    budget = ms._PAIRS_PER_CAP_ATOM * cap
+    top = ms._PAIRS_PER_CAP_ATOM * len(p) - 1     # the last index of a dense vector
     gaps = np.unique(np.diff(p)).tolist() or [1.0]
     a = gaps[0]
     for g in gaps[1:]:
-        # Euclid's algorithm, exact in floats (fmod is); a spacing that
-        # would make the law's own vector longer than the budget is no use
-        while g and span <= budget * g:
+        # Euclid's algorithm, exact in floats (fmod is), stopped once the
+        # spacing would leave the law's own vector sparse
+        while g and span <= top * g:
             a, g = g, math.fmod(a, g)
         if g:
             return None
-    if span > budget * a:
+    if span > top * a:
         return None
     k = np.rint((p - b) / a)
     if not np.array_equal(b + a * k, p):
         return None
     if a <= ms.MERGE_TOL * (1.0 + n * float(np.abs(p).max())):
         return None         # neighbours the pair path merges, and floats may not keep apart
-    top, atoms = int(k[-1]), len(p)
-    muladds = pairs = 0
-
-    def cost(i, j):
-        nonlocal muladds, pairs
-        muladds += (i * top + 1) * (j * top + 1)
-        pairs += _sums_bound(i, top, atoms) * _sums_bound(j, top, atoms)
-        return i + j
-
-    _doubling(int(n), 0, 1, cost)         # Python ints: the counts outgrow int64
-    if muladds > _MULADDS_PER_PAIR * pairs:
-        return None
     return b, a, k.astype(np.int64)
 
 
@@ -178,9 +162,12 @@ def _vector_power(m: ms.AtomicMeasure, n: int, b: float, a: float, k: np.ndarray
 
     def product(u, v):
         (lo_u, w_u, pruned_u), (lo_v, w_v, pruned_v) = u, v
-        if len(w_u) * len(w_v) > budget:
+        # refuse on the pair path's own count, its atom pairs: a dense law's
+        # powers stay dense, so the convolution of the vectors is as bounded
+        atoms_u, atoms_v = np.count_nonzero(w_u), np.count_nonzero(w_v)
+        if atoms_u * atoms_v > budget:
             raise CapacityExceeded(
-                f"convolution would form {len(w_u)} x {len(w_v)} mass products, more "
+                f"convolution would form {atoms_u} x {atoms_v} atom pairs, more "
                 f"than {ms._PAIRS_PER_CAP_ATOM} per atom of the cap {cap}")
         w = np.convolve(w_u, w_v)
         pruned = pruned_u + pruned_v

@@ -72,9 +72,9 @@ PRUNE_MASS = 1e-15
 #: cap before merging: the pairs and the merge's temporaries take about 75
 #: bytes each, so 8e6 pairs (600 MB) at the default cap.  The powers of a
 #: lattice law (`convolve.classical_power`) convolve mass vectors instead,
-#: within the same budget of mass products, and hold only the vectors: the
-#: 10^4-fold power of a coin in the first demo forms at most 5.7e6 products
-#: (1511 x 3421 masses) in one convolution, in under 0.1 MB of vectors.
+#: within the same budget of atom pairs (nonzero masses), and hold only the
+#: vectors: the 10^4-fold power of a coin in the first demo forms at most
+#: 5.7e6 products (1511 x 3421 masses) in one convolution, in under 0.1 MB.
 _PAIRS_PER_CAP_ATOM = 4
 
 _PROB_TOL = 1e-12

@@ -432,10 +432,10 @@ def test_clt_report_keeps_the_n_list_order(tmp_path):
 
 def test_reordered_classical_merge_exits_3(tmp_path, capsys):
     # the 265-fold classical power of this skewed law, a hair off the
-    # lattice 0.1*Z, merges atoms of subnormal mass out of order
+    # lattice Z, merges atoms of subnormal mass out of order
     law = json.dumps({"type": "atomic", "atoms": [
-        [-0.2, 0.3235686273437737], [-0.1, 0.39653599468449835],
-        [0.0, 0.22711375043952328], [0.2000000000000001, 0.0527816275322048]]})
+        [-2.0, 0.3235686273437737], [-1.0, 0.39653599468449835],
+        [0.0, 0.22711375043952328], [2.000000000000001, 0.0527816275322048]]})
     code, outdir = run_cli(["clt-report", "--measure", law, "--n-list", "265",
                             "--with-ks", "no"], tmp_path)
     assert code == 3

@@ -266,12 +266,20 @@ class TestCltReport:
         m = mc.AtomicMeasure([-2.0, -1.0, 0.0, 2.0], SKEWED_LATTICE_MASSES)
         for n in (256, 265):
             assert math.isfinite(clt.clt_report(m, [n], with_ks=False).rows[0].ks_normal)
-        # off any lattice it forms atom pairs: the 265-fold power merges
-        # atoms of subnormal mass, whose weighted positions fall out of
-        # order, and that is a typed error, not a bare ValueError
-        off = mc.AtomicMeasure([-0.2, -0.1, 0.0, 0.2000000000000001], SKEWED_LATTICE_MASSES)
+        # a hair off the lattice it forms atom pairs: the 265-fold power
+        # merges atoms of subnormal mass, whose weighted positions fall out
+        # of order, and that is a typed error, not a bare ValueError
+        off = mc.AtomicMeasure([-2.0, -1.0, 0.0, 2.000000000000001], SKEWED_LATTICE_MASSES)
         with pytest.raises(NumericBreakdown, match="out of order"):
             clt.clt_report(off, [265], with_ks=False)
+
+    def test_lattice_power_keeps_the_centered_precision(self):
+        # a lattice far from 0: the power is taken on the centered offset, as
+        # precise as the centered law's pairs were (positions near n*1e6 =
+        # 1e9 would be 6e-8 apart from exact, 3.8e-6 standard deviations)
+        m = mc.AtomicMeasure([1e6, 1e6 + 1e-3], [0.5, 0.5])
+        ks = clt.clt_report(m, [1000], with_ks=False).rows[0].ks_normal
+        assert abs(ks - 0.011726624198362012) < 1e-12     # the pair path's value
 
     @pytest.mark.parametrize("source, value", [
         (BOOLE, "yes"), (BOOLE, None), (mc.normal(), "always"),

@@ -189,6 +189,39 @@ class TestLatticePower:
         assert pair_calls
         assert len(p) == math.comb(66, 2)
 
+    def test_sparse_lattice_with_small_gaps_forms_pairs(self, pair_calls, monkeypatch):
+        # on Z, with 17 masses per atom in its own vector; the last step
+        # forms 45 x 45 atom pairs, within 4 per atom of the cap 600, but
+        # its vectors would make 401 x 401 products
+        m = mc.AtomicMeasure([0.0, 1.0, 50.0], [0.3, 0.3, 0.4])
+        p = mc.classical_power(m, 16, cap=600)
+        assert pair_calls
+        ref = pair_power(monkeypatch, m, 16, cap=600)
+        assert np.array_equal(p.positions, ref.positions)
+        assert np.array_equal(p.masses, ref.masses)
+        # forced onto vectors, it refuses no more than the pairs do
+        monkeypatch.setattr(cv, "_lattice", lambda *args: (0.0, 1.0, np.array([0, 1, 50])))
+        forced = mc.classical_power(m, 16, cap=600)
+        assert len(forced) == len(ref) == 153
+        assert np.abs(forced.positions - ref.positions).max() < 1e-12
+        assert np.abs(forced.masses - ref.masses).max() <= 1e-15 * ref.masses.max()
+
+    def test_refuses_only_where_pairs_do(self, pair_calls, monkeypatch):
+        # {0, 1, 11}^2 has 6 atoms on a vector of 23 masses: the last step
+        # forms 36 atom pairs, within 4 per atom of the cap 15, but its
+        # vectors would make 529 products
+        m = mc.AtomicMeasure([0.0, 1.0, 11.0], [0.25, 0.25, 0.5])
+        p = mc.classical_power(m, 4, cap=15)
+        assert not pair_calls
+        ref = pair_power(monkeypatch, m, 4, cap=15)
+        assert len(p) == len(ref) == 15
+        assert np.abs(p.positions - ref.positions).max() < 1e-12
+        assert np.abs(p.masses - ref.masses).max() <= 1e-15 * ref.masses.max()
+        with pytest.raises(CapacityExceeded, match="per atom of the cap"):
+            mc.classical_power(m, 4, cap=8)
+        with pytest.raises(CapacityExceeded, match="per atom of the cap"):
+            pair_power(monkeypatch, m, 4, cap=8)
+
     def test_huge_power_refused_before_allocating(self):
         tracemalloc.start()
         try:

@@ -31,7 +31,6 @@ import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate
 
 from .errors import CapacityExceeded, NumericBreakdown
 
@@ -480,6 +479,7 @@ def harmonic_variance(m: Measure, x: float) -> float:
     if isinstance(m, ReferenceLaw):
         if m.kind == "point":
             return float(_smoothed_square(m.c, x))
+        from scipy import integrate
         u = x / m.scale
 
         def f(t):
@@ -489,6 +489,7 @@ def harmonic_variance(m: Measure, x: float) -> float:
         val, _ = integrate.quad(f, lo, hi, limit=200)
         return m.scale**2 * val
     if isinstance(m, PowerTailLaw):
+        from scipy import integrate
         p, w, b = m.exponent, m.weight, m.scale
         u = x / b
         if abs(p - 3.0) < 1e-12:

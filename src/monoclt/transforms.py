@@ -71,6 +71,13 @@ probability laws, and laws whose extraction fails its certificate.
 (``-Im(1/F(x + i*eta))/pi``) with optional linear Richardson extrapolation
 in eta, and `ks_distance` quantifies weak convergence as a sup-CDF
 distance using the midpoint convention at atoms.
+
+scipy is loaded only where it is used, so atomic and grid laws never
+load it: ``scipy.special`` by the normal law's Cauchy transform (``wofz``)
+and CDF (``ndtr``), ``scipy.integrate`` by a power-tail law's Cauchy
+transform and by `measures.harmonic_variance` of a closed-form or
+power-tail law.  The zeros of G are found by `_brentq`, a port of scipy's
+``brentq`` with the same bits.
 """
 
 from __future__ import annotations
@@ -80,7 +87,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize, special
 
 from . import measures as ms
 from .errors import CoverageError, DomainError, MonocltError, NonConvergence, NumericBreakdown
@@ -462,6 +468,7 @@ def cauchy_eval(m: ms.Measure, z):
         elif m.kind == "semicircle":
             out = (u - sqrt_upper(u * u - 4.0)) / (2.0 * m.scale)
         else:  # normal: G(z) = -i sqrt(pi/2) w(z/sqrt2), w = Faddeeva function
+            from scipy import special
             out = -1j * math.sqrt(math.pi / 2.0) * special.wofz(u / math.sqrt(2.0)) / m.scale
     elif isinstance(m, ms.PowerTailLaw):
         out = _cauchy_power_tail(m, flat)
@@ -473,6 +480,7 @@ def cauchy_eval(m: ms.Measure, z):
 
 def _cauchy_power_tail(m: ms.PowerTailLaw, z: np.ndarray) -> np.ndarray:
     """Quadrature Cauchy transform of a power-tail law (slow path)."""
+    from scipy import integrate
     p, w, b = m.exponent, m.weight, m.scale
     out = np.empty(z.shape, dtype=complex)
     for i, zz in enumerate(z):
@@ -763,12 +771,14 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
     degenerate pair ``(-c, 0)``.
 
     Each zero is bracketed by halving a probe's distance to the gap's atoms
-    until G has the sign it takes next to that atom, then found by brentq.
+    until G has the sign it takes next to that atom, then found by Brent's
+    method (`_brentq`, a port of scipy's ``brentq`` whose zeros have the
+    same bits as ``scipy.optimize.brentq``'s).
     A zero within an ulp of an atom (a mass of about 1e-16 of its
     neighbour's or less) has no float probe of that sign; the halving stops
     when the probe rounds onto the atom and raises
     :class:`NumericBreakdown`, as does a residue that over- or underflows.
-    brentq's step cap raises :class:`NonConvergence`.  `_map_form` caches
+    Brent's step cap raises :class:`NonConvergence`.  `_map_form` caches
     the partial fractions of the result on `m`: every atomic probability
     law's map steps by them.
     """
@@ -806,10 +816,10 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
         while G(off(hi_atom, eps)) >= 0:
             eps *= 0.5
         hi = hi_atom + eps
-        try:
-            zeros[j] = optimize.brentq(G, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200)
-        except RuntimeError as exc:         # brentq's step cap
-            raise NonConvergence(f"the zero of G in ({lo_atom!r}, {hi_atom!r}): {exc}") from exc
+        zeros[j] = t = _brentq(G, float(lo), float(hi), 1e-300, 1e-14, 200)
+        if math.isnan(t):
+            raise NonConvergence(f"the zero of G in ({lo_atom!r}, {hi_atom!r}) is not found "
+                                 "in 200 steps of Brent's method")
 
     # residue of F = 1/G at a simple zero t of G is 1/G'(t) (negative here)
     s = np.array([-1.0 / (dG(t) * (1.0 + t * t)) for t in zeros])
@@ -821,6 +831,56 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
     corr = complex((s * (1.0 + 1j * zeros) / (zeros - 1j)).sum())
     a = (Fi - 1j - corr).real
     return NevanlinnaRep(a=a, sigma=sigma)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Zero of `f` in ``[xa, xb]`` by Brent's method, or NaN after `maxiter` steps.
+
+    A step-for-step port of scipy's ``brentq.c`` (Brent 1973, ch. 4): the
+    same float operations in the same order, so the zero has the same bits
+    as ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
+    maxiter=maxiter)``.  Python floats are C doubles, with no fused
+    multiply-add.  The caller brackets the zero: ``f(xa)`` and ``f(xb)``
+    have opposite signs.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:    # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:               # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):   # good short step
+                spre, scur = scur, stry
+            else:                       # bisect
+                spre = scur = sbis
+        else:                           # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    return math.nan
 
 
 def nevanlinna_synthesize(rep: NevanlinnaRep) -> NevanlinnaMap:
@@ -856,6 +916,8 @@ def _inverted_density(grid, eta: float, richardson: bool, values) -> ms.GridDens
     if eta <= 0:
         raise ValueError("eta must be positive")
     x = default_grid() if grid is None else np.asarray(grid, dtype=float)
+    if x.size < 2:
+        raise ValueError("inversion grid needs at least two points")
     h = x[1] - x[0]
     if not np.allclose(np.diff(x), h, rtol=1e-9, atol=0):
         raise ValueError("inversion grid must be uniform")
@@ -902,6 +964,7 @@ def cdf(m: ms.Measure | ms.GridDensity, x, side: str = "mid"):
             if m.kind == "arcsine":
                 out = 0.5 + np.arcsin(np.clip(u / math.sqrt(2.0), -1, 1)) / np.pi
             elif m.kind == "normal":
+                from scipy import special
                 out = special.ndtr(u)
             else:  # semicircle
                 uu = np.clip(u, -2.0, 2.0)

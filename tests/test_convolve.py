@@ -291,6 +291,11 @@ class TestFreeConvolve:
         with pytest.raises(NonConvergence):
             mc.subordination_eval(BOOLE, BOOLE, 0.01 + 1e-4j, maxiter=5)
 
+    @pytest.mark.parametrize("grid", [[0.0], []])
+    def test_density_grid_needs_two_points(self, grid):
+        with pytest.raises(ValueError, match="at least two points"):
+            mc.free_density(BOOLE, BOOLE, grid=np.array(grid))
+
     def test_iteration_budget_on_inversion_line(self):
         z = mc.transforms.default_grid() + 1e-2j
         val, _, iters = mc.subordination_eval(BOOLE, BOOLE, z)

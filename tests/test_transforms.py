@@ -7,7 +7,7 @@ import signal
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 
 import monoclt as mc
 from monoclt import clt, ergodic as eg, transforms as tf
@@ -214,6 +214,64 @@ class TestNevanlinna:
             assert abs(mc.f_eval(Fr, 1j * y) - 1j * y * (1 + r / y**2)) < 1e-14
 
 
+@st.composite
+def brent_laws(draw):
+    """2-6 atoms: an integer lattice, a lattice at a scale from 1e-3 to
+    1e3, or uniform positions at a scale from 1e-8 to 1e8."""
+    k = draw(st.integers(2, 6))
+    family = draw(st.sampled_from(["lattice", "scaled", "uniform"]))
+    ints = draw(st.lists(st.integers(-50, 50) if family != "uniform" else
+                         st.integers(-10**6, 10**6), min_size=k, max_size=k, unique=True))
+    if family == "lattice":
+        pos = np.array(ints, dtype=float)
+    elif family == "scaled":
+        pos = np.array(ints) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    else:
+        pos = np.array(ints) / 1e6 * 10.0 ** draw(st.floats(-8.0, 8.0))
+    w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    order = np.argsort(pos)
+    return mc.AtomicMeasure(pos[order], (w / w.sum())[order])
+
+
+class TestBrentPort:
+    """`transforms._brentq` finds the zeros of G with scipy's bits."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(brent_laws())
+    def test_zeros_of_g_have_scipys_bits(self, m):
+        pairs = []
+        port = tf._brentq
+
+        def both(f, a, b, xtol, rtol, maxiter):
+            x = port(f, a, b, xtol, rtol, maxiter)
+            pairs.append((x, optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)))
+            return x
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tf, "_brentq", both)
+            tf.nevanlinna_extract(m)
+        assert len(pairs) == len(m) - 1
+        assert all(same_bits(x, ref) for x, ref in pairs)
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x, 0.0, 1.0),            # f(a) == 0 returns a
+        (lambda x: x - 1.0, 0.0, 1.0),      # f(b) == 0 returns b
+        (lambda x: x**3 - 2.0, -1.0, 3.0),
+        (math.cos, 0.0, 3.0),
+        (lambda x: math.exp(x) - 1e10, -5.0, 50.0),
+    ])
+    def test_plain_functions_have_scipys_bits(self, f, a, b):
+        # a coarse xtol makes the ``- delta`` of the step test matter
+        for xtol, rtol in [(1e-300, 1e-14), (2e-12, 8.9e-16), (1e-3, 1e-6), (0.5, 1e-3)]:
+            ref = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
+            assert same_bits(tf._brentq(f, a, b, xtol, rtol, 200), ref)
+
+    def test_step_cap_gives_nan(self):
+        with pytest.raises(RuntimeError):
+            optimize.brentq(math.cos, 0.0, 3.0, xtol=1e-300, rtol=1e-14, maxiter=2)
+        assert math.isnan(tf._brentq(math.cos, 0.0, 3.0, 1e-300, 1e-14, 2))
+
+
 class TestLatticeBisect:
     """The one root finder of preimages and norming cutoffs."""
 
@@ -285,6 +343,11 @@ class TestInversion:
     def test_grid_must_be_uniform(self):
         with pytest.raises(ValueError):
             mc.measure_from_map(mc.IdentityMap(), grid=np.array([0.0, 1.0, 3.0]), eta=0.1)
+
+    @pytest.mark.parametrize("grid", [[0.0], []])
+    def test_grid_needs_two_points(self, grid):
+        with pytest.raises(ValueError, match="at least two points"):
+            mc.measure_from_map(mc.MeasureMap(BOOLE), grid=np.array(grid))
 
 
 class TestKsDistance:

@@ -18,12 +18,15 @@ Belinschi--Bercovici map ``phi(w) = z + h_n(z + h_m(w))``.  Its fixed
 point is the Denjoy--Wolff point of ``phi``, which attracts every start in
 the upper half-plane, so a solve starts one standard deviation of
 ``m boxplus n`` above ``z`` (`_start_scale`), away from the real axis where
-the secant can cycle.  In its first ``_SECANT_CALLS`` (50) steps each step
-is a secant step on ``r`` through the last two iterates, or the averaged
-map ``w + r/2`` (same fixed point) where the secant point is not usable;
-after them every step is averaged.  The plain iteration of ``phi`` alone
-converges only linearly, at a rate that degrades like ``1 - O(Im z)`` near
-the real axis.
+the secant can cycle.  Each step is a secant step on ``r`` through the last
+two iterates where the secant point is usable, or the averaged map
+``w + r/2`` (same fixed point) elsewhere; after the first
+``_SECANT_CALLS`` (50) steps the secant is used only where ``|r|`` shrank
+since the previous step, which breaks a cycle.  The plain iteration of
+``phi`` alone converges only linearly, at a rate that degrades like
+``1 - O(Im z)`` near the real axis.  A density scan (`free_density`)
+solves cold once, at the largest requested eta, and continues from there
+to the smaller ones.
 """
 
 from __future__ import annotations
@@ -200,11 +203,14 @@ def free_convolve(m: ms.Measure, n: ms.Measure, *, tol: float = 1e-13,
     return tf.FreeConvolveMap(m, n, tol=tol, maxiter=maxiter)
 
 
-#: a solve takes the secant point only in its first this many phi calls and
-#: the averaged step after them.  Started at ``w = z`` near the real axis,
-#: the secant can cycle between two points where the averaged map converges
-#: (two 4-atom laws cycled at Im z = 1e-2, at relative residuals 0.1-0.5);
-#: from the default start above the axis they converge in 11-12 calls.
+#: a solve takes the usable secant point everywhere in its first this many
+#: phi calls, and after them only where the residual shrank since the
+#: previous call (elsewhere the averaged step).  Started at ``w = z`` near
+#: the real axis, the secant can cycle between two points where the
+#: averaged map converges (two 4-atom laws cycled at Im z = 1e-2, at
+#: relative residuals 0.1-0.5); a cycle's residual does not keep shrinking,
+#: so after the window the averaged step breaks it.  From the default start
+#: above the axis those laws converge in 11-12 calls.
 _SECANT_CALLS = 50
 
 
@@ -221,16 +227,23 @@ def _start_scale(m: ms.Measure, n: ms.Measure) -> float:
 
 
 def _h_func(m: ms.Measure):
-    """``h(w) = F_m(w) - w``: ``c + sum_j w_j/(t_j - w)`` for a law whose map
-    has partial fractions (`transforms._map_form`), which does not cancel at
-    large ``|w|``; else the map's step minus ``w``."""
+    """``h(w) = F_m(w) - w`` as a fresh array the caller may overwrite:
+    ``c + sum_j w_j/(t_j - w)`` for a law whose map has partial fractions
+    (`transforms._map_form`), which does not cancel at large ``|w|``; else
+    the map's step minus ``w``."""
     form = tf._map_form(m)
     if form is None:
         step = tf._evaluator(m)[0]
         return lambda w: step(w) - w
     c, t, wts = form
     psum = tf._pole_sum_loop(t, wts)
-    return lambda w: c + psum(w)
+
+    def h(w):
+        s = psum(w)
+        s += c
+        return s
+
+    return h
 
 
 def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
@@ -239,14 +252,17 @@ def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
 
     Returns ``(F_value, omega1, iterations)`` where `iterations` counts
     evaluations of ``phi(w) = z + h_n(z + h_m(w))`` (shared across an array,
-    i.e. the count for the slowest point).  In the solve's first
-    ``_SECANT_CALLS`` (50) ``phi`` calls each point steps to the secant
-    point ``w - r (w - w_prev) / (r - r_prev)`` of the residual
-    ``r = phi(w) - w``; on the first step, wherever the secant point is
-    not finite or leaves the upper half-plane, and after those calls, it
-    takes the averaged step ``w + r/2`` instead.  A point stops when
+    i.e. the count for the slowest point).  From its second ``phi`` call
+    on, each point steps to the secant point
+    ``w - r (w - w_prev) / (r - r_prev)`` of the residual ``r = phi(w) - w``
+    where that point is usable: finite, in the upper half-plane and, after
+    the first ``_SECANT_CALLS`` (50) calls, only where ``|r| < |r_prev|``
+    (the residual shrank since the previous call).  Elsewhere, and on the
+    first call, it takes the averaged step ``w + r/2``.  A point stops when
     ``|r| < tol (1 + |phi(w)|)`` and answers ``phi(w)``.  ``h_m`` and
     ``h_n`` are partial fractions for atomic probability laws (`_h_func`).
+    The residuals, iterates and secant points of the unconverged points
+    live in the rows of one buffer, kept for the whole solve.
 
     `start` overrides the default initial guess ``w = z + i s``, with
     ``s`` the standard deviation of ``m boxplus n`` (`_start_scale`); it is
@@ -259,37 +275,62 @@ def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
     h_m = _h_func(m)
     h_n = _h_func(n)
 
+    # rows over the unconverged points (the first `k` columns): z, the
+    # iterate and the one before it, their residuals, the secant point and
+    # its denominator; |r| of the last two calls and the stopping bound
+    za, wa, wp, ra, rp, sec, den = np.empty((7, len(zf)), dtype=complex)
+    ar, arp, bound = np.empty((3, len(zf)))
+    za[:] = zf
     if start is None:
-        w = zf + 1j * _start_scale(m, n)
+        wa[:] = zf + 1j * _start_scale(m, n)
     else:
-        w = np.broadcast_to(np.asarray(start, dtype=complex).ravel(), zf.shape).copy()
-        low = np.imag(w) <= 0
+        wa[:] = np.broadcast_to(np.asarray(start, dtype=complex).ravel(), zf.shape)
+        low = np.imag(wa) <= 0
         if low.any():
-            w[low] = zf[low] + 1j * _start_scale(m, n)
+            wa[low] = zf[low] + 1j * _start_scale(m, n)
 
     out = np.empty_like(zf)
     # active-set compression: iterate only the unconverged points
     idx = np.arange(len(zf))
-    za = zf.copy()
-    wa = w
-    w_prev = r_prev = None
     iters = 0
     while iters < maxiter and len(idx):
-        phi = za + h_n(za + h_m(wa))
+        k = len(idx)
+        z, w, r, nxt = za[:k], wa[:k], ra[:k], wp[:k]
+        u = h_m(w)
+        u += z
+        phi = h_n(u)
+        phi += z
         iters += 1
-        r = phi - wa
-        w_next = wa + 0.5 * r
-        if r_prev is not None and iters <= _SECANT_CALLS:
+        np.subtract(phi, w, out=r)
+        np.abs(r, out=ar[:k])
+        if iters > 1:
+            s, d = sec[:k], den[:k]
             with np.errstate(all="ignore"):
-                secant = wa - r * (wa - w_prev) / (r - r_prev)
-            usable = np.isfinite(secant) & (np.imag(secant) > 0)
-            w_next = np.where(usable, secant, w_next)
-        w_prev, r_prev, wa = wa, r, w_next
-        done = np.abs(r) < tol * (1.0 + np.abs(phi))
+                np.subtract(w, nxt, out=s)
+                np.multiply(r, s, out=s)
+                np.subtract(r, rp[:k], out=d)
+                np.divide(s, d, out=s)
+                np.subtract(w, s, out=s)
+            usable = np.isfinite(s) & (s.imag > 0)
+            if iters > _SECANT_CALLS:
+                usable &= ar[:k] < arp[:k]
+        # the next iterate overwrites the previous one, which the secant has used
+        np.multiply(r, 0.5, out=nxt)
+        np.add(w, nxt, out=nxt)
+        if iters > 1:
+            np.copyto(nxt, s, where=usable)
+        # this call's rows become the previous call's
+        wa, wp, ra, rp, ar, arp = wp, wa, rp, ra, arp, ar
+        b = np.abs(phi, out=bound[:k])
+        b += 1.0
+        b *= tol
+        done = arp[:k] < b
         if done.any():
             out[idx[done]] = phi[done]
             keep = ~done
-            idx, za, wa, w_prev, r_prev = idx[keep], za[keep], wa[keep], w_prev[keep], r_prev[keep]
+            idx = idx[keep]
+            for row in (za, wa, wp, rp, arp):
+                row[:len(idx)] = row[:k][keep]
     if len(idx):
         raise NonConvergence(
             f"subordination did not converge in {maxiter} steps at "
@@ -310,18 +351,19 @@ def free_density(m: ms.Measure, n: ms.Measure, grid: np.ndarray | None = None,
 
     Same output convention as :func:`monoclt.transforms.measure_from_map`,
     but the subordination fixed point is continued in eta: the solve starts
-    cold at ``Im z ~ 1e-2`` (from the default start of
-    :func:`subordination_eval`) and halves eta, reusing the previous
-    subordination function as the initial guess.  This makes small-eta
-    density scans feasible at fixed-point tolerance `tol`.
+    cold at the largest requested eta (from the default start of
+    :func:`subordination_eval`), and each smaller eta, in descending order,
+    starts from the subordination function of the one before.  With
+    Richardson extrapolation that is two solves, at ``eta`` and ``eta/2``.
+    The fixed point attracts every start, and a solve keeps its secant
+    steps after its first ``_SECANT_CALLS`` calls wherever the residual
+    shrank, so small-eta scans converge at fixed-point tolerance `tol`
+    without a ladder of larger etas.
     """
 
     def values(x, etas):
-        levels = [min(etas)]
-        while levels[-1] < 0.8e-2:
-            levels.append(min(levels[-1] * 2.0, 1e-2))
         vals, w = {}, None
-        for et in sorted(set(levels + etas), reverse=True):
+        for et in sorted(set(etas), reverse=True):
             vals[et], w, _ = subordination_eval(m, n, x + 1j * et, tol=tol,
                                                 maxiter=maxiter, start=w)
         return [vals[et] for et in etas]

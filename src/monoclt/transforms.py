@@ -340,11 +340,18 @@ def _pole_sum_loop(t: np.ndarray, w: np.ndarray, dtype=complex):
 
 def _pole_map(c: float, t: np.ndarray, w: np.ndarray, dtype=complex):
     """``x -> x + c + sum_k w_k/(t_k - x)`` over flat points of `dtype`, in
-    one workspace (``x -> x + c`` without poles)."""
+    one workspace (``x -> x + c`` without poles).  ``x + c`` is added into
+    the pole sum's own output, which is ``(x + c) + s`` bit for bit."""
     if len(t) == 0:
         return lambda x: x + c
     psum = _pole_sum_loop(t, w, dtype)
-    return lambda x: x + c + psum(x)
+
+    def step(x):
+        s = psum(x)
+        s += x + c
+        return s
+
+    return step
 
 
 def _lattice(i: np.ndarray) -> np.ndarray:

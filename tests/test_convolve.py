@@ -363,6 +363,56 @@ class TestFreeConvolve:
             got = mc.subordination_eval(BERN, BOOLE, z, start=start)
             assert np.array_equal(got[0], want[0]) and got[2] == want[2]
 
+    @pytest.mark.parametrize("richardson", [True, False])
+    def test_density_solves_cold_once_at_the_largest_eta(self, richardson, monkeypatch):
+        # no ladder of larger etas: cold at eta, then eta/2 from its omega
+        solves = []
+        solve = cv.subordination_eval
+
+        def recorded(m, n, z, **kwargs):
+            got = solve(m, n, z, **kwargs)
+            solves.append((float(z.imag[0]), kwargs["start"], got[1]))
+            return got
+
+        monkeypatch.setattr(cv, "subordination_eval", recorded)
+        mc.free_density(BOOLE, BERN, grid=mc.transforms.default_grid(-3.0, 3.0, 1e-2),
+                        eta=1e-4, richardson=richardson)
+        assert [s[0] for s in solves] == ([1e-4, 5e-5] if richardson else [1e-4])
+        assert solves[0][1] is None
+        if richardson:
+            assert solves[1][1] is solves[0][2]
+
+    @pytest.mark.parametrize("eta", [1e-3, 1e-4])
+    def test_independent_pairs_converge_cold(self, eta):
+        # a cold solve at small eta: the pairs whose solves once ran for
+        # 1478-8381 phi calls with the averaged step after the secant window
+        x = mc.transforms.default_grid(-5.0, 5.0, 5e-4)
+        z = x + 1j * eta
+        for m, n in lattice_pairs(np.random.default_rng(123), 10):
+            _, omega, iters = mc.subordination_eval(m, n, z)
+            assert iters <= 1000
+            # the same fixed point, continued in eta from 1e-2 by halving;
+            # relative to 1 + |omega|, the scale of the solver's stopping
+            # test (omega ~ 2e-4 occurs, where that test alone allows 5e-10
+            # of |omega|)
+            w, e = None, 1e-2
+            while e > eta:
+                _, w, _ = mc.subordination_eval(m, n, x + 1j * e, start=w)
+                e /= 2
+            _, chained, _ = mc.subordination_eval(m, n, z, start=w)
+            assert np.all(np.abs(omega - chained) <= 1e-10 * (1.0 + np.abs(chained)))
+
+
+def lattice_pairs(rng, count):
+    """`count` independent pairs of 2-5-atom laws on distinct integers of
+    {-2..2}, with masses 0.1 plus Dirichlet(1) shares of the rest (the
+    `density_scan` benchmark's laws)."""
+    def law(k):
+        pos = np.sort(rng.choice(np.arange(-2, 3), size=k, replace=False)).astype(float)
+        return mc.AtomicMeasure(pos, 0.1 + (1.0 - k * 0.1) * rng.dirichlet(np.ones(k)))
+
+    return [(law(int(rng.integers(2, 6))), law(int(rng.integers(2, 6)))) for _ in range(count)]
+
 
 LATTICE_M = mc.AtomicMeasure([1.0, 2.0], [0.7056671390355612, 0.2943328609644388])
 LATTICE_N = mc.AtomicMeasure([-2.0, -1.0, 0.0, 1.0, 2.0],

@@ -655,6 +655,33 @@ class TestKernelPaths:
                            for a, b in zip(work.tiles(2), (work.t, work.w)))
 
 
+@pytest.mark.parametrize("few", [True, False])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_pole_map_step_matches_plain_formula(dtype, few, monkeypatch):
+    """`_pole_map`'s step adds ``x + c`` into the pole sum's own output: the
+    bytes of ``x + c + _pole_sum(t, w, x)`` on either kernel branch, with
+    ``c = -0.0`` and signed-zero sums, on Boole's map ``z - 1/z`` (one pole
+    at 0, met by points whose real part is +0.0 or -0.0) and on
+    `TestFewPoleOrder`'s laws and points."""
+    if few:
+        monkeypatch.setattr(tf, "_FEW_POINTS_PER_POLE", 0)
+    else:
+        monkeypatch.setattr(tf, "_FEW_POLES", {"D": 0, "d": 0})
+    calls = few_pole_calls(monkeypatch)
+    rng = np.random.default_rng(25)
+    c, t, w = tf._map_form(BOOLE)
+    assert c == 0.0 and np.array_equal(t, [0.0]) and np.array_equal(w, [1.0])
+    laws = [(t, w)] + TestFewPoleOrder.laws(rng, 3) + TestFewPoleOrder.laws(rng, 6)
+    for t, w in laws:
+        x = TestFewPoleOrder.points(rng, dtype, t, 1e308)
+        if dtype is complex:
+            x = np.concatenate([x, [complex(-0.0, 0.5), complex(0.0, 0.5), complex(-0.0, 1e-300)]])
+        for c in (0.0, -0.0, 0.75, -2.0):
+            want = x + c + tf._pole_sum(t, w, x)
+            assert same_bits(tf._pole_map(c, t, w, dtype)(x), want), (len(t), c)
+    assert bool(calls) == few
+
+
 @pytest.mark.parametrize("dtype", [complex, float])
 @pytest.mark.parametrize("k", [1, 3])
 def test_generic_squared_sums_ignore_block_size(dtype, k, monkeypatch):

@@ -479,15 +479,25 @@ def harmonic_variance(m: Measure, x: float) -> float:
     if isinstance(m, ReferenceLaw):
         if m.kind == "point":
             return float(_smoothed_square(m.c, x))
-        from scipy import integrate
+        # L = x^2 (1 + x Im G(ix)) with the cancellation divided out: with
+        # k = hypot(x, r scale), r the unit radius, the arc-sine law's is
+        # 2 (x scale/k) (x scale/(k + x)) and the semicircle's (2 x scale/(k + x))^2.
+        # In units of max(x, scale) nothing over- or underflows unless L does.
+        big = max(x, m.scale)
+        c, t = min(x, m.scale), x / big
+        if m.kind == "arcsine":
+            k = math.hypot(t, math.sqrt(2.0) * (m.scale / big))
+            return 2.0 * (c / k) * (c / (k + t))
+        if m.kind == "semicircle":
+            k = math.hypot(t, 2.0 * (m.scale / big))
+            return (2.0 * c / (k + t)) ** 2
+        from scipy import integrate      # the normal law
         u = x / m.scale
 
         def f(t):
-            return float(_smoothed_square(t, u)) * _ref_density_unit(m.kind, t)
+            return float(_smoothed_square(t, u)) * (math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi))
 
-        lo, hi = _ref_support_unit(m.kind)
-        val, _ = integrate.quad(f, lo, hi, limit=200)
-        return m.scale**2 * val
+        return m.scale**2 * integrate.quad(f, -np.inf, np.inf, limit=200)[0]
     if isinstance(m, PowerTailLaw):
         from scipy import integrate
         p, w, b = m.exponent, m.weight, m.scale
@@ -519,27 +529,6 @@ def harmonic_variance(m: Measure, x: float) -> float:
 
 def _cauchy_weight(s: float) -> float:
     return 1.0 / (1.0 + s * s)
-
-
-def _ref_density_unit(kind: str, t: float) -> float:
-    if kind == "arcsine":
-        s = 2.0 - t * t
-        return 1.0 / (math.pi * math.sqrt(s)) if s > 0 else 0.0
-    if kind == "normal":
-        return math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    if kind == "semicircle":
-        s = 4.0 - t * t
-        return math.sqrt(s) / (2.0 * math.pi) if s > 0 else 0.0
-    raise AssertionError(kind)
-
-
-def _ref_support_unit(kind: str) -> tuple[float, float]:
-    if kind == "arcsine":
-        r = math.sqrt(2.0)
-        return -r, r
-    if kind == "semicircle":
-        return -2.0, 2.0
-    return -np.inf, np.inf
 
 
 def tail(m: Measure, x: float) -> float:

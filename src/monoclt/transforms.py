@@ -73,11 +73,10 @@ in eta, and `ks_distance` quantifies weak convergence as a sup-CDF
 distance using the midpoint convention at atoms.
 
 scipy is loaded only where it is used, so atomic and grid laws never
-load it: ``scipy.special`` by the normal law's Cauchy transform (``wofz``)
-and CDF (``ndtr``), ``scipy.integrate`` by a power-tail law's Cauchy
-transform and by `measures.harmonic_variance` of a closed-form or
-power-tail law.  The zeros of G are found by `_brentq`, a port of scipy's
-``brentq`` with the same bits.
+load it.  This module loads only ``scipy.special``, for the closed-form
+Cauchy transforms of the normal law (``wofz``) and a power-tail law
+(``hyp2f1``) and the normal CDF (``ndtr``).  The zeros of G are found by
+`_brentq`, a port of scipy's ``brentq`` with the same bits.
 """
 
 from __future__ import annotations
@@ -455,7 +454,8 @@ def cauchy_eval(m: ms.Measure, z):
     """Cauchy transform ``G(z) = int 1/(z - t) dm(t)`` for ``Im z > 0``.
 
     Vectorized over `z`.  Always satisfies ``Im G < 0`` and
-    ``|G| <= total_mass / Im z``.
+    ``|G| <= total_mass / Im z``; where rounding would break the first, or
+    overflow, a power-tail law raises :class:`NumericBreakdown`.
     """
     zarr = np.asarray(z, dtype=complex)
     _require_upper(zarr)
@@ -486,22 +486,24 @@ def cauchy_eval(m: ms.Measure, z):
 
 
 def _cauchy_power_tail(m: ms.PowerTailLaw, z: np.ndarray) -> np.ndarray:
-    """Quadrature Cauchy transform of a power-tail law (slow path)."""
-    from scipy import integrate
+    """``G(z) = -(2 w u/((p + 1) b)) 2F1(1, (p+1)/2; (p+3)/2; u^2)`` with ``u = z/b``.
+
+    The series of DLMF 15.2.1 (``1/(u^2 - t^2)`` expanded in ``t^-2``, each
+    term a moment of ``w t^-p`` on ``t >= 1``), continued to ``Im u > 0``,
+    where ``u^2`` never lies on the cut ``[1, inf)``.  Raises
+    :class:`NumericBreakdown` where ``u^2`` overflows (``|u|`` above about
+    1.3e154) or rounding leaves ``Im G >= 0`` (``Im z/|z|`` below about 1e-15).
+    """
+    from scipy import special
     p, w, b = m.exponent, m.weight, m.scale
-    out = np.empty(z.shape, dtype=complex)
-    for i, zz in enumerate(z):
-        u = zz / b
-
-        def re_part(t):
-            return t ** (-p) * ((u.real - t) / abs(u - t) ** 2 + (u.real + t) / abs(u + t) ** 2)
-
-        def im_part(t):
-            return t ** (-p) * (-u.imag / abs(u - t) ** 2 - u.imag / abs(u + t) ** 2)
-
-        re, _ = integrate.quad(re_part, 1.0, np.inf, limit=400)
-        im, _ = integrate.quad(im_part, 1.0, np.inf, limit=400)
-        out[i] = w * (re + 1j * im) / b
+    u = z / b
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = special.hyp2f1(1.0, 0.5 * (p + 1.0), 0.5 * (p + 3.0), u * u)
+        out = (-2.0 * w / ((p + 1.0) * b)) * (u * f)      # u f ~ 1/u: only a G that overflows does
+    bad = ~(np.isfinite(out) & (out.imag < 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NumericBreakdown(f"power-tail G reads {out[i]!r} at z = {z[i]!r}, not finite with Im G < 0")
     return out
 
 
@@ -1012,7 +1014,10 @@ def _span_of(m) -> tuple[float, float]:
         r = math.sqrt(2.0) if m.kind == "arcsine" else 2.0
         return -r * m.scale, r * m.scale
     if isinstance(m, ms.PowerTailLaw):
-        big = m.scale * max(10.0, (1e-7) ** (1.0 / (1.0 - m.exponent)))
+        try:    # the cutoff outside which about 1e-7 of the mass lies
+            big = m.scale * max(10.0, (1e-7) ** (1.0 / (1.0 - m.exponent)))
+        except OverflowError:
+            big = math.inf
         return -big, big
     raise TypeError(f"not a measure: {m!r}")
 
@@ -1026,7 +1031,8 @@ def ks_distance(d: ms.GridDensity | ms.Measure, target: ms.Measure, *,
     :class:`~monoclt.measures.GridDensity`) or a dense fill of the combined
     support, plus all atom locations; atoms contribute with the midpoint
     convention.  Raises :class:`CoverageError` when the target carries more
-    than `coverage_tol` mass outside the comparison grid.
+    than `coverage_tol` mass outside the comparison grid, or when no finite
+    grid covers the support (a power tail of exponent below about 1.0227).
 
     When comparing a *smoothed* approximation against a target with atoms,
     the classical sup never drops below half the jump just next to an atom;
@@ -1044,6 +1050,8 @@ def ks_distance(d: ms.GridDensity | ms.Measure, target: ms.Measure, *,
         lo = min(_span_of(d)[0], _span_of(target)[0])
         hi = max(_span_of(d)[1], _span_of(target)[1])
         pad = 0.05 * (hi - lo) + 1e-9
+        if not math.isfinite(pad):
+            raise CoverageError(f"no finite grid covers the span [{lo}, {hi}]")
         xs = np.linspace(lo - pad, hi + pad, dense)
     atoms = np.unique(np.concatenate((_atoms_of(d), _atoms_of(target))))
     pts = np.asarray(xs, dtype=float)

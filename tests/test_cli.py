@@ -173,6 +173,50 @@ class TestInvertFuzz:
         assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
 
 
+class TestPowerTailFuzz:
+    """``invert``, ``clt-report`` and ``free-conv`` (with an atomic partner) on
+    power-tail laws, the closed-form Cauchy transform, on grids of at most 200
+    points (``invert``'s in units of the law's scale)."""
+
+    @staticmethod
+    def spec(p, scale):
+        return json.dumps({"type": "ref", "law": "powertail", "exponent": p,
+                           "weight": (p - 1.0) / 2.0, "scale": scale})
+
+    @staticmethod
+    def grid(scale, xmin, width, points):
+        return ["--xmin", repr(scale * xmin), "--xmax", repr(scale * (xmin + width)),
+                "--h", repr(scale * width / (points - 1))]
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(p=st.floats(1.5, 8.0), scale=st.floats(1e-3, 1e3), xmin=st.floats(-6.0, 0.0),
+           width=st.floats(0.1, 12.0), points=st.integers(2, 200), eta=st.floats(1e-4, 1.0))
+    def test_invert(self, tmp_path_factory, p, scale, xmin, width, points, eta):
+        args = (["invert", "--measure", self.spec(p, scale), "--eta", repr(scale * eta)]
+                + self.grid(scale, xmin, width, points))
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(p=st.floats(1.5, 8.0), scale=st.floats(1e-3, 1e3),
+           ns=st.lists(st.integers(1, 64), min_size=1, max_size=3), xmin=st.floats(-10.0, 0.0),
+           width=st.floats(0.1, 20.0), points=st.integers(2, 200), eta=st.floats(1e-3, 1.0),
+           ks=st.sampled_from(["yes", "no"]))
+    def test_clt_report(self, tmp_path_factory, p, scale, ns, xmin, width, points, eta, ks):
+        args = (["clt-report", "--measure", self.spec(p, scale),
+                 "--n-list", ",".join(map(str, ns)), "--eta", repr(eta), "--with-ks", ks]
+                + self.grid(1.0, xmin, width, points))
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(p=st.floats(1.5, 8.0), scale=st.floats(1e-3, 1e3), n=atomic_laws(),
+           xmin=st.floats(-6.0, 0.0), width=st.floats(0.1, 12.0), points=st.integers(2, 200),
+           eta=st.floats(1e-4, 1.0), maxiter=st.integers(1, 2000))
+    def test_free_conv(self, tmp_path_factory, p, scale, n, xmin, width, points, eta, maxiter):
+        args = (["free-conv", "--measure", self.spec(p, scale), "--with", n, "--eta", repr(eta),
+                 "--maxiter", str(maxiter)] + self.grid(1.0, xmin, width, points))
+        assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
+
+
 class TestExtractionFuzz:
     """The subcommands that extract a law's zeros of G or square a huge cutoff."""
 
@@ -182,7 +226,8 @@ class TestExtractionFuzz:
         assert_exit_code_and_finite([sub, "--measure", m], tmp_path_factory.mktemp("fuzz"))
 
     @settings(max_examples=25, derandomize=True, database=None, deadline=None)
-    @given(m=atomic_laws(), xs=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=4))
+    @given(m=st.one_of(atomic_laws(), st.sampled_from(["arcsine", "semicircle"])),
+           xs=st.lists(st.floats(1e-300, 1e300), min_size=1, max_size=4))
     def test_moments_huge_cutoffs(self, tmp_path_factory, m, xs):
         args = ["moments", "--measure", m, "--x-list", ",".join(map(repr, xs))]
         assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))

@@ -41,6 +41,8 @@ assert cli.run(["orbit", "--outdir", {str(tmp_path)!r}]) == 0
 def test_closed_form_paths_load_what_they_use():
     code = """
 from monoclt import measures as ms, transforms as tf
+tf.cauchy_eval(ms.power_tail(3), 1j)
+assert "scipy.special" in sys.modules and "scipy.integrate" not in sys.modules, "power-tail G"
 tf.cdf(ms.normal(), [0.0, 1.0])
 assert "scipy.integrate" not in sys.modules
 ms.harmonic_variance(ms.power_tail(3), 10.0)

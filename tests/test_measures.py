@@ -239,6 +239,31 @@ class TestTinyScalePowerTail:
         assert abs(mc.harmonic_variance(m, x) - l) <= 1e-12 * l
 
 
+class TestCompactLawL:
+    """L of the arc-sine and semicircle laws against ``x^2 (1 + x Im G(ix))``
+    in mpmath, with the working precision raised past its cancellation."""
+
+    XS = [1e-5, 1e-8] + [c * 10.0 ** e for e in range(-300, 301, 13) for c in (1.0, 3.7)]
+
+    @staticmethod
+    def reference(kind, scale, x):
+        mpmath = pytest.importorskip("mpmath")
+        # 1 + u Im G(iu) ~ r^2/(2 u^2) loses about 4 log10(u) digits at large u
+        with mpmath.workdps(50 + 4 * max(0, round(math.log10(x) - math.log10(scale)))):
+            u = mpmath.mpf(x) / scale
+            im_g = -1 / mpmath.sqrt(u * u + 2) if kind == "arcsine" else (u - mpmath.sqrt(u * u + 4)) / 2
+            return scale**2 * u * u * (1 + u * im_g)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e100])
+    @pytest.mark.parametrize("kind", ["arcsine", "semicircle"])
+    def test_against_mpmath(self, kind, scale):
+        m = mc.ReferenceLaw(kind, scale=scale)
+        for x in self.XS:
+            want = self.reference(kind, scale, x)
+            # below the normal range L underflows and only its absolute error counts
+            assert abs(mc.harmonic_variance(m, x) - want) <= 1e-15 * want + np.finfo(float).tiny, x
+
+
 class TestTail:
     def test_two_point(self):
         assert mc.tail(BOOLE, 2.0) == 0.0

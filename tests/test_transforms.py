@@ -75,6 +75,58 @@ class TestCauchyEval:
             assert abs(g) <= 1.0 / z.imag + 1e-12
 
 
+class TestPowerTailCauchy:
+    """``G`` of ``PowerTailLaw(p, w, b)`` from one ``2F1`` against 50-digit
+    mpmath, at points ``z = u b``: the density's quadrature pins the formula
+    at ``QUAD`` (``Im u >= 1e-2``), ``mp.hyp2f1`` pins scipy's evaluation at
+    the other points."""
+
+    QUAD = [0.3 + 0.2j, -1 + 1e-2j, 1e-2j, 3j, 30 + 1j]
+    AXIS = [x + 1e-8j for x in (-1e6, -1e3, -2.0, -0.5, 0.0, 1e-3, 0.5, 2.0, 1e3, 1e6)]
+    NEAR_ONE = [1 + 1e-8j, -1 + 1e-8j, 1.0000001 + 1e-6j, -0.9999999 + 1e-7j, 1 + 1e-7j]
+    FAR = [1e6j, 1e6 * np.exp(0.3j), 1e6 * np.exp(2.9j), 1e6 + 1j]
+
+    @staticmethod
+    def reference(p, w, b, z, by_quad):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            u = mpmath.mpc(z.real, z.imag) / b
+            if by_quad:
+                ends = [1, abs(u.real), mpmath.inf] if abs(u.real) > 1 else [1, mpmath.inf]
+                g = w * mpmath.quad(lambda t: t ** -mpmath.mpf(p) * 2 * u / (u * u - t * t), ends)
+            else:
+                a = (mpmath.mpf(p) + 1) / 2
+                g = -(2 * w / (p + 1)) * u * mpmath.hyp2f1(1, a, a + 1, u * u)
+            return complex(g / b)
+
+    @pytest.mark.parametrize("b", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0, 8.0])
+    def test_against_mpmath(self, p, b):
+        m = mc.PowerTailLaw(p, (p - 1.0) / 2.0, b)
+        us = self.QUAD + self.AXIS + self.NEAR_ONE + self.FAR
+        z = np.array(us) * b
+        g = mc.cauchy_eval(m, z)
+        eps = np.finfo(float).eps
+        for i, (u, zz, gg) in enumerate(zip(us, z, g)):
+            want = self.reference(p, m.weight, b, zz, i < len(self.QUAD))
+            # u^2 rounds to an absolute 1e-16, which moves G by about 1e-16/|1 - u^2|
+            tol = 1e-10 if min(abs(u - 1), abs(u + 1)) < 2e-6 else 1e-13
+            assert abs(gg - want) <= tol * abs(want), (u, gg, want)
+            assert gg.imag < 0
+            assert abs(gg) <= m.total_mass / zz.imag * (1.0 + 4 * eps)
+
+    def test_breakdown_is_typed(self):
+        m = mc.power_tail(3.0)
+        # u^2 overflows, and far along the axis Im G rounds to >= 0 at some points
+        with pytest.raises(NumericBreakdown, match="160j"):
+            mc.cauchy_eval(m, np.array([1j, 1e160j]))
+        rng = np.random.default_rng(7)
+        x = np.exp(rng.uniform(math.log(1e6), math.log(1e10), 2000)) * rng.choice([-1, 1], 2000)
+        z = x + 1j * np.abs(x) * rng.uniform(1e-17, 1e-15, 2000)
+        with pytest.raises(NumericBreakdown, match="Im G < 0"):
+            mc.cauchy_eval(m, z)
+
+
 class TestFEval:
     def test_two_point_map(self):
         assert abs(mc.f_eval(mc.MeasureMap(BOOLE), 1j) - 2j) < 1e-14
@@ -372,6 +424,13 @@ class TestKsDistance:
         d = mc.GridDensity(-1.0, 0.5, np.array([0.5, 0.5, 0.5, 0.5, 0.5]))
         with pytest.raises(CoverageError):
             mc.ks_distance(d, mc.normal())
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_heavy_power_tail_has_no_finite_span(self, swap):
+        # (1e-7)^(1/(1 - p)) overflows below p of about 1.0227: it was a bare OverflowError
+        pair = (mc.power_tail(1.01), mc.normal())
+        with pytest.raises(CoverageError, match="no finite grid"):
+            mc.ks_distance(*(pair[::-1] if swap else pair))
 
     def test_binomial_vs_gaussian_shrinks(self):
         from monoclt import classical_power, dilate

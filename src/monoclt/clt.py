@@ -12,7 +12,8 @@ constants three ways:
 * ``sigma-criterion`` -- the largest solution of
   ``n*(L_sigma(y) + sigma(R)) = y^2``, phrased directly in terms of the
   singular part of the Nevanlinna representation; this is the natural
-  route for measures that are *defined* through their transform.
+  route for measures that are *defined* through their transform.  L is
+  `measures.harmonic_variance`, as for every other caller.
 
 The literal infimum form of the cutoff degenerates to 0 whenever H
 vanishes near 0, so the largest-solution convention is used throughout;
@@ -216,22 +217,6 @@ def norming_constants(m: ms.Measure, ns=None, N: int | None = None,
     return NormingSequence(ns, _cutoff_bisect(h, ns, float(seed)), "h-cutoff")
 
 
-def _l_vectorized(sigma: ms.AtomicMeasure):
-    t2 = sigma.positions**2
-    w = sigma.masses
-
-    def L(y):
-        y = np.asarray(y, dtype=float)
-        out = np.empty(y.shape)
-        step = max(1, (1 << 22) // max(len(t2), 1))
-        for i in range(0, y.size, step):
-            yy = y.ravel()[i:i + step, None] ** 2
-            out.ravel()[i:i + step] = (w * t2 * yy / (t2 + yy)).sum(axis=-1)
-        return out
-
-    return L
-
-
 def sigma_criterion_constants(sigma: ms.AtomicMeasure, ns, *,
                               total: float | None = None) -> NormingSequence:
     """Norming constants from the singular part: largest root of
@@ -239,15 +224,28 @@ def sigma_criterion_constants(sigma: ms.AtomicMeasure, ns, *,
 
     This is the selection rule matched to measures given through their
     transform, where H of the measure itself is not directly computable.
+    Where ``g = n*(L + sigma(R)) - y^2`` one part in 1e6 to either side of
+    the root found is within its own rounding, as when its terms agree to all
+    their digits, the root is not resolved and this raises
+    :class:`NonConvergence`.
     """
     ns = np.atleast_1d(np.asarray(ns, dtype=np.int64))
     S = sigma.total_mass if total is None else total
-    L = _l_vectorized(sigma)
     nsf = ns.astype(float)
+
+    def g(y, rows):     # and a bound on its rounding, 64 ulps of its terms
+        a, b = nsf[rows] * (ms.harmonic_variance(sigma, y) + S), y * y
+        return a - b, 64 * np.finfo(float).eps * (a + b)
+
     lo = np.sqrt(nsf * S)                      # g(lo) = n*L(lo) >= 0 always
     # L <= sum w t^2, so g(hi) <= 0
     hi = np.sqrt(nsf * (float(np.dot(sigma.positions**2, sigma.masses)) + S))
-    B = _largest_root(lambda y, rows: nsf[rows] * (L(y) + S) - y * y, lo, hi)
+    B = _largest_root(lambda y, rows: g(y, rows)[0], lo, hi)
+    for side in (1.0 - 1e-6, 1.0 + 1e-6):
+        v, bound = g(B * side, slice(None))
+        if (unresolved := np.abs(v) <= bound).any():
+            raise NonConvergence(f"the sigma criterion's root near y = {float(B[unresolved][0])!r} "
+                                 "is within the rounding of n*(L + S) - y^2")
     return NormingSequence(ns, B, "sigma-criterion")
 
 
@@ -269,11 +267,10 @@ def norming_ratio_check(rep_or_sigma, B: NormingSequence, y: float = 1.0) -> Rat
     sigma = rep_or_sigma.sigma if isinstance(rep_or_sigma, tf.NevanlinnaRep) else rep_or_sigma
     if sigma is None:
         raise DegenerateMeasure("ratio check needs a nonzero singular part")
-    L = _l_vectorized(sigma)
     S = sigma.total_mass
     nsf = B.ns.astype(float)
-    with np.errstate(over="ignore", invalid="ignore"):      # (B_n y)^2 may overflow
-        r = nsf / B.values**2 * (L(B.values * y) + S)
+    with np.errstate(over="ignore"):      # B_n y may overflow, to L's limit sum w t^2
+        r = nsf / B.values**2 * (ms.harmonic_variance(sigma, B.values * y) + S)
     if not np.isfinite(r).all():
         raise NumericBreakdown(f"a norming ratio at y = {y!r} is not finite: {r!r}")
     tail = B.ns >= (B.ns[-1] // 2 if len(B.ns) > 1 else B.ns[-1])

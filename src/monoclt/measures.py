@@ -16,7 +16,10 @@ function, so instances can be shared freely across threads.  Every numeric
 field must be finite: a NaN or an infinity raises ``ValueError``.
 
 Moment-type quantities use an explicit ``inf`` sentinel for divergent
-integrals; no operation is allowed to overflow instead.  For finite
+integrals; no operation is allowed to overflow instead.  The smoothed
+truncated variance L (`harmonic_variance`) is the library's only L: one sum
+for atomic, grid and point laws and a closed form for the others, with no
+quadrature anywhere.  For finite
 (non-probability) measures ``mean`` and ``m2`` are the raw integrals
 ``int t dm`` and ``int t^2 dm``; ``var`` always refers to the normalized
 law, so the two conventions agree on probability measures.
@@ -386,12 +389,16 @@ def _bounded_moments(mean: float, m2: float, total: float) -> Moments:
     return Moments(mean, m2, total)
 
 
-def _scaled_power(b: float, u: float, a: float) -> float:
-    """``b**2 * u**a`` for ``b > 0``, ``u >= 1`` and ``0 < a < 2``.  Where
-    ``b**2`` is not a normal float or ``u**a`` overflows, which a tiny scale
-    at a huge cutoff brings about while the product is a float, it is
-    ``(b * u**(a/2))**2``: no factor leaves the floats, and no rounding is
-    amplified as a logarithm's would be."""
+def _scaled_power(b: float, x: float, a: float) -> float:
+    """``b**2 * u**a`` with ``u = x/b``, for ``b > 0``, ``u >= 1`` and ``a < 2``.
+    Where ``b**2`` is not a normal float or ``u**a`` overflows, which a tiny
+    scale at a huge cutoff brings about while the product is a float, it is
+    ``(b * u**(a/2))**2``, and where u itself overflows ``(b**(1 - a/2) *
+    x**(a/2))**2``: no factor leaves the floats, and no rounding is amplified
+    as a logarithm's would be."""
+    u = x / b
+    if u == math.inf:
+        return (b ** (1.0 - 0.5 * a) * x ** (0.5 * a)) ** 2
     b2 = b * b
     if b2 >= sys.float_info.min:
         try:
@@ -447,88 +454,156 @@ def truncated_variance(m: Measure, x: float) -> float:
         if abs(p - 3.0) < 1e-12:
             h_unit = 2.0 * w * math.log(u)
         elif p < 3.0:
-            return 2.0 * w * (_scaled_power(b, u, 3.0 - p) - b * b) / (3.0 - p)
+            return 2.0 * w * (_scaled_power(b, x, 3.0 - p) - b * b) / (3.0 - p)
         else:
             h_unit = 2.0 * w * (u ** (3.0 - p) - 1.0) / (3.0 - p)
         return b**2 * h_unit
     raise TypeError(f"not a measure: {m!r}")
 
 
-def _smoothed_square(t, x):
-    """``t^2 x^2/(t^2 + x^2)`` for ``x > 0`` as ``a (a/(1 + (a/b)^2))``, ``a <= b`` the
-    values ``|t|, x``: nothing is squared that overflows, so no ``inf/inf``."""
-    a = np.minimum(np.abs(t), x)
-    b = np.maximum(np.abs(t), x)
-    return a * (a / (1.0 + (a / b) ** 2))
+def _smoothed_squares(m, t: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sum_k w_k t_k^2 x^2/(t_k^2 + x^2)`` for the sorted atoms `t` and weights `w` of
+    `m`, at each cutoff of the 1-d `x`.
+
+    Each term is ``((w t^2) x^2)/(t^2 + x^2)``, and a row of terms is summed by
+    ``np.add.reduce``.  A row's operands are first scaled by ``2^-f``, f the
+    multiple of 128 nearest the exponent of ``min(x, max|t|)``, and their
+    squares capped at ``2^400``, far above the other square (below ``2^128``),
+    which a capped one adds exactly; the sum is scaled back by ``2^(2f)``.
+    Scaling by a power of two is exact, so this is the unscaled formula bit
+    for bit wherever no square is capped or subnormal, and it overflows only
+    where L does.  The atoms' side of the last frame f is kept on `m`
+    (measures are immutable), so a search that evaluates L of one law at many
+    cutoffs squares its atoms once.
+    """
+    tmax = max(-t[0], t[-1])
+    frames = (np.frexp(np.minimum(x, tmax) if tmax > 0.0 else x)[1] + 64) & -128
+    out = np.empty(len(x))
+    step = max(1, (1 << 22) // len(t))
+    for f in set(frames.tolist()):
+        frame = vars(m).get("_l_frame")
+        if frame is None or frame[0] != f:
+            with np.errstate(over="ignore"):
+                u2 = np.minimum(np.square(np.ldexp(t, -f)), 2.0 ** 400)
+            frame = (f, u2, w * u2)
+            object.__setattr__(m, "_l_frame", frame)
+        _, u2, wu2 = frame
+        rows = np.flatnonzero(frames == f)
+        for i in range(0, len(rows), step):
+            r = rows[i:i + step, None]
+            with np.errstate(over="ignore"):
+                v2 = np.square(np.minimum(np.ldexp(x[r], -f), 2.0 ** 200))
+            terms = wu2 * v2
+            terms /= u2 + v2
+            out[r[:, 0]] = np.add.reduce(terms, axis=-1)
+    return np.ldexp(out, 2 * frames)
 
 
-@_typed_overflow
-def harmonic_variance(m: Measure, x: float) -> float:
+def harmonic_variance(m: Measure, x):
     """Smoothed truncated variance ``int t^2 x^2 / (t^2 + x^2) dm`` (the function L).
 
+    `x` is a cutoff or an array of cutoffs, each positive (``inf`` gives the
+    second moment); the result is a float or an array of the same shape.
     Nondecreasing in x and bounded by the raw second moment; finite for any
-    x, except that a power tail of exponent p below 3 grows like ``x^(3-p)``
-    and raises :class:`NumericBreakdown` where L overflows.
+    x, except that a power tail of exponent p <= 3 grows without bound (like
+    ``x^(3-p)``, or ``log x`` at p = 3).  Where L overflows this raises
+    :class:`NumericBreakdown`.  Atomic, grid (trapezoid weights) and point
+    laws share one sum, `_smoothed_squares`; the other laws have closed forms.
     """
-    if x <= 0:
+    xs = np.asarray(x, dtype=float)
+    if not np.all(xs > 0):
         raise ValueError("cutoff x must be positive")
+    flat = xs.ravel()
     if isinstance(m, AtomicMeasure):
-        return float(np.dot(_smoothed_square(m.positions, x), m.masses))
-    if isinstance(m, GridDensity):
-        return float(np.trapezoid(_smoothed_square(m.grid, x) * m.values, dx=m.h))
-    if isinstance(m, ReferenceLaw):
-        if m.kind == "point":
-            return float(_smoothed_square(m.c, x))
-        # L = x^2 (1 + x Im G(ix)) with the cancellation divided out: with
-        # k = hypot(x, r scale), r the unit radius, the arc-sine law's is
-        # 2 (x scale/k) (x scale/(k + x)) and the semicircle's (2 x scale/(k + x))^2.
-        # In units of max(x, scale) nothing over- or underflows unless L does.
-        big = max(x, m.scale)
-        c, t = min(x, m.scale), x / big
-        if m.kind == "arcsine":
-            k = math.hypot(t, math.sqrt(2.0) * (m.scale / big))
-            return 2.0 * (c / k) * (c / (k + t))
-        if m.kind == "semicircle":
-            k = math.hypot(t, 2.0 * (m.scale / big))
-            return (2.0 * c / (k + t)) ** 2
-        from scipy import integrate      # the normal law
-        u = x / m.scale
+        out = _smoothed_squares(m, m.positions, m.masses, flat)
+    elif isinstance(m, GridDensity):
+        w = m.h * m.values
+        w[[0, -1]] *= 0.5
+        out = _smoothed_squares(m, m.grid, w, flat)
+    elif isinstance(m, ReferenceLaw) and m.kind == "point":
+        out = _smoothed_squares(m, np.array([m.c]), np.ones(1), flat)
+    else:
+        try:
+            out = np.array([_closed_form_l(m, v) for v in flat.tolist()])
+        except OverflowError:
+            out = np.full(len(flat), math.inf)
+    if not np.isfinite(out).all():
+        raise NumericBreakdown(f"harmonic_variance at x = {float(flat[~np.isfinite(out)][0])!r} overflows")
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
-        def f(t):
-            return float(_smoothed_square(t, u)) * (math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi))
 
-        return m.scale**2 * integrate.quad(f, -np.inf, np.inf, limit=200)[0]
+def _closed_form_l(m: ReferenceLaw | PowerTailLaw, x: float) -> float:
+    """L of a reference law other than a point mass, or of a power tail."""
     if isinstance(m, PowerTailLaw):
-        from scipy import integrate
         p, w, b = m.exponent, m.weight, m.scale
-        u = x / b
-        if abs(p - 3.0) < 1e-12:
-            # log(1 + u^2), without forming u^2 above u = 1
-            l_unit = w * (2.0 * math.log(max(u, 1.0)) + math.log1p(min(u, 1.0 / u) ** 2))
-        elif u <= 1.0:
-            # int_1^inf t^(2-p) u^2/(t^2 + u^2) dt (quad on [1, inf) misses the
-            # turn at t ~ u); with t = 1/v, u^2 int_0^1 v^(p-2)/(1 + u^2 v^2) dv
-            l_unit = 2.0 * w * u * u * integrate.quad(
-                lambda v: _cauchy_weight(u * v), 0.0, 1.0, weight="alg", wvar=(p - 2.0, 0.0))[0]
+        bound = 2.0 * w * b * b / (p - 3.0) if p > 3.0 else math.inf
+        return min(_power_tail_l(p, w, b, x), bound)    # rounding may cross it by an ulp
+    if not isinstance(m, ReferenceLaw):
+        raise TypeError(f"not a measure: {m!r}")
+    s = m.scale
+    if m.kind == "normal":
+        u = x / s
+        if u < 1.0:     # x^2 (1 - u M(u)), Mills' ratio M(u) = sqrt(pi/2) erfcx(u/sqrt 2)
+            v = u / math.sqrt(2.0)
+            return x * (x * (1.0 - u * (math.sqrt(0.5 * math.pi) * math.erfc(v) * math.exp(v * v))))
+        # Laplace's continued fraction (DLMF 7.9) is u M = 1/(1 + J q), q = (s/x)^2 and
+        # J = 1/(1 + 2q/(1 + 3q/(1 + ...))), so L = s^2 J/(1 + q J), with no cancellation
+        q, t = (s / x) ** 2, 1.0
+        for k in range(16 + int(400.0 * q), 1, -1):
+            t = 1.0 + k * q / t
+        return s * (s * (1.0 / (t + q)))
+    # L = x^2 (1 + x Im G(ix)) with the cancellation divided out: with
+    # k = hypot(x, r scale), r the unit radius, the arc-sine law's is
+    # 2 (x scale/k) (x scale/(k + x)) and the semicircle's (2 x scale/(k + x))^2.
+    # In units of max(x, scale) nothing over- or underflows unless L does.
+    big = max(x, s)
+    c, t = min(x, s), (1.0 if x >= s else x / big)
+    if m.kind == "arcsine":
+        k = math.hypot(t, math.sqrt(2.0) * (s / big))
+        return 2.0 * (c / k) * (c / (k + t))
+    k = math.hypot(t, 2.0 * (s / big))
+    return (2.0 * c / (k + t)) ** 2
+
+
+def _power_tail_l(p: float, w: float, b: float, x: float) -> float:
+    """L of ``PowerTailLaw(p, w, b)``: ``2 w b^2 u^2/(p - 1) 2F1(1, beta; beta + 1; -u^2)``
+    with ``u = x/b`` and ``beta = (p - 1)/2`` (DLMF 15.6.1).
+
+    Up to u = 1.5 the 2F1 is Pfaff's ``2F1(1, 1; beta + 1; y)/(1 + u^2)``,
+    ``y = u^2/(1 + u^2) <= 0.7``, a series of positive terms.  Above, it is
+    its connection to ``q = 1/u`` (DLMF 15.8.2): ``L/(2 w b^2)`` is the power
+    ``pi u^(3-p)/(2 sin(pi beta))`` less half of ``sum_k (-q^2)^k/(k + 1 - beta)``.
+    The power and the term k0 nearest the pole, ``k0 + 1 - beta = -d``, are
+    joined as ``((-q^2)^k0/2) (1/d - pi q^(2d)/sin(pi d))``, which stays
+    finite at the odd exponents, d = 0 (p = 3 gives ``w b^2 log(1 + u^2)``).
+    Sums are `math.fsum`'s; no u^2 or ``b^2 u^(3-p)`` overflows unless L does.
+    """
+    u, beta = x / b, 0.5 * (p - 1.0)
+    if u <= 1.5:
+        y, terms = u * u / (1.0 + u * u), [1.0]
+        while terms[-1] > 2.0 ** -56:
+            n = len(terms)
+            terms.append(terms[-1] * (y * n / (beta + n)))
+        return x * (x * ((2.0 * w / (p - 1.0)) * math.fsum(terms) / (1.0 + u * u)))
+    q2, k0 = (b / x) ** 2, max(round(beta - 1.0), -1)        # no pole term below p = 2
+    ell = math.log(u) if u < math.inf else math.log(x) - math.log(b)
+    # q^2 < 0.45, so the terms beyond k0 + 48 fall below 2^-56 of the first
+    parts = [-0.5 * (-q2) ** k / (k + 1.0 - beta) for k in range(k0 + 50) if k != k0]
+    power = math.pi / (2.0 * math.sin(math.pi * beta))
+    if k0 >= 0:
+        d, s0 = beta - 1.0 - k0, 0.5 * (-q2) ** k0
+        xd = math.pi * d
+        if d:       # 1/d - pi/sin(pi d), by the series of xd - sin xd
+            odd = sum((-1) ** j * xd ** (2 * j + 1) / math.factorial(2 * j + 1) for j in range(1, 12))
+            parts.append(s0 * odd / (d * math.sin(xd)))
+        if d == 0.0 or abs(2.0 * d * ell) < 1.0:      # q^(2d) - 1 by expm1; 2 log u at d = 0
+            parts.append(s0 * (2.0 * ell if d == 0.0 else -math.pi * math.expm1(-2.0 * d * ell) / math.sin(xd)))
+            power = 0.0
         else:
-            # t > u gives c u^(3-p), c that integral at u = 1; 1 < t < u gives
-            # (u^(3-p) - 1)/(3 - p) less e <= half of it, in v = log(t/u).  Below
-            # p = 3 pow factors u^(3-p) out, above e's exponent carries it: no
-            # overflow unless L's, no exp amplifying the rounding of log u
-            lu, a = math.log(u), 3.0 - p
-            k = min(a, 0.0) * lu
-            e, _ = integrate.quad(lambda v: math.exp((5.0 - p) * v + k) / (1.0 + math.exp(2.0 * v)),
-                                  -lu, 0.0, epsabs=0.0, epsrel=1e-13, limit=200)
-            c, _ = integrate.quad(_cauchy_weight, 0.0, 1.0, weight="alg", wvar=(p - 2.0, 0.0))
-            if p < 3.0:
-                return 2.0 * w * _scaled_power(b, u, a) * (c - math.expm1(-a * lu) / a - e)
-            l_unit = 2.0 * w * (c * u ** a + math.expm1(a * lu) / a - e)
-        return min(b**2 * l_unit, moments(m).m2)     # rounding may cross the bound by an ulp
-    raise TypeError(f"not a measure: {m!r}")
-
-
-def _cauchy_weight(s: float) -> float:
-    return 1.0 / (1.0 + s * s)
+            parts.append(s0 * math.pi / math.sin(xd))
+            power = -(-1) ** k0 * math.pi / (2.0 * math.sin(xd))
+    out = b * (b * math.fsum(parts))
+    return 2.0 * w * (out + power * _scaled_power(b, x, 3.0 - p) if power else out)
 
 
 def tail(m: Measure, x: float) -> float:

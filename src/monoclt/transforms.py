@@ -849,8 +849,10 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
     same float operations in the same order, so the zero has the same bits
     as ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
     maxiter=maxiter)``.  Python floats are C doubles, with no fused
-    multiply-add.  The caller brackets the zero: ``f(xa)`` and ``f(xb)``
-    have opposite signs.
+    multiply-add.  Where the extrapolation's denominator underflows to 0,
+    which laws at scales from about 1e62 bring about, the step bisects, as
+    C's division to +-inf or NaN fails its short-step test.  The caller
+    brackets the zero: ``f(xa)`` and ``f(xb)`` have opposite signs.
     """
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
@@ -876,7 +878,8 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int) -> 
             else:               # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):   # good short step
                 spre, scur = scur, stry
             else:                       # bisect

@@ -99,9 +99,11 @@ class TestNormingConstants:
             clt._cutoff_bisect(lambda y: y * y, np.array([2]), 1.0)
 
     def test_unbracketed_sigma_criterion_is_typed(self):
-        # L(y) ~ y^2 up to y ~ 1e100, beyond 200 doublings of hi from sqrt(n*S) = 1
+        # one atom of mass 1 at t = 1e100: L(y) + 1 = y^2 at about sqrt(t) = 1e50,
+        # where L + 1 and y^2 agree to all their digits and g = L + 1 - y^2 is
+        # rounding, so no float resolves the root (a bisection returned 6.1e91)
         sigma = mc.atomic([(1e100, 1.0)], is_probability=False)
-        with np.errstate(over="ignore"), pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match="within the rounding"):
             clt.sigma_criterion_constants(sigma, [1])
 
     def test_half_slope(self):
@@ -131,12 +133,18 @@ class TestRatioCheck:
                 clt.norming_ratio_check(lab.sigma, B, y=y)
 
     def test_non_finite_ratio_is_typed(self):
-        # (B_n y)^2 overflows, and L(B_n y) read NaN
         lab = eg.lattice_tail_lab(10)
         B = clt.sigma_criterion_constants(lab.sigma, [10, 100])
-        with pytest.raises(NumericBreakdown, match="not finite"):
-            clt.norming_ratio_check(lab.sigma, B, y=1e160)
-        assert np.isfinite(clt.norming_ratio_check(lab.sigma, B, y=1e100).ratios).all()
+        # (B_n y)^2 overflows, yet L(B_n y) is its limit sum w t^2 (it read NaN)
+        m2 = float(np.dot(lab.sigma.positions**2, lab.sigma.masses))
+        want = B.ns * (m2 + lab.sigma.total_mass) / B.values**2
+        for y in (1e160, 1e308):
+            got = clt.norming_ratio_check(lab.sigma, B, y=y).ratios
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        assert np.allclose(want, [1.2474545136650, 1.0286598338261], rtol=1e-12, atol=0.0)
+        # an L that overflows is a typed error
+        with pytest.raises(NumericBreakdown, match="overflows"):
+            clt.norming_ratio_check(mc.atomic([(1e200, 1.0)], is_probability=False), B, y=1e160)
 
     def test_overflowing_variance_is_typed(self):
         with pytest.raises(NumericBreakdown, match="overflows"):
@@ -168,6 +176,14 @@ class TestSigmaCriterion:
         B = clt.sigma_criterion_constants(sigma, ns)
         rr = clt.norming_ratio_check(mc.NevanlinnaRep(0.0, sigma), B, y=1.0)
         assert rr.tail_max_dev < 1e-10
+
+    def test_benchmark_warm_up_op_is_pinned(self):
+        # the lattice_clt benchmark's first op compares F(z0) with recorded bits,
+        # so B and the ratio at n = 88 must not move by an ulp
+        lab = eg.lattice_tail_lab(10_000)
+        B = clt.sigma_criterion_constants(lab.sigma, [88])
+        assert B.values[0] == 26.900429737370615
+        assert clt.norming_ratio_check(lab.sigma, B).ratios[0] == 1.0
 
     def test_log_shorthand_constants_overshoot_ratio(self):
         # with B_n = sqrt(n log n) the ratio is (log n + loglog n + 1)/log n,

@@ -1,4 +1,4 @@
-"""scipy is loaded only on the paths that use it.
+"""scipy is loaded only on the paths that use it, and the library has no quadrature.
 
 Each check runs in a fresh interpreter, since the test modules themselves
 import scipy.  A top-level ``scipy.optimize``, ``scipy.integrate`` or
@@ -40,12 +40,20 @@ assert cli.run(["orbit", "--outdir", {str(tmp_path)!r}]) == 0
 
 def test_closed_form_paths_load_what_they_use():
     code = """
+import numpy as np
 from monoclt import measures as ms, transforms as tf
+laws = [ms.normal(), ms.arcsine(), ms.semicircle(), ms.point_mass(1.0), ms.atomic([(0.0, 0.5), (2.0, 0.5)]),
+        ms.GridDensity(-1.0, 0.5, np.ones(5))] + [ms.power_tail(p) for p in (1.5, 2.0, 3.0, 3.5, 5.0)]
+for m in laws:
+    ms.harmonic_variance(m, np.array([1e-3, 0.5, 1.2, 10.0, 1e10]))
+assert not sys.modules.keys() & {"scipy", "scipy.integrate"}, "L"
 tf.cauchy_eval(ms.power_tail(3), 1j)
 assert "scipy.special" in sys.modules and "scipy.integrate" not in sys.modules, "power-tail G"
 tf.cdf(ms.normal(), [0.0, 1.0])
-assert "scipy.integrate" not in sys.modules
-ms.harmonic_variance(ms.power_tail(3), 10.0)
 """
-    # scipy.integrate itself imports scipy.optimize
-    assert loaded_after(code) >= {"scipy.special", "scipy.integrate"}
+    assert loaded_after(code) == {"scipy.special"}
+
+
+def test_no_quadrature_in_the_library():
+    hits = [p.name for p in Path(SRC, "monoclt").rglob("*.py") if "integrate" in p.read_text()]
+    assert hits == []

@@ -139,7 +139,7 @@ class TestHarmonicVariance:
         # quad on [1, inf) missed the turn at t ~ x: 1.5000000001490 at p = 4, x = 1e5
         law = mc.PowerTailLaw(p, w)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")          # every quad converges
+            warnings.simplefilter("error")          # no step warns
             got = mc.harmonic_variance(law, x)
         assert abs(got - closed(x)) <= 1e-12 * closed(x)
         assert got <= mc.moments(law).m2
@@ -262,6 +262,138 @@ class TestCompactLawL:
             want = self.reference(kind, scale, x)
             # below the normal range L underflows and only its absolute error counts
             assert abs(mc.harmonic_variance(m, x) - want) <= 1e-15 * want + np.finfo(float).tiny, x
+
+
+class TestDilationLaw:
+    """``L(D_b m, b x) = b^2 L(m, x)``: bit for bit at b = 2^k for the laws of
+    the one sum of terms, whose operands it scales by powers of two, and
+    within 1e-15 for the closed forms."""
+
+    KS = list(range(-480, 481, 24)) + [-1, 1, 479]
+    XS = np.array([1e-3, 0.37, 1.0, 2.5, 40.0, 1e6, 1e150])
+
+    @staticmethod
+    def sum_laws(k):
+        b = 2.0**k
+        pos = np.array([-3.0, -1.0, -0.25, 0.5, 2.0, 7.0])
+        return [mc.AtomicMeasure(pos * b, np.full(6, 1.0 / 6.0)),
+                mc.AtomicMeasure(np.array([0.0, 3.0]) * b, np.array([0.5, 2.0]), is_probability=False),
+                mc.GridDensity(-2.0 * b, 0.01 * b, np.linspace(0.0, 1.0, 401) / b),
+                mc.ReferenceLaw("point", c=-1.5 * b)]
+
+    @pytest.mark.parametrize("k", KS)
+    def test_sum_laws_bit_for_bit(self, k):
+        # built directly: dilate would merge atoms at tiny scales
+        for m, mk in zip(self.sum_laws(0), self.sum_laws(k)):
+            want = np.ldexp(mc.harmonic_variance(m, self.XS), 2 * k)
+            got = mc.harmonic_variance(mk, np.ldexp(self.XS, k))
+            assert got.tobytes() == want.tobytes(), (m, k)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_closed_forms(self, k):
+        laws = [mc.normal(), mc.arcsine(), mc.semicircle()] + [
+            mc.PowerTailLaw(p, 0.75) for p in (1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 8.0)]
+        for m in laws:
+            mk = ms.dilate(m, 2.0**k)
+            for x in self.XS:
+                l, xk = mc.harmonic_variance(m, x), math.ldexp(x, k)
+                if math.frexp(l)[1] + 2 * k > 1024:         # 4^k L is past the floats
+                    with pytest.raises(NumericBreakdown, match="overflows"):
+                        mc.harmonic_variance(mk, xk)
+                    continue
+                want = math.ldexp(l, 2 * k)
+                assert abs(mc.harmonic_variance(mk, xk) - want) <= 1e-15 * want, (m, x)
+
+    def test_array_cutoffs_match_scalar_ones(self):
+        xs = np.array([[0.5, 1.0], [1.5, 1e3]])
+        for m in (BOOLE, mc.normal(), NU, mc.point_mass(2.0)):
+            got = mc.harmonic_variance(m, xs)
+            assert got.shape == xs.shape
+            assert got.tolist() == [[mc.harmonic_variance(m, x) for x in row] for row in xs.tolist()]
+        with pytest.raises(ValueError):
+            mc.harmonic_variance(BOOLE, np.array([1.0, 0.0]))
+
+
+def test_frame_cache_is_thread_safe():
+    # L keeps the atoms' side of its last frame on the measure; threads that
+    # need other frames must never read one another's
+    import sys
+    import threading
+    m = mc.AtomicMeasure(np.linspace(-3.0, 7.0, 50), np.full(50, 0.02))
+    xs = [1e-60, 1e-20, 1.0, 1e60]           # frames -256, -128, 0 and 0
+    want = {x: mc.harmonic_variance(m, x) for x in xs}
+    wrong = []
+
+    def work(k):
+        for j in range(400):
+            x = xs[(j + k) % len(xs)]
+            if mc.harmonic_variance(m, x) != want[x]:
+                wrong.append(x)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+
+
+class TestClosedFormL:
+    """L of the normal law and of power tails against mpmath for x from 1e-300
+    to 1e300 at scales 1e-100, 1 and 1e100: within 1e-15 (normal) and 2e-15
+    (power tails) relative, plus ``float_info.tiny`` where L underflows, and
+    :class:`NumericBreakdown` where L overflows."""
+
+    XS = [c * 10.0 ** e for e in range(-300, 301, 20) for c in (1.0, 3.7)]
+    US = [0.3, 0.99, 1.0, 1.2, 1.5, 1.51, 2.0, 2.9, 30.0]     # near the branch points
+
+    @staticmethod
+    def reference_normal(s, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            u = mpmath.mpf(x) / s
+            if u > 1e6:     # 1 - u M(u) = u^-2 - 3 u^-4 + ..., Mills' ratio M
+                q = 1 / (u * u)
+                return s**2 * (1 - 3 * q + 15 * q * q - 105 * q**3)
+            with mpmath.workdps(60 + 2 * max(0, int(mpmath.log10(u + 1)))):
+                m = mpmath.sqrt(mpmath.pi / 2) * mpmath.erfc(u / mpmath.sqrt(2)) * mpmath.exp(u * u / 2)
+                return s**2 * u * u * (1 - u * m)
+
+    @staticmethod
+    def reference_power_tail(p, w, b, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            p, w, b, x = map(mpmath.mpf, (p, w, b, x))
+            u, beta = x / b, (p - 1) / 2
+            return 2 * w * b**2 * u**2 / (p - 1) * mpmath.hyp2f1(1, beta, beta + 1, -u * u)
+
+    @staticmethod
+    def check(m, x, want, rtol):
+        if want > np.finfo(float).max:
+            with pytest.raises(NumericBreakdown, match="overflows"):
+                mc.harmonic_variance(m, x)
+        else:
+            got = mc.harmonic_variance(m, x)
+            assert abs(got - want) <= rtol * want + np.finfo(float).tiny, (m, x)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    def test_normal(self, scale):
+        m = mc.normal(scale)
+        for x in self.XS + [u * scale for u in self.US]:
+            self.check(m, x, self.reference_normal(scale, x), 1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 3.5, 4.0, 5.0, 8.0])
+    def test_power_tail(self, p, scale):
+        m = mc.PowerTailLaw(p, 0.75, scale)
+        for x in self.XS + [u * scale for u in self.US]:
+            self.check(m, x, self.reference_power_tail(p, 0.75, scale, x), 2e-15)
 
 
 class TestTail:

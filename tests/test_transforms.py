@@ -318,6 +318,29 @@ class TestBrentPort:
             ref = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
             assert same_bits(tf._brentq(f, a, b, xtol, rtol, 200), ref)
 
+    @pytest.mark.parametrize("e", range(64, 160))
+    def test_huge_scales_have_scipys_bits(self, e):
+        # the extrapolation's denominator underflows to 0 from b ~ 1e62: C divides
+        # to +-inf and bisects, where a Python division raised ZeroDivisionError
+        base = mc.atomic(list(zip([-2.0, -1.0, 1.0, 3.0], [0.1, 0.4, 0.3, 0.2])))
+        m = mc.AtomicMeasure((base.positions - mc.moments(base).mean) * 10.0 ** e, base.masses)
+        pairs = []
+        port = tf._brentq
+
+        def both(f, a, b, xtol, rtol, maxiter):
+            x = port(f, a, b, xtol, rtol, maxiter)
+            pairs.append((x, optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)))
+            return x
+
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+            mp.setattr(tf, "_brentq", both)
+            try:
+                tf.nevanlinna_extract(m)
+            except NumericBreakdown:        # from 1e154 a residue at a zero overflows
+                assert e >= 154
+        assert len(pairs) == 3
+        assert all(same_bits(x, ref) for x, ref in pairs)
+
     def test_step_cap_gives_nan(self):
         with pytest.raises(RuntimeError):
             optimize.brentq(math.cos, 0.0, 3.0, xtol=1e-300, rtol=1e-14, maxiter=2)

@@ -46,7 +46,6 @@ from .transforms import (
     ComposeMap,
     DilatedMap,
     FreeConvolveMap,
-    IdentityMap,
     IterateMap,
     MeasureMap,
     NevanlinnaMap,

@@ -181,8 +181,7 @@ def _grid_cfg():
 def _grid_from_cfg(cfg) -> np.ndarray:
     if cfg["xmax"] <= cfg["xmin"]:
         raise ConfigError("xmax must exceed xmin")
-    n = int(round((cfg["xmax"] - cfg["xmin"]) / cfg["h"])) + 1
-    return cfg["xmin"] + cfg["h"] * np.arange(n)
+    return tf.default_grid(cfg["xmin"], cfg["xmax"], cfg["h"])
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,7 @@ class NormingSequence:
 
 
 def _is_degenerate(m: ms.Measure) -> bool:
-    if isinstance(m, ms.AtomicMeasure):
-        return len(m) == 1
-    return isinstance(m, ms.ReferenceLaw) and m.kind == "point"
+    return isinstance(m, ms.AtomicMeasure) and len(m) == 1
 
 
 def h_function(m: ms.Measure):
@@ -217,8 +215,7 @@ def norming_constants(m: ms.Measure, ns=None, N: int | None = None,
     return NormingSequence(ns, _cutoff_bisect(h, ns, float(seed)), "h-cutoff")
 
 
-def sigma_criterion_constants(sigma: ms.AtomicMeasure, ns, *,
-                              total: float | None = None) -> NormingSequence:
+def sigma_criterion_constants(sigma: ms.AtomicMeasure, ns) -> NormingSequence:
     """Norming constants from the singular part: largest root of
     ``n*(L_sigma(y) + sigma(R)) = y^2``.
 
@@ -230,7 +227,7 @@ def sigma_criterion_constants(sigma: ms.AtomicMeasure, ns, *,
     :class:`NonConvergence`.
     """
     ns = np.atleast_1d(np.asarray(ns, dtype=np.int64))
-    S = sigma.total_mass if total is None else total
+    S = sigma.total_mass
     nsf = ns.astype(float)
 
     def g(y, rows):     # and a bound on its rounding, 64 ulps of its terms
@@ -362,34 +359,25 @@ class CltReport:
 
 
 def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,
-               z_grid: np.ndarray | None = None, eta: float = 1e-2,
-               grid: np.ndarray | None = None, with_ks: bool = True,
-               with_classical: str = "auto") -> CltReport:
+               eta: float = 1e-2, grid: np.ndarray | None = None,
+               with_ks: bool = True) -> CltReport:
     """Convergence of the scaled powers of `source` toward the limit laws.
 
     `source` is a measure or directly a half-plane self-map (for measures
     that are defined through their transform).  A measure is centered by
     its mean first; a map source is taken as already centered and must come
     with explicit constants `B`.  For each n the report records the sup
-    over the z-grid of the deviation from the arc-sine transform, the CDF
+    over `default_z_grid` of the deviation from the arc-sine transform, the CDF
     distance of the inverted scaled power to the arc-sine law, and (for
     atomic inputs) the exact classical column against the Gaussian with the
     *same* constants.
 
-    `with_classical` selects that column: ``"auto"`` computes it for an
-    atomic source, ``"always"`` as well but raises :class:`ValueError` for
-    any other source, and ``"never"`` leaves ``ks_normal`` None.  It is the
+    That column (``ks_normal``, None for any other source) is the
     classical power of the centered law; a law on a lattice ``b + a*Z`` (see
     :func:`~monoclt.convolve.classical_power`) is powered on ``b - mean +
     a*Z``, since the centered positions need not keep an exact lattice.  It
     is None where the power exceeds the atom cap.
     """
-    if with_classical not in ("auto", "always", "never"):
-        raise ValueError(f"with_classical must be 'auto', 'always' or 'never', "
-                         f"got {with_classical!r}")
-    do_classical = with_classical != "never" and isinstance(source, ms.AtomicMeasure)
-    if with_classical == "always" and not do_classical:
-        raise ValueError("with_classical='always' needs an atomic source")
     n_arr = np.atleast_1d(np.asarray(n_list, dtype=np.int64))
     if isinstance(source, tf.SelfMap):
         if B is None:
@@ -406,7 +394,7 @@ def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,
         if B is None:
             B = norming_constants(centered, ns=n_arr)
         h_fn = h_function(centered)
-    zg = default_z_grid() if z_grid is None else np.asarray(z_grid)
+    zg = default_z_grid()
     target = tf.f_eval(tf.ArcsineMap(), zg)
 
     rows = []
@@ -420,7 +408,7 @@ def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,
             dens = tf.measure_from_map(M, grid=grid, eta=eta)
             ks_arc = tf.ks_distance(dens, ms.arcsine())
         ks_norm = None
-        if do_classical:
+        if isinstance(source, ms.AtomicMeasure):
             try:
                 power = cv._centered_power(source, int(n), mean)
                 ks_norm = tf.ks_distance(ms.dilate(power, 1.0 / Bn), ms.normal())

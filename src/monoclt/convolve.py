@@ -57,12 +57,12 @@ def monotone_convolve(m: ms.Measure, n: ms.Measure) -> tf.ComposeMap:
 
 
 def monotone_power(m: ms.Measure, n: int) -> tf.SelfMap:
-    """Map of the n-fold monotone power; ``n = 0`` gives the identity
-    (the point mass at 0)."""
+    """Map of the n-fold monotone power; ``n = 0`` gives the map of the point
+    mass at 0, which is the identity bit for bit."""
     if n < 0:
         raise ValueError("power must be >= 0")
     if n == 0:
-        return tf.IdentityMap()
+        return tf.MeasureMap(ms.point_mass(0.0))
     return tf.IterateMap(tf.MeasureMap(m), n)
 
 

@@ -344,12 +344,11 @@ def _fit_rmse(xdesign: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def conservativity_criterion(m: ms.Measure, N: int, *,
-                             B: cl.NormingSequence | None = None,
-                             n_checkpoints: int = 40) -> ConservativityReport:
+                             B: cl.NormingSequence | None = None) -> ConservativityReport:
     """Divergence diagnosis of ``sum 1/B_n^2`` for the norming constants of `m`.
 
     Fits ``a*log n + b``, ``a*loglog n + b``, and a convergent model
-    ``a - b/n^g`` to the partial sums at log-spaced checkpoints; the verdict
+    ``a - b/n^g`` to the partial sums at 40 log-spaced checkpoints; the verdict
     is the best divergent model unless the convergent fit wins by a factor
     of 2 in RMSE.  Includes the slow-variation diagnostic for H of `m`.
     The checkpoints start at n = 10, and each model has two parameters, so
@@ -363,7 +362,7 @@ def conservativity_criterion(m: ms.Measure, N: int, *,
         raise ValueError("given norming constants must cover n = 1..N")
     inv2 = 1.0 / B.values[:N] ** 2
     sums = np.cumsum(inv2)
-    ns = np.unique(np.geomspace(10, N, n_checkpoints).astype(np.int64))
+    ns = np.unique(np.geomspace(10, N, 40).astype(np.int64))
     s = sums[ns - 1]
 
     ones = np.ones_like(s)

@@ -7,7 +7,7 @@ The workbench manipulates four concrete representations:
 * :class:`GridDensity` -- a nonnegative density sampled on a uniform grid
   (the output format of Stieltjes inversion),
 * :class:`ReferenceLaw` -- closed-form laws (arc-sine, standard normal,
-  standard semicircle, point mass), optionally dilated,
+  standard semicircle), optionally dilated,
 * :class:`PowerTailLaw` -- symmetric densities ``~ |t|**-p`` outside a
   cutoff, the standard source of slowly varying truncated variances.
 
@@ -18,7 +18,7 @@ field must be finite: a NaN or an infinity raises ``ValueError``.
 Moment-type quantities use an explicit ``inf`` sentinel for divergent
 integrals; no operation is allowed to overflow instead.  The smoothed
 truncated variance L (`harmonic_variance`) is the library's only L: one sum
-for atomic, grid and point laws and a closed form for the others, with no
+for atomic and grid laws and a closed form for the others, with no
 quadrature anywhere.  For finite
 (non-probability) measures ``mean`` and ``m2`` are the raw integrals
 ``int t dm`` and ``int t^2 dm``; ``var`` always refers to the normalized
@@ -177,7 +177,7 @@ def atomic(pairs, *, is_probability: bool = True, pruned_mass: float = 0.0) -> A
 
 
 def point_mass(c: float) -> AtomicMeasure:
-    """The Dirac measure at ``c``."""
+    """The Dirac measure at ``c``: one atom, whose map is ``z - c``."""
     return AtomicMeasure(np.array([float(c)]), np.array([1.0]))
 
 
@@ -228,7 +228,7 @@ class GridDensity:
         return "\n".join(lines) + "\n"
 
 
-_REF_KINDS = ("arcsine", "normal", "semicircle", "point")
+_REF_KINDS = ("arcsine", "normal", "semicircle")
 
 
 @dataclass(frozen=True)
@@ -237,18 +237,18 @@ class ReferenceLaw:
 
     ``arcsine``    -- density ``1/(pi*sqrt(2-x^2))`` on ``(-sqrt2, sqrt2)``;
     ``normal``     -- standard Gaussian;
-    ``semicircle`` -- variance-1 semicircle on ``[-2, 2]``;
-    ``point``      -- unit mass at `c` (ignores `scale`).
+    ``semicircle`` -- variance-1 semicircle on ``[-2, 2]``.
+
+    A point mass is the one-atom law of :func:`point_mass`.
     """
 
     kind: str
-    c: float = 0.0
     scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in _REF_KINDS:
             raise ValueError(f"unknown reference law {self.kind!r}")
-        _require_finite("location and scale", self.c, self.scale)
+        _require_finite("scale", self.scale)
         if self.scale <= 0:
             raise ValueError("scale must be positive")
 
@@ -364,8 +364,6 @@ def moments(m: Measure) -> Moments:
             m2 = float(np.trapezoid(x**2 * m.values, dx=m.h))
         return _bounded_moments(mean, m2, m.total_mass)
     if isinstance(m, ReferenceLaw):
-        if m.kind == "point":
-            return Moments(m.c, m.c**2)
         # arcsine, normal and semicircle all have mean 0 and unit variance
         return Moments(0.0, m.scale**2)
     if isinstance(m, PowerTailLaw):
@@ -443,8 +441,6 @@ def truncated_variance(m: Measure, x: float) -> float:
             return 0.0
         return float(np.trapezoid((g[inside] ** 2) * m.values[inside], dx=m.h))
     if isinstance(m, ReferenceLaw):
-        if m.kind == "point":
-            return m.c**2 if abs(m.c) <= x else 0.0
         return m.scale**2 * _ref_h_unit(m.kind, x / m.scale)
     if isinstance(m, PowerTailLaw):
         p, w, b = m.exponent, m.weight, m.scale
@@ -507,8 +503,8 @@ def harmonic_variance(m: Measure, x):
     Nondecreasing in x and bounded by the raw second moment; finite for any
     x, except that a power tail of exponent p <= 3 grows without bound (like
     ``x^(3-p)``, or ``log x`` at p = 3).  Where L overflows this raises
-    :class:`NumericBreakdown`.  Atomic, grid (trapezoid weights) and point
-    laws share one sum, `_smoothed_squares`; the other laws have closed forms.
+    :class:`NumericBreakdown`.  Atomic and grid (trapezoid weights) laws
+    share one sum, `_smoothed_squares`; the other laws have closed forms.
     """
     xs = np.asarray(x, dtype=float)
     if not np.all(xs > 0):
@@ -520,8 +516,6 @@ def harmonic_variance(m: Measure, x):
         w = m.h * m.values
         w[[0, -1]] *= 0.5
         out = _smoothed_squares(m, m.grid, w, flat)
-    elif isinstance(m, ReferenceLaw) and m.kind == "point":
-        out = _smoothed_squares(m, np.array([m.c]), np.ones(1), flat)
     else:
         try:
             out = np.array([_closed_form_l(m, v) for v in flat.tolist()])
@@ -533,7 +527,7 @@ def harmonic_variance(m: Measure, x):
 
 
 def _closed_form_l(m: ReferenceLaw | PowerTailLaw, x: float) -> float:
-    """L of a reference law other than a point mass, or of a power tail."""
+    """L of a reference law or a power tail."""
     if isinstance(m, PowerTailLaw):
         p, w, b = m.exponent, m.weight, m.scale
         bound = 2.0 * w * b * b / (p - 3.0) if p > 3.0 else math.inf
@@ -620,8 +614,6 @@ def tail(m: Measure, x: float) -> float:
                 total += float(np.trapezoid(m.values[sel], dx=m.h))
         return total
     if isinstance(m, ReferenceLaw):
-        if m.kind == "point":
-            return 1.0 if abs(m.c) > x else 0.0
         u = x / m.scale
         if m.kind == "arcsine":
             if u >= math.sqrt(2.0):
@@ -652,11 +644,7 @@ def dilate(m: Measure, b: float) -> Measure:
         return AtomicMeasure(pos, mas, is_probability=m.is_probability, pruned_mass=m.pruned_mass)
     if isinstance(m, GridDensity):
         return GridDensity(m.x0 * b, m.h * b, m.values / b, clamped_mass=m.clamped_mass)
-    if isinstance(m, ReferenceLaw):
-        if m.kind == "point":
-            return ReferenceLaw("point", c=m.c * b)
-        return replace(m, scale=m.scale * b)
-    if isinstance(m, PowerTailLaw):
+    if isinstance(m, (ReferenceLaw, PowerTailLaw)):
         return replace(m, scale=m.scale * b)
     raise TypeError(f"not a measure: {m!r}")
 
@@ -668,8 +656,6 @@ def shift(m: Measure, c: float) -> Measure:
                              pruned_mass=m.pruned_mass)
     if isinstance(m, GridDensity):
         return GridDensity(m.x0 + c, m.h, m.values, clamped_mass=m.clamped_mass)
-    if isinstance(m, ReferenceLaw) and m.kind == "point":
-        return ReferenceLaw("point", c=m.c + c)
     if c == 0.0:
         return m
     raise TypeError(f"cannot shift {type(m).__name__} by a nonzero amount; "
@@ -733,9 +719,7 @@ def measure_to_json(m: Measure) -> str:
         doc = {"type": "grid", "x0": m.x0, "h": m.h, "values": [float(v) for v in m.values]}
     elif isinstance(m, ReferenceLaw):
         doc = {"type": "ref", "law": m.kind}
-        if m.kind == "point":
-            doc["c"] = m.c
-        elif m.scale != 1.0:
+        if m.scale != 1.0:
             doc["scale"] = m.scale
     elif isinstance(m, PowerTailLaw):
         doc = {"type": "ref", "law": "powertail", "exponent": m.exponent,
@@ -748,7 +732,8 @@ def measure_to_json(m: Measure) -> str:
 
 
 def measure_from_json(text: str | dict) -> Measure:
-    """Inverse of :func:`measure_to_json`."""
+    """Inverse of :func:`measure_to_json`; ``{"type": "ref", "law": "point", "c": c}``
+    reads as :func:`point_mass`."""
     doc = json.loads(text) if isinstance(text, str) else text
     kind = doc.get("type")
     if kind == "atomic":
@@ -759,7 +744,7 @@ def measure_from_json(text: str | dict) -> Measure:
     if kind == "ref":
         law = doc["law"]
         if law == "point":
-            return ReferenceLaw("point", c=doc.get("c", 0.0))
+            return point_mass(doc.get("c", 0.0))
         if law == "powertail":
             return PowerTailLaw(doc["exponent"], doc.get("weight", 1.0), doc.get("scale", 1.0))
         return ReferenceLaw(law, scale=doc.get("scale", 1.0))

@@ -62,7 +62,9 @@ Pole-form maps use two formulas.  ``x + c + sum w_k/(t_k - x)``
 and, as its boundary map, on the line; it is also the map of every atomic
 probability law with k atoms, whose k - 1 poles are the zeros of G
 (`_map_form`: extracted once per measure by `nevanlinna_extract`, certified
-against ``1/G`` and cached on the measure).  It needs one pole fewer than
+against ``1/G`` and cached on the measure).  A point mass is the one-atom
+law: its map ``z - c`` has no pole, and ``point_mass(0)``'s is the
+identity, bit for bit.  It needs one pole fewer than
 G and no reciprocal, and ``Im F >= Im z`` holds term by term.  ``1/G``
 (`_inverse_cauchy`) remains for grid laws, atomic laws that are not
 probability laws, and laws whose extraction fails its certificate.
@@ -101,7 +103,6 @@ __all__ = [
     "IterateMap",
     "DilatedMap",
     "ArcsineMap",
-    "IdentityMap",
     "ScaledPowerMap",
     "FreeConvolveMap",
     "NevanlinnaRep",
@@ -467,10 +468,8 @@ def cauchy_eval(m: ms.Measure, z):
         v = out.view(float)
         np.subtract(0.0, v, out=v)
     elif isinstance(m, ms.ReferenceLaw):
-        u = flat if m.kind == "point" else flat / m.scale
-        if m.kind == "point":
-            out = 1.0 / (flat - m.c)
-        elif m.kind == "arcsine":
+        u = flat / m.scale
+        if m.kind == "arcsine":
             out = 1.0 / (m.scale * sqrt_upper(u * u - 2.0))
         elif m.kind == "semicircle":
             out = (u - sqrt_upper(u * u - 4.0)) / (2.0 * m.scale)
@@ -612,11 +611,6 @@ class ArcsineMap(SelfMap):
 
 
 @dataclass(frozen=True)
-class IdentityMap(SelfMap):
-    """``z -> z`` (the map of the point mass at 0)."""
-
-
-@dataclass(frozen=True)
 class ScaledPowerMap(SelfMap):
     """Map of the rescaled n-fold monotone power: ``z -> F^(n)(B z)/B``.
 
@@ -679,7 +673,7 @@ def _evaluator(F):
     """``(fn, step)``: the map node or measure `F` as functions of flat points.
 
     `fn` runs `_check_upper_out` after each node that has a check (all but
-    the identity, compositions and iterations).  `step` is the unchecked
+    compositions and iterations).  `step` is the unchecked
     formula of an atomic measure's map or a Nevanlinna map, which an
     iteration repeats and checks once at its end; other nodes have None.
     That formula is `_pole_map` on the partial fractions of `_map_form`
@@ -690,8 +684,6 @@ def _evaluator(F):
         fn, step = _evaluator(MeasureMap(F))
         return step or fn, step
     step = None
-    if isinstance(F, IdentityMap):
-        return (lambda z: z), None
     if isinstance(F, ComposeMap):
         parts = [_evaluator(part)[0] for part in reversed(F.parts)]
         return (lambda z: functools.reduce(lambda w, part: part(w), parts, z)), None
@@ -782,7 +774,10 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
     Each zero is bracketed by halving a probe's distance to the gap's atoms
     until G has the sign it takes next to that atom, then found by Brent's
     method (`_brentq`, a port of scipy's ``brentq`` whose zeros have the
-    same bits as ``scipy.optimize.brentq``'s).
+    same bits as ``scipy.optimize.brentq``'s).  A mass is formed on the
+    zero and the atoms divided by a power of two at or above the largest
+    ``|atom|``, so it stays finite at every scale and has the unscaled
+    formula's bits wherever that formula neither over- nor underflows.
     A zero within an ulp of an atom (a mass of about 1e-16 of its
     neighbour's or less) has no float probe of that sign; the halving stops
     when the probe rounds onto the atom and raises
@@ -798,11 +793,14 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
     if k == 1:
         return NevanlinnaRep(a=-float(pos[0]), sigma=None)
 
+    kappa = math.ldexp(1.0, max(0, math.frexp(float(np.abs(pos).max()))[1]))
+
     def G(x):
         return float((mas / (x - pos)).sum())
 
     def dG(x):
-        return float(-(mas / (x - pos) ** 2).sum())
+        d = (x - pos) / kappa
+        return float(-(mas / (d * d)).sum())
 
     def off(atom, eps):
         """``atom + eps``, which must be another float: a probe that rounds
@@ -831,7 +829,8 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
                                  "in 200 steps of Brent's method")
 
     # residue of F = 1/G at a simple zero t of G is 1/G'(t) (negative here)
-    s = np.array([-1.0 / (dG(t) * (1.0 + t * t)) for t in zeros])
+    s = np.array([-1.0 / (dG(t) * (1.0 / kappa / kappa + (t / kappa) * (t / kappa)))
+                  for t in zeros])
     if not np.all(np.isfinite(s) & (s > 0)):
         raise NumericBreakdown("a residue of F at a zero of G over- or underflows")
     sigma = ms.AtomicMeasure(zeros, s, is_probability=False)
@@ -964,23 +963,15 @@ def cdf(m: ms.Measure | ms.GridDensity, x, side: str = "mid"):
     elif isinstance(m, ms.GridDensity):
         out = np.interp(xarr, m.grid, m.cdf_values(), left=0.0, right=m.total_mass)
     elif isinstance(m, ms.ReferenceLaw):
-        if m.kind == "point":
-            if side == "right":
-                out = (xarr >= m.c).astype(float)
-            elif side == "left":
-                out = (xarr > m.c).astype(float)
-            else:
-                out = np.where(xarr > m.c, 1.0, 0.0) + 0.5 * (xarr == m.c)
-        else:
-            u = xarr / m.scale
-            if m.kind == "arcsine":
-                out = 0.5 + np.arcsin(np.clip(u / math.sqrt(2.0), -1, 1)) / np.pi
-            elif m.kind == "normal":
-                from scipy import special
-                out = special.ndtr(u)
-            else:  # semicircle
-                uu = np.clip(u, -2.0, 2.0)
-                out = 0.5 + uu * np.sqrt(4.0 - uu * uu) / (4.0 * np.pi) + np.arcsin(uu / 2.0) / np.pi
+        u = xarr / m.scale
+        if m.kind == "arcsine":
+            out = 0.5 + np.arcsin(np.clip(u / math.sqrt(2.0), -1, 1)) / np.pi
+        elif m.kind == "normal":
+            from scipy import special
+            out = special.ndtr(u)
+        else:  # semicircle
+            uu = np.clip(u, -2.0, 2.0)
+            out = 0.5 + uu * np.sqrt(4.0 - uu * uu) / (4.0 * np.pi) + np.arcsin(uu / 2.0) / np.pi
     elif isinstance(m, ms.PowerTailLaw):
         p, w, b = m.exponent, m.weight, m.scale
         u = xarr / b
@@ -998,8 +989,6 @@ def cdf(m: ms.Measure | ms.GridDensity, x, side: str = "mid"):
 def _atoms_of(m) -> np.ndarray:
     if isinstance(m, ms.AtomicMeasure):
         return m.positions
-    if isinstance(m, ms.ReferenceLaw) and m.kind == "point":
-        return np.array([m.c])
     return np.empty(0)
 
 
@@ -1010,8 +999,6 @@ def _span_of(m) -> tuple[float, float]:
         g = m.grid
         return float(g[0]), float(g[-1])
     if isinstance(m, ms.ReferenceLaw):
-        if m.kind == "point":
-            return m.c, m.c
         if m.kind == "normal":
             return -8.0 * m.scale, 8.0 * m.scale
         r = math.sqrt(2.0) if m.kind == "arcsine" else 2.0
@@ -1026,15 +1013,14 @@ def _span_of(m) -> tuple[float, float]:
 
 
 def ks_distance(d: ms.GridDensity | ms.Measure, target: ms.Measure, *,
-                coverage_tol: float = 1e-6, dense: int = 4001,
                 atom_window: float = 0.0) -> float:
     """Sup-CDF distance between ``d`` and ``target``.
 
     Evaluation points are the grid of ``d`` (when it is a
-    :class:`~monoclt.measures.GridDensity`) or a dense fill of the combined
-    support, plus all atom locations; atoms contribute with the midpoint
-    convention.  Raises :class:`CoverageError` when the target carries more
-    than `coverage_tol` mass outside the comparison grid, or when no finite
+    :class:`~monoclt.measures.GridDensity`) or 4001 points filling the
+    combined support, plus all atom locations; atoms contribute with the
+    midpoint convention.  Raises :class:`CoverageError` when the target
+    carries more than 1e-6 of mass outside the comparison grid, or when no finite
     grid covers the support (a power tail of exponent below about 1.0227).
 
     When comparing a *smoothed* approximation against a target with atoms,
@@ -1046,7 +1032,7 @@ def ks_distance(d: ms.GridDensity | ms.Measure, target: ms.Measure, *,
         xs = d.grid
         lo, hi = xs[0], xs[-1]
         outside = cdf(target, lo, "left") + (ms.total_mass(target) - cdf(target, hi, "right"))
-        if outside > coverage_tol:
+        if outside > 1e-6:
             raise CoverageError(
                 f"target has mass {outside:.3g} outside the grid [{lo}, {hi}]")
     else:
@@ -1055,7 +1041,7 @@ def ks_distance(d: ms.GridDensity | ms.Measure, target: ms.Measure, *,
         pad = 0.05 * (hi - lo) + 1e-9
         if not math.isfinite(pad):
             raise CoverageError(f"no finite grid covers the span [{lo}, {hi}]")
-        xs = np.linspace(lo - pad, hi + pad, dense)
+        xs = np.linspace(lo - pad, hi + pad, 4001)
     atoms = np.unique(np.concatenate((_atoms_of(d), _atoms_of(target))))
     pts = np.asarray(xs, dtype=float)
     if len(atoms):
@@ -1086,9 +1072,9 @@ class TightnessStat:
     tight: bool
 
 
-def tightness_stat(F_list, y_list, *, threshold: float = 0.05) -> TightnessStat:
+def tightness_stat(F_list, y_list) -> TightnessStat:
     """Deviation matrix ``|F(iy)/(iy) - 1|``; the family is flagged tight
-    when the sup over maps at the largest y is below `threshold`."""
+    when the sup over maps at the largest y is below 0.05."""
     ys = np.asarray(list(y_list), dtype=float)
     if np.any(ys <= 0):
         raise ValueError("y values must be positive")
@@ -1097,4 +1083,4 @@ def tightness_stat(F_list, y_list, *, threshold: float = 0.05) -> TightnessStat:
         vals = f_eval(F, 1j * ys)
         devs[i] = np.abs(vals / (1j * ys) - 1.0)
     j_big = int(np.argmax(ys))
-    return TightnessStat(devs, ys, bool(devs[:, j_big].max() < threshold))
+    return TightnessStat(devs, ys, bool(devs[:, j_big].max() < 0.05))

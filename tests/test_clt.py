@@ -235,8 +235,8 @@ class TestCltReport:
         assert abs(rep.h_index_estimate) < 0.01
 
     def test_centering_is_automatic(self):
-        rep = clt.clt_report(BERN, [100], with_ks=False, with_classical="never")
-        rep2 = clt.clt_report(CENTERED_BERN, [100], with_ks=False, with_classical="never")
+        rep = clt.clt_report(BERN, [100], with_ks=False)
+        rep2 = clt.clt_report(CENTERED_BERN, [100], with_ks=False)
         assert abs(rep.rows[0].f_dev - rep2.rows[0].f_dev) < 1e-12
 
     def test_squared_transform_rate(self):
@@ -252,7 +252,7 @@ class TestCltReport:
         assert rep.rows[0].ks_normal < 0.06
 
     def test_ks_and_fdev_orderings_agree(self):
-        rep = clt.clt_report(BOOLE, [100, 1000], with_classical="never")
+        rep = clt.clt_report(BOOLE, [100, 1000])
         devs = [r.f_dev for r in rep.rows]
         kss = [r.ks_arcsine for r in rep.rows]
         assert (devs[0] > devs[1]) == (kss[0] > kss[1])
@@ -271,8 +271,7 @@ class TestCltReport:
         x = np.arange(-1.0, 1.0 + h / 2, h)
         uniform = mc.GridDensity(float(x[0]), h, np.full(len(x), 0.5))
         assert abs(mc.moments(uniform).var - 1.0 / 3.0) < 1e-4
-        rep = clt.clt_report(uniform, [50, 200, 800], with_ks=False,
-                             with_classical="never")
+        rep = clt.clt_report(uniform, [50, 200, 800], with_ks=False)
         assert rep.monotone_ok
         assert rep.rows[-1].f_dev < 0.05
 
@@ -296,14 +295,6 @@ class TestCltReport:
         m = mc.AtomicMeasure([1e6, 1e6 + 1e-3], [0.5, 0.5])
         ks = clt.clt_report(m, [1000], with_ks=False).rows[0].ks_normal
         assert abs(ks - 0.011726624198362012) < 1e-12     # the pair path's value
-
-    @pytest.mark.parametrize("source, value", [
-        (BOOLE, "yes"), (BOOLE, None), (mc.normal(), "always"),
-        (mc.ArcsineMap(), "always")])
-    def test_with_classical_validated(self, source, value):
-        B = clt.NormingSequence([10], [math.sqrt(10.0)], "given")
-        with pytest.raises(ValueError, match="with_classical"):
-            clt.clt_report(source, [10], B=B, with_ks=False, with_classical=value)
 
     def test_map_source_needs_constants(self):
         F = mc.nevanlinna_synthesize(mc.NevanlinnaRep(0.0, mc.atomic(

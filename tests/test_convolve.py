@@ -263,6 +263,17 @@ class TestFreeConvolve:
         for z in (1j, -1 + 2j):
             assert abs(mc.f_eval(F, z) - mc.f_eval(mc.MeasureMap(BOOLE), z)) < 1e-12
 
+    def test_json_point_mass_shifts_exactly(self):
+        # h of the one-atom law is the constant -c, so the fixed point is
+        # z - c bit for bit
+        rng = np.random.default_rng(22)
+        m = random_atomic(rng, k=4)
+        for c in rng.uniform(-10.0, 10.0, 5).tolist():
+            point = mc.measure_from_json({"type": "ref", "law": "point", "c": c})
+            zs = random_upper(rng, 40)
+            got = mc.f_eval(mc.free_convolve(m, point), zs)
+            assert got.tobytes() == mc.f_eval(mc.MeasureMap(m), zs - c).tobytes()
+
     def test_coin_with_coin_closed_form(self):
         # R-transform oracle: each factor has R(w) = (sqrt(1+4w^2)-1)/(2w),
         # doubling gives K(w) = sqrt(1+4w^2)/w, hence F(z) = sqrt(z^2-4)

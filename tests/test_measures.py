@@ -180,11 +180,11 @@ class TestHarmonicVariance:
 
 @pytest.mark.parametrize("call", [
     lambda: mc.moments(mc.ReferenceLaw("normal", scale=1e200)),
-    lambda: mc.moments(mc.ReferenceLaw("point", c=1e200)),
+    lambda: mc.moments(mc.point_mass(1e200)),
     lambda: mc.moments(mc.PowerTailLaw(4.0, 0.75, 1e200)),
     lambda: mc.truncated_variance(mc.PowerTailLaw(4.0, 0.75, 1e200), 1e250),
     lambda: mc.truncated_variance(mc.PowerTailLaw(1.5, 0.25), 1e300),
-    lambda: mc.truncated_variance(mc.ReferenceLaw("point", c=1e200), 1e250),
+    lambda: mc.truncated_variance(mc.point_mass(1e200), 1e250),
     lambda: mc.harmonic_variance(mc.PowerTailLaw(2.5, 0.75, 1e200), 1e250),
     lambda: mc.harmonic_variance(mc.ReferenceLaw("normal", scale=1e200), 1e250),
 ])
@@ -279,7 +279,7 @@ class TestDilationLaw:
         return [mc.AtomicMeasure(pos * b, np.full(6, 1.0 / 6.0)),
                 mc.AtomicMeasure(np.array([0.0, 3.0]) * b, np.array([0.5, 2.0]), is_probability=False),
                 mc.GridDensity(-2.0 * b, 0.01 * b, np.linspace(0.0, 1.0, 401) / b),
-                mc.ReferenceLaw("point", c=-1.5 * b)]
+                mc.point_mass(-1.5 * b)]
 
     @pytest.mark.parametrize("k", KS)
     def test_sum_laws_bit_for_bit(self, k):
@@ -556,7 +556,7 @@ class TestValidationAndJson:
         lambda bad: mc.GridDensity(0.0, bad, np.array([1.0, 1.0])),
         lambda bad: mc.GridDensity(0.0, 0.1, np.array([1.0, 1.0]), clamped_mass=bad),
         lambda bad: mc.ReferenceLaw("arcsine", scale=bad),
-        lambda bad: mc.ReferenceLaw("point", c=bad),
+        lambda bad: mc.point_mass(bad),
         lambda bad: mc.PowerTailLaw(bad),
         lambda bad: mc.PowerTailLaw(3.0, weight=bad),
         lambda bad: mc.PowerTailLaw(3.0, scale=bad),
@@ -571,7 +571,7 @@ class TestValidationAndJson:
     def test_json_roundtrips(self):
         rng = np.random.default_rng(6)
         cases = [random_atomic(rng), mc.arcsine(), mc.normal(), mc.semicircle(),
-                 mc.ReferenceLaw("point", c=2.0), NU,
+                 mc.point_mass(2.0), NU,
                  mc.GridDensity(-1.0, 0.5, np.array([0.1, 0.2, 0.1])),
                  mc.atomic([(0.5, 0.2)], is_probability=False)]
         for m in cases:

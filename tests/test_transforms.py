@@ -159,6 +159,17 @@ class TestFEval:
         w = mc.f_eval(mc.MeasureMap(mc.point_mass(1.0)), 0.5j)
         assert w.imag == 0.5  # equality for the degenerate case
 
+    def test_json_point_mass_is_a_shift(self):
+        # the JSON point mass is the one-atom law, whose map is z - c exactly,
+        # so Im F = Im z holds with equality (1/(1/(z - c)) can round below it)
+        rng = np.random.default_rng(22)
+        cs = rng.uniform(-100.0, 100.0, 200)
+        zs = rng.uniform(-100.0, 100.0, 200) + 1j * 10.0 ** rng.uniform(-6.0, 3.0, 200)
+        for c, z in zip(cs.tolist(), zs.tolist()):
+            F = mc.MeasureMap(mc.measure_from_json({"type": "ref", "law": "point", "c": c}))
+            w = mc.f_eval(F, z)
+            assert w == z - c and w.imag == z.imag
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             mc.f_eval(mc.ArcsineMap(), -1j)
@@ -318,12 +329,15 @@ class TestBrentPort:
             ref = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=200)
             assert same_bits(tf._brentq(f, a, b, xtol, rtol, 200), ref)
 
+    @staticmethod
+    def _scaled(e):
+        base = mc.atomic(list(zip([-2.0, -1.0, 1.0, 3.0], [0.1, 0.4, 0.3, 0.2])))
+        return mc.AtomicMeasure((base.positions - mc.moments(base).mean) * 10.0 ** e, base.masses)
+
     @pytest.mark.parametrize("e", range(64, 160))
     def test_huge_scales_have_scipys_bits(self, e):
         # the extrapolation's denominator underflows to 0 from b ~ 1e62: C divides
         # to +-inf and bisects, where a Python division raised ZeroDivisionError
-        base = mc.atomic(list(zip([-2.0, -1.0, 1.0, 3.0], [0.1, 0.4, 0.3, 0.2])))
-        m = mc.AtomicMeasure((base.positions - mc.moments(base).mean) * 10.0 ** e, base.masses)
         pairs = []
         port = tf._brentq
 
@@ -332,14 +346,15 @@ class TestBrentPort:
             pairs.append((x, optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)))
             return x
 
-        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        with pytest.MonkeyPatch.context() as mp:
             mp.setattr(tf, "_brentq", both)
-            try:
-                tf.nevanlinna_extract(m)
-            except NumericBreakdown:        # from 1e154 a residue at a zero overflows
-                assert e >= 154
+            rep = tf.nevanlinna_extract(self._scaled(e))
         assert len(pairs) == 3
         assert all(same_bits(x, ref) for x, ref in pairs)
+        # the residues are scale-free up to the 1 of 1 + t^2 and the rounding of 10^e
+        # (3e-15 at most here), also where t^2 overflows (from 10^154)
+        ref = tf.nevanlinna_extract(self._scaled(140)).sigma.masses
+        np.testing.assert_allclose(rep.sigma.masses, ref, rtol=4e-15, atol=0)
 
     def test_step_cap_gives_nan(self):
         with pytest.raises(RuntimeError):
@@ -382,7 +397,7 @@ class TestLatticeBisect:
 class TestInversion:
     def test_poisson_kernel_for_point_mass(self):
         eta = 1e-2
-        d = mc.measure_from_map(mc.IdentityMap(), eta=eta, richardson=False)
+        d = mc.measure_from_map(mc.MeasureMap(mc.point_mass(0.0)), eta=eta, richardson=False)
         x = d.grid
         oracle = eta / (np.pi * (x * x + eta * eta))
         assert np.abs(d.values - oracle).max() < 1e-8
@@ -417,7 +432,7 @@ class TestInversion:
 
     def test_grid_must_be_uniform(self):
         with pytest.raises(ValueError):
-            mc.measure_from_map(mc.IdentityMap(), grid=np.array([0.0, 1.0, 3.0]), eta=0.1)
+            mc.measure_from_map(mc.MeasureMap(mc.point_mass(0.0)), grid=np.array([0.0, 1.0, 3.0]), eta=0.1)
 
     @pytest.mark.parametrize("grid", [[0.0], []])
     def test_grid_needs_two_points(self, grid):
@@ -433,7 +448,7 @@ class TestKsDistance:
         # eta must stay on the order of the grid spacing so the trapezoid
         # rule resolves the smoothing kernel
         eta = 2e-3
-        d = mc.measure_from_map(mc.IdentityMap(), eta=eta, richardson=False)
+        d = mc.measure_from_map(mc.MeasureMap(mc.point_mass(0.0)), eta=eta, richardson=False)
         ks = mc.ks_distance(d, mc.point_mass(0.0), atom_window=0.25)
         assert ks < 5e-3  # ~ eta/(pi*window) plus trapezoid mass defect
 
@@ -466,7 +481,7 @@ class TestKsDistance:
 
 class TestTightness:
     def test_identity_family(self):
-        stat = mc.tightness_stat([mc.IdentityMap()] * 3, [1.0, 10.0, 100.0])
+        stat = mc.tightness_stat([mc.MeasureMap(mc.point_mass(0.0))] * 3, [1.0, 10.0, 100.0])
         assert np.all(stat.deviations == 0.0) and stat.tight
 
     def test_two_point_value(self):

@@ -433,13 +433,15 @@ def truncated_variance(m: Measure, x: float) -> float:
         raise ValueError("cutoff x must be positive")
     if isinstance(m, AtomicMeasure):
         inside = np.abs(m.positions) <= x
-        return float(np.dot(m.positions[inside] ** 2, m.masses[inside]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.dot(m.positions[inside] ** 2, m.masses[inside]))
     if isinstance(m, GridDensity):
         g = m.grid
         inside = np.abs(g) <= x
         if inside.sum() < 2:
             return 0.0
-        return float(np.trapezoid((g[inside] ** 2) * m.values[inside], dx=m.h))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.trapezoid((g[inside] ** 2) * m.values[inside], dx=m.h))
     if isinstance(m, ReferenceLaw):
         return m.scale**2 * _ref_h_unit(m.kind, x / m.scale)
     if isinstance(m, PowerTailLaw):

@@ -775,9 +775,10 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
     until G has the sign it takes next to that atom, then found by Brent's
     method (`_brentq`, a port of scipy's ``brentq`` whose zeros have the
     same bits as ``scipy.optimize.brentq``'s).  A mass is formed on the
-    zero and the atoms divided by a power of two at or above the largest
-    ``|atom|``, so it stays finite at every scale and has the unscaled
-    formula's bits wherever that formula neither over- nor underflows.
+    zero and the atoms divided by a power of two at or above the zero's
+    distance to its nearest atom (1 below 1), so it stays finite at every
+    scale and spread and has the unscaled formula's bits wherever that
+    formula neither over- nor underflows.
     A zero within an ulp of an atom (a mass of about 1e-16 of its
     neighbour's or less) has no float probe of that sign; the halving stops
     when the probe rounds onto the atom and raises
@@ -793,14 +794,15 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
     if k == 1:
         return NevanlinnaRep(a=-float(pos[0]), sigma=None)
 
-    kappa = math.ldexp(1.0, max(0, math.frexp(float(np.abs(pos).max()))[1]))
-
     def G(x):
         return float((mas / (x - pos)).sum())
 
-    def dG(x):
-        d = (x - pos) / kappa
-        return float(-(mas / (d * d)).sum())
+    def mass(t):
+        kappa = math.ldexp(1.0, min(1023, max(0, math.frexp(float(np.abs(t - pos).min()))[1])))
+        d = (t - pos) / kappa
+        with np.errstate(over="ignore", divide="ignore"):
+            den = float((mas / (d * d)).sum()) * (1.0 / kappa / kappa + (t / kappa) * (t / kappa))
+        return 1.0 / den if den else math.inf
 
     def off(atom, eps):
         """``atom + eps``, which must be another float: a probe that rounds
@@ -828,9 +830,9 @@ def nevanlinna_extract(m: ms.AtomicMeasure) -> NevanlinnaRep:
             raise NonConvergence(f"the zero of G in ({lo_atom!r}, {hi_atom!r}) is not found "
                                  "in 200 steps of Brent's method")
 
-    # residue of F = 1/G at a simple zero t of G is 1/G'(t) (negative here)
-    s = np.array([-1.0 / (dG(t) * (1.0 / kappa / kappa + (t / kappa) * (t / kappa)))
-                  for t in zeros])
+    # residue of F = 1/G at a simple zero t of G is 1/G'(t) (negative here);
+    # its mass is -1/(G'(t) (1 + t^2))
+    s = np.array([mass(t) for t in zeros])
     if not np.all(np.isfinite(s) & (s > 0)):
         raise NumericBreakdown("a residue of F at a zero of G over- or underflows")
     sigma = ms.AtomicMeasure(zeros, s, is_probability=False)

@@ -189,8 +189,10 @@ class TestHarmonicVariance:
     lambda: mc.harmonic_variance(mc.ReferenceLaw("normal", scale=1e200), 1e250),
 ])
 def test_overflowing_closed_form_is_typed(call):
-    # Python's float power used to raise a bare OverflowError here
-    with pytest.raises(NumericBreakdown, match="overflows"):
+    # Python's float power used to raise a bare OverflowError here; only the
+    # typed error comes out, with no RuntimeWarning of numpy's before it
+    with warnings.catch_warnings(), pytest.raises(NumericBreakdown, match="overflows"):
+        warnings.simplefilter("error", RuntimeWarning)
         call()
 
 

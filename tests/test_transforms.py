@@ -249,6 +249,34 @@ class TestNevanlinna:
         with alarm(10), pytest.raises(error, match=match):
             mc.nevanlinna_extract(mc.AtomicMeasure(*zip(*atoms)))
 
+    @pytest.mark.parametrize("gap, masses", [
+        # a near zero at 5e-10 beside an atom at 1e153: a scale set by the
+        # largest atom squared its distances to 0 (gap 1e-9) or to a subnormal
+        # with 7 bits (gap 1e-7); the unscaled formula has these bits
+        (1e-9, ["0x1.47f12e9228414p-62", "0x1.c71c71c71c649p-4"]),
+        (1e-7, ["0x1.9051e9596a228p-49", "0x1.c71c71c71c649p-4"]),
+    ])
+    def test_wide_spread_law_keeps_the_unscaled_bits(self, gap, masses):
+        rep = mc.nevanlinna_extract(mc.atomic([(0.0, 0.45), (gap, 0.45), (1e153, 0.1)]))
+        assert rep.sigma.masses.tolist() == [float.fromhex(h) for h in masses]
+
+    def test_masses_are_the_unscaled_formulas_where_it_is_normal(self):
+        # atoms spread over 165 decades, so each zero has its own scale
+        rng = np.random.default_rng(22)
+        checked = 0
+        for _ in range(300):
+            k = int(rng.integers(2, 6))
+            pos = np.sort(rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-12.0, 153.0, k))
+            mas = rng.dirichlet(np.ones(k))
+            rep = mc.nevanlinna_extract(mc.AtomicMeasure(pos, mas))
+            for t, s in zip(rep.sigma.positions.tolist(), rep.sigma.masses.tolist()):
+                sq = (t - pos) ** 2
+                if sq.min() < np.finfo(float).tiny:
+                    continue
+                assert same_bits(s, -1.0 / (float(-(mas / sq).sum()) * (1.0 + t * t)))
+                checked += 1
+        assert checked > 500
+
     def test_zero_on_a_flat_run_is_its_middle(self):
         # G rounds to 0 on the floats within 2^-54 of 0, whose middle is the
         # exact zero: x - 1/x keeps its pole at 0, not at 2^-54

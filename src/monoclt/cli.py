@@ -1,10 +1,12 @@
 """Command-line front end: experiments as subcommands with file artifacts.
 
 Every subcommand assembles a config (defaults, then ``--config`` JSON,
-then explicit flags), hashes it, runs the experiment, and writes
-deterministic artifacts named ``<subcommand>-<hash>.<ext>`` plus a run
-manifest ``<subcommand>-<hash>-manifest.json`` (inputs, versions, wall
-time).  Identical configs produce byte-identical artifacts: floats are
+then explicit flags), hashes it, runs the experiment, and returns one
+table ``(note, header, rows)``.  :func:`run` is the package's one
+artifact writer: it writes that table as ``<subcommand>-<hash>.csv`` or
+``.json`` plus a run manifest ``<subcommand>-<hash>-manifest.json``
+(inputs, versions, wall time); the library's report objects are plain
+data.  Identical configs produce byte-identical artifacts: floats are
 formatted with 17 significant digits and any sampling uses the seeded
 generator from the config.
 
@@ -198,7 +200,7 @@ def cmd_moments(cfg, out):
         rows.append([f"H({_fmt(x)})", ms.truncated_variance(m, x)])
         rows.append([f"L({_fmt(x)})", ms.harmonic_variance(m, x)])
         rows.append([f"tail({_fmt(x)})", ms.tail(m, x)])
-    return [("csv", "moments", ["quantity", "value"], rows)]
+    return "moments", ["quantity", "value"], rows
 
 
 MOMENTS_SPEC = {**_COMMON,
@@ -215,7 +217,7 @@ def cmd_norming(cfg, out):
     else:
         B = clt.norming_constants(m, ns=ns, method=cfg["method"])
     rows = [[int(n), float(b)] for n, b in zip(B.ns, B.values)]
-    return [("csv", f"norming ({B.provenance})", ["n", "B"], rows)]
+    return f"norming ({B.provenance})", ["n", "B"], rows
 
 
 NORMING_SPEC = {**_COMMON,
@@ -238,7 +240,7 @@ def cmd_clt_report(cfg, out):
     rows = [[r.n, r.B, r.f_dev,
              "" if r.ks_arcsine is None else r.ks_arcsine,
              "" if r.ks_normal is None else r.ks_normal] for r in rep.rows]
-    return [("csv", "clt-report", ["n", "B", "f_dev", "ks_arcsine", "ks_normal"], rows)]
+    return "clt-report", ["n", "B", "f_dev", "ks_arcsine", "ks_normal"], rows
 
 
 CLT_SPEC = {**_COMMON, **_grid_cfg(),
@@ -268,7 +270,7 @@ def cmd_conjugacy(cfg, out):
                      abs(tr.lhs - tr.telescoped), abs(tr.remainder_sum - (-2.0))])
     header = ["y", "lhs_re", "lhs_im", "telescoped_re", "telescoped_im",
               "agreement", "remainder_dev_from_minus2"]
-    return [("csv", "conjugacy", header, rows)]
+    return "conjugacy", header, rows
 
 
 CONJ_SPEC = {**_COMMON,
@@ -284,8 +286,7 @@ def cmd_invert(cfg, out):
     F = tf.MeasureMap(obj) if not isinstance(obj, eg.LatticeTailLab) else obj.map
     dens = tf.measure_from_map(F, grid=_grid_from_cfg(cfg), eta=cfg["eta"])
     rows = [[x, v] for x, v in zip(dens.grid, dens.values)]
-    return [("csv", f"invert (clamped_mass={_fmt(dens.clamped_mass)})",
-             ["x", "density"], rows)]
+    return f"invert (clamped_mass={_fmt(dens.clamped_mass)})", ["x", "density"], rows
 
 
 INVERT_SPEC = {**_COMMON, **_grid_cfg(),
@@ -294,26 +295,24 @@ INVERT_SPEC = {**_COMMON, **_grid_cfg(),
 
 
 def cmd_free_conv(cfg, out):
-    m = parse_measure(cfg["measure"], cfg["K"])
-    n = parse_measure(cfg["with"], cfg["K"])
+    m = parse_measure(cfg["measure"])
+    n = parse_measure(cfg["with"])
     if isinstance(m, eg.LatticeTailLab) or isinstance(n, eg.LatticeTailLab):
         raise ConfigError("free convolution needs plain measures")
     dens = cv.free_density(m, n, grid=_grid_from_cfg(cfg), eta=cfg["eta"],
                            maxiter=cfg["maxiter"])
     rows = [[x, v] for x, v in zip(dens.grid, dens.values)]
-    return [("csv", f"free-conv (clamped_mass={_fmt(dens.clamped_mass)})",
-             ["x", "density"], rows)]
+    return f"free-conv (clamped_mass={_fmt(dens.clamped_mass)})", ["x", "density"], rows
 
 
 FREE_SPEC = {**_COMMON, **_grid_cfg(),
              "measure": (_str, "boole", "left factor"),
              "with": (_str, "boole", "right factor"),
-             "K": (_positive(int), 1000, "lattice truncation for ex310b"),
              "maxiter": (_positive(int), 10_000, "fixed-point step cap")}
 
 
 def cmd_nevanlinna(cfg, out):
-    m = parse_measure(cfg["measure"], cfg["K"])
+    m = parse_measure(cfg["measure"])
     if not isinstance(m, ms.AtomicMeasure):
         raise ConfigError("extraction needs an atomic probability measure")
     rep = tf.nevanlinna_extract(m)
@@ -321,12 +320,11 @@ def cmd_nevanlinna(cfg, out):
     if rep.sigma is not None:
         for t, s in zip(rep.sigma.positions, rep.sigma.masses):
             rows.append([f"atom({_fmt(float(t))})", float(s)])
-    return [("csv", "nevanlinna", ["quantity", "value"], rows)]
+    return "nevanlinna", ["quantity", "value"], rows
 
 
 NEV_SPEC = {**_COMMON,
-            "measure": (_str, "boole", "atomic measure token/JSON/@file"),
-            "K": (_positive(int), 1000, "unused for atomic input")}
+            "measure": (_str, "boole", "atomic measure token/JSON/@file")}
 
 
 def _map_from_cfg(cfg):
@@ -343,7 +341,7 @@ def cmd_boundary_map(cfg, out):
     rows = [["c", T.c]] + [[f"pole({_fmt(float(t))})", float(w)]
                            for t, w in zip(T.pole_positions, T.pole_weights)]
     out["map_json"] = T.to_json()
-    return [("csv", "boundary-map", ["quantity", "value"], rows)]
+    return "boundary-map", ["quantity", "value"], rows
 
 
 BMAP_SPEC = {**_COMMON,
@@ -364,7 +362,7 @@ def cmd_orbit(cfg, out):
     x0 = _random_starts(cfg)
     rec = eg.occupation_time(T, x0, cfg["N"], (cfg["window-lo"], cfg["window-hi"]))
     rows = [[float(x), int(v), int(tr)] for x, v, tr in zip(x0, rec.visits, rec.truncated_at)]
-    return [("csv", "orbit", ["x0", "visits", "truncated_at"], rows)]
+    return "orbit", ["x0", "visits", "truncated_at"], rows
 
 
 ORBIT_SPEC = {**_COMMON,
@@ -384,7 +382,7 @@ def cmd_preserve_check(cfg, out):
     ys = rng.normal(0.0, cfg["y-scale"], cfg["samples"])
     devs = eg._preservation_deviations(T, ys)
     rows = [[y, T.n_poles + 1, dev] for y, dev in zip(ys.tolist(), devs.tolist())]
-    return [("csv", "preserve-check", ["y", "n_preimages", "deviation"], rows)]
+    return "preserve-check", ["y", "n_preimages", "deviation"], rows
 
 
 PRESERVE_SPEC = {**_COMMON,
@@ -399,7 +397,7 @@ def cmd_aaronson(cfg, out):
     src = _measure_or_map(obj)
     sums = eg.aaronson_sums(src, cfg["N"], complex(cfg["z-re"], cfg["z-im"]))
     rows = [[n + 1, sums.terms[n], sums.partial_sums[n]] for n in range(cfg["N"])]
-    return [("csv", "aaronson", ["n", "term", "s_n"], rows)]
+    return "aaronson", ["n", "term", "s_n"], rows
 
 
 AARONSON_SPEC = {**_COMMON,
@@ -420,8 +418,7 @@ def cmd_conservativity(cfg, out):
     rows = [[int(n), float(s)] for n, s in zip(rep.ns, rep.partial_sums)]
     out["fits"] = rep.fits
     out["verdict"] = rep.verdict
-    return [("csv", f"conservativity (verdict: {rep.verdict})",
-             ["N", "sum_inv_B_squared"], rows)]
+    return f"conservativity (verdict: {rep.verdict})", ["N", "sum_inv_B_squared"], rows
 
 
 CONSERV_SPEC = {**_COMMON,
@@ -448,8 +445,7 @@ def cmd_hopf(cfg, out):
         for si in range(len(x0)):
             rows.append([int(n), si, res.ratios[ci, si]])
     out["target"] = res.target
-    return [("csv", f"hopf (target={_fmt(res.target)})",
-             ["n", "start_index", "ratio"], rows)]
+    return f"hopf (target={_fmt(res.target)})", ["n", "start_index", "ratio"], rows
 
 
 HOPF_SPEC = {**_COMMON,
@@ -477,8 +473,8 @@ def cmd_example_3_5(cfg, out):
         one_step = tf.f_eval(cv.scaled_monotone_power(m, 1, Bn), 1j * y)
         closed = 1j * y - 1.0 / (n * 1j * y)
         rows.append([y, dev, 5.0 / n, abs(one_step - closed)])
-    return [("csv", "example-3-5", ["y", "sq_deviation", "bound_5_over_n",
-                                    "one_step_closed_form_dev"], rows)]
+    return "example-3-5", ["y", "sq_deviation", "bound_5_over_n",
+                           "one_step_closed_form_dev"], rows
 
 
 EX35_SPEC = {**_COMMON,
@@ -497,7 +493,7 @@ def cmd_example_3_10b(cfg, out):
         if n <= cfg["N"]:
             rows.append([f"B({n})", lab.B.at(n)])
     out["map_json_poles"] = int(lab.T.n_poles)
-    return [("csv", "example-3-10b", ["quantity", "value"], rows)]
+    return "example-3-10b", ["quantity", "value"], rows
 
 
 EX310B_SPEC = {**_COMMON,
@@ -522,10 +518,6 @@ _SUBCOMMANDS = {
     "example-3-5": (EX35_SPEC, cmd_example_3_5),
     "example-3-10b": (EX310B_SPEC, cmd_example_3_10b),
 }
-
-
-def _rows_to_json(header, rows):
-    return [dict(zip(header, row)) for row in rows]
 
 
 def _is_number(token: str) -> bool:
@@ -584,7 +576,7 @@ def run(argv=None) -> int:
     h = config_hash(cfg)
     extra: dict = {}
     try:
-        artifacts = fn(cfg, extra)
+        note, header, rows = fn(cfg, extra)
     except _VALIDATION_ERRORS as exc:
         print(f"validation error [{args.subcommand}]: {type(exc).__name__}: {exc}",
               file=sys.stderr)
@@ -595,30 +587,25 @@ def run(argv=None) -> int:
         return 3
 
     outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for _kind, note, header, rows in artifacts:
-        if cfg["format"] == "csv":
-            path = outdir / f"{args.subcommand}-{h}.csv"
-            _write_csv(path, header, rows)
-        else:
-            path = outdir / f"{args.subcommand}-{h}.json"
-            path.write_text(json.dumps({"schema_version": SCHEMA_VERSION,
-                                        "note": note,
-                                        "rows": _rows_to_json(header, rows)},
-                                       indent=1))
-        written.append(path.name)
-        print(f"{args.subcommand}: wrote {path} ({note})")
+    path = outdir / f"{args.subcommand}-{h}.{cfg['format']}"
+    if cfg["format"] == "csv":
+        _write_csv(path, header, rows)
+    else:
+        path.write_text(json.dumps({"schema_version": SCHEMA_VERSION, "note": note,
+                                    "rows": [dict(zip(header, row)) for row in rows]},
+                                   indent=1))
+    print(f"{args.subcommand}: wrote {path} ({note})")
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": args.subcommand,
         "config": cfg,
         "config_hash": h,
-        "artifacts": written,
+        "artifacts": [path.name],
         "versions": {"monoclt": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__, "python": platform.python_version()},
         "wall_time_s": round(time.time() - t0, 3),
-        **{k: v for k, v in extra.items()},
+        **extra,
     }
     (outdir / f"{args.subcommand}-{h}-manifest.json").write_text(
         json.dumps(manifest, indent=1, default=str))

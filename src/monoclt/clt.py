@@ -28,7 +28,6 @@ check (`lln_check`); conjugacy and drift read the half-plane orbit
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -61,9 +60,6 @@ __all__ = [
     "lln_check",
     "default_z_grid",
 ]
-
-SCHEMA_VERSION = 1
-
 
 @dataclass(frozen=True)
 class NormingSequence:
@@ -336,26 +332,6 @@ class CltReport:
     rows: tuple
     monotone_ok: bool           # sup-grid deviation nonincreasing up to 20% slack
     h_index_estimate: float     # slow-variation diagnostic for H of the input
-    schema_version: int = SCHEMA_VERSION
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "schema_version": self.schema_version,
-            "monotone_ok": self.monotone_ok,
-            "h_index_estimate": self.h_index_estimate,
-            "rows": [{"n": r.n, "B": r.B, "f_dev": r.f_dev,
-                      "ks_arcsine": r.ks_arcsine, "ks_normal": r.ks_normal,
-                      "runtime_s": r.runtime_s} for r in self.rows],
-        })
-
-    def to_csv(self) -> str:
-        lines = [f"# schema_version={self.schema_version}",
-                 "n,B,f_dev,ks_arcsine,ks_normal,runtime_s"]
-        for r in self.rows:
-            ksa = "" if r.ks_arcsine is None else f"{r.ks_arcsine:.17g}"
-            ksn = "" if r.ks_normal is None else f"{r.ks_normal:.17g}"
-            lines.append(f"{r.n},{r.B:.17g},{r.f_dev:.17g},{ksa},{ksn},{r.runtime_s:.3f}")
-        return "\n".join(lines) + "\n"
 
 
 def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,

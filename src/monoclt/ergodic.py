@@ -325,17 +325,6 @@ class ConservativityReport:
     h_index_estimate: float
     norming_provenance: str
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "schema_version": 1,
-            "verdict": self.verdict,
-            "norming_provenance": self.norming_provenance,
-            "h_index_estimate": self.h_index_estimate,
-            "fits": self.fits,
-            "rows": [{"N": int(n), "sum": float(s)}
-                     for n, s in zip(self.ns, self.partial_sums)],
-        })
-
 
 def _fit_rmse(xdesign: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
     coef, *_ = np.linalg.lstsq(xdesign, s, rcond=None)
@@ -412,10 +401,12 @@ def kernel_integral(kind: str, a: float = 0.0, b: float = 0.0) -> float:
 
 
 def _kernel_values(kind: str, x: np.ndarray, a: float, b: float) -> np.ndarray:
-    if kind == "cauchy":
-        return 1.0 / (1.0 + x * x)
-    if kind == "gauss":
-        return np.exp(-x * x)
+    # past |x| ~ 1.3e154 x*x overflows to inf, which gives each kernel its value 0
+    with np.errstate(over="ignore"):
+        if kind == "cauchy":
+            return 1.0 / (1.0 + x * x)
+        if kind == "gauss":
+            return np.exp(-x * x)
     if kind == "indicator":
         return ((x >= a) & (x <= b)).astype(float)
     raise ValueError(f"unknown kernel {kind!r}")
@@ -685,15 +676,6 @@ class OrbitRecord:
     steps: int
     visits: np.ndarray
     truncated_at: np.ndarray
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "schema_version": 1,
-            "window": list(self.window),
-            "steps": self.steps,
-            "visits": [int(v) for v in self.visits],
-            "truncated_at": [int(t) for t in self.truncated_at],
-        })
 
 
 def occupation_time(T: RationalBooleMap, x0_list, N: int, A: tuple) -> OrbitRecord:

@@ -221,12 +221,6 @@ class GridDensity:
         inc = 0.5 * self.h * (v[1:] + v[:-1])
         return np.concatenate(([0.0], np.cumsum(inc)))
 
-    def to_csv(self) -> str:
-        """Plot-ready ``x,density`` table (17 significant digits)."""
-        lines = ["x,density"]
-        lines += [f"{x:.17g},{v:.17g}" for x, v in zip(self.grid, self.values)]
-        return "\n".join(lines) + "\n"
-
 
 _REF_KINDS = ("arcsine", "normal", "semicircle")
 

@@ -28,7 +28,7 @@ def test_subcommand_inventory():
         "conservativity", "hopf", "example-3-5", "example-3-10b"}
 
 
-@pytest.mark.parametrize("args", [
+ARTIFACT_ARGS = [
     ["moments", "--measure", "boole"],
     ["norming", "--measure", "bern01", "--n-list", "10,100"],
     ["clt-report", "--measure", "boole", "--n-list", "50", "--with-ks", "no"],
@@ -44,7 +44,10 @@ def test_subcommand_inventory():
     ["hopf", "--measure", "boole", "--N", "10000", "--starts", "2"],
     ["example-3-5", "--n", "100"],
     ["example-3-10b", "--K", "100", "--N", "100"],
-])
+]
+
+
+@pytest.mark.parametrize("args", ARTIFACT_ARGS)
 def test_subcommands_produce_artifacts(args, tmp_path):
     code, outdir = run_cli(args, tmp_path)
     assert code == 0
@@ -56,6 +59,46 @@ def test_subcommands_produce_artifacts(args, tmp_path):
     assert man["config_hash"] in csvs[0].name
     assert csvs[0].name in man["artifacts"]
     assert "wall_time_s" in man and "versions" in man
+
+
+@pytest.mark.parametrize("args", ARTIFACT_ARGS)
+def test_json_rows_equal_csv_rows(args, tmp_path):
+    # the one writer lays out the same table either way: %.17g and JSON
+    # both round-trip a float exactly, and a missing value is "" in both
+    tables = {}
+    for fmt in ("csv", "json"):
+        code, outdir = run_cli(args + ["--format", fmt], tmp_path, fmt)
+        assert code == 0
+        [art] = [p for p in outdir.iterdir() if not p.name.endswith("-manifest.json")]
+        man = json.loads(next(outdir.glob("*-manifest.json")).read_text())
+        assert man["artifacts"] == [art.name] and art.suffix == f".{fmt}"
+        tables[fmt] = art.read_text()
+    lines = tables["csv"].splitlines()
+    assert lines[0] == f"# schema_version={cli.SCHEMA_VERSION}"
+    header = lines[1].split(",")
+    csv_rows = [line.split(",") for line in lines[2:]]
+    doc = json.loads(tables["json"])
+    assert doc["schema_version"] == cli.SCHEMA_VERSION
+    assert len(doc["rows"]) == len(csv_rows) > 0
+    for cells, row in zip(csv_rows, doc["rows"]):
+        assert list(row) == header
+        for cell, value in zip(cells, row.values()):
+            if isinstance(value, float):
+                assert float(cell) == value
+            else:
+                assert type(value)(cell) == value
+
+
+@pytest.mark.parametrize("sub", ["free-conv", "nevanlinna"])
+def test_K_is_not_an_option_of_plain_measure_subcommands(sub, tmp_path):
+    # K only sizes the ex310b lab, which neither subcommand accepts
+    with pytest.raises(SystemExit) as exc:
+        run_cli([sub, "--K", "5"], tmp_path)
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 5}))
+    assert cli.run([sub, "--config", str(cfg), "--outdir", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_determinism_byte_identical(tmp_path):

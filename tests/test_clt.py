@@ -1,6 +1,5 @@
 """Tests for norming constants, regular variation, and CLT experiments."""
 
-import json
 import math
 
 import numpy as np
@@ -256,15 +255,6 @@ class TestCltReport:
         devs = [r.f_dev for r in rep.rows]
         kss = [r.ks_arcsine for r in rep.rows]
         assert (devs[0] > devs[1]) == (kss[0] > kss[1])
-
-    def test_export_formats(self):
-        rep = clt.clt_report(BOOLE, [50], with_ks=False)
-        doc = json.loads(rep.to_json())
-        assert doc["schema_version"] == 1
-        assert doc["rows"][0]["n"] == 50
-        csv = rep.to_csv()
-        assert csv.splitlines()[0] == "# schema_version=1"
-        assert csv.splitlines()[1].startswith("n,B,")
 
     def test_uniform_grid_corpus_member(self):
         h = 0.01

@@ -11,7 +11,6 @@ from .errors import (
     CoverageError,
     DegenerateMeasure,
     DomainError,
-    EmptySigma,
     MonocltError,
     NonConvergence,
     NumericBreakdown,

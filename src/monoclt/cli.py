@@ -34,9 +34,9 @@ import scipy
 
 from . import __version__, clt, convolve as cv, ergodic as eg, measures as ms, transforms as tf
 from .errors import (CapacityExceeded, CoverageError, DegenerateMeasure, DomainError,
-                     EmptySigma, NonConvergence, NumericBreakdown, PoleProximity)
+                     NonConvergence, NumericBreakdown, PoleProximity)
 
-_VALIDATION_ERRORS = (CoverageError, DomainError, DegenerateMeasure, EmptySigma, ValueError, KeyError)
+_VALIDATION_ERRORS = (CoverageError, DomainError, DegenerateMeasure, ValueError, KeyError)
 _NUMERICAL_ERRORS = (NonConvergence, CapacityExceeded, NumericBreakdown, PoleProximity)
 
 SCHEMA_VERSION = 1
@@ -156,18 +156,20 @@ def _choice(*values):
     return check
 
 
-def _nonneg_int(v):
-    v = int(v)
-    if v < 0:
-        raise ConfigError("expected a nonnegative integer")
-    return v
+def _nonneg(kind):
+    def check(v):
+        v = kind(v)
+        if not 0 <= v < math.inf:
+            raise ConfigError(f"expected a finite value >= 0, got {v}")
+        return v
+    return check
 
 
 # field spec: name -> (validator, default, help)
 _COMMON = {
     "outdir": (_str, "artifacts", "output directory"),
     "format": (_choice("csv", "json"), "csv", "artifact format (csv|json)"),
-    "seed": (_nonneg_int, 0, "seed for any random sampling"),
+    "seed": (_nonneg(int), 0, "seed for any random sampling"),
 }
 
 
@@ -277,7 +279,7 @@ CONJ_SPEC = {**_COMMON,
              "measure": (_str, "bern01", "measure token/JSON/@file"),
              "K": (_positive(int), 1000, "lattice truncation for ex310b"),
              "n": (_positive(int), 1000, "iteration count"),
-             "B": (float, 0.0, "norming constant (0 = auto)"),
+             "B": (_nonneg(float), 0.0, "norming constant (0 = auto)"),
              "y-list": (_float_list, [10.2, 10.5, 10.8], "y values (>10)")}
 
 

@@ -422,10 +422,12 @@ class ConjugacyTrace:
 
 def conjugacy_trace(source: Source, n: int, z: complex, B: float) -> ConjugacyTrace:
     """Telescoped iteration at ``z = -y^2`` with ``y > 10`` (finite, else
-    :class:`DomainError`; :class:`NumericBreakdown` if a result is not)."""
+    :class:`DomainError`, as is a `B` that is not finite and positive;
+    :class:`NumericBreakdown` if a result is not finite)."""
     zc = complex(z)
-    if not (np.isfinite(zc) and zc.imag == 0.0 and zc.real < -100.0):
-        raise DomainError(f"conjugacy trace needs a finite z = -y^2 with y > 10, got {zc!r}")
+    if not (np.isfinite(zc) and zc.imag == 0.0 and zc.real < -100.0 and 0 < B < math.inf):
+        raise DomainError("conjugacy trace needs a finite z = -y^2 with y > 10 and a "
+                          f"finite B > 0, got z = {zc!r}, B = {B!r}")
     w = tf._orbit(source, B * complex(tf.sqrt_upper(zc)), n) / B
     terms = np.diff(w * w)
     total = complex(terms.sum())
@@ -447,9 +449,10 @@ class DriftReport:
 
 def drift_bound_check(source: Source, n: int, y: float, j_list, B: float) -> DriftReport:
     """Track the orbit of ``iy`` under the scaled one-step map (`y` finite,
-    else :class:`DomainError`; :class:`NumericBreakdown` if a deviation is not)."""
-    if not math.isfinite(y):
-        raise DomainError(f"the drift bound needs a finite y, got {y!r}")
+    else :class:`DomainError`, as is a `B` that is not finite and positive;
+    :class:`NumericBreakdown` if a deviation is not finite)."""
+    if not (math.isfinite(y) and 0 < B < math.inf):
+        raise DomainError(f"the drift bound needs a finite y and B > 0, got y = {y!r}, B = {B!r}")
     if y <= 10:
         raise ValueError("the drift bound applies for y > 10")
     js = np.unique(np.asarray(j_list, dtype=np.int64))

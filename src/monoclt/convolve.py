@@ -196,11 +196,10 @@ def _vector_power(m: ms.AtomicMeasure, n: int, b: float, a: float, k: np.ndarray
                             is_probability=m.is_probability, pruned_mass=pruned)
 
 
-def free_convolve(m: ms.Measure, n: ms.Measure, *, tol: float = 1e-13,
-                  maxiter: int = 10_000) -> tf.FreeConvolveMap:
+def free_convolve(m: ms.Measure, n: ms.Measure) -> tf.FreeConvolveMap:
     """Map of the free convolution ``m boxplus n`` (degenerate factors
     reduce to shifts)."""
-    return tf.FreeConvolveMap(m, n, tol=tol, maxiter=maxiter)
+    return tf.FreeConvolveMap(m, n)
 
 
 #: a solve takes the usable secant point everywhere in its first this many
@@ -212,6 +211,9 @@ def free_convolve(m: ms.Measure, n: ms.Measure, *, tol: float = 1e-13,
 #: so after the window the averaged step breaks it.  From the default start
 #: above the axis those laws converge in 11-12 calls.
 _SECANT_CALLS = 50
+
+#: a solve stops at a point once ``|phi(w) - w| < _TOL (1 + |phi(w)|)``
+_TOL = 1e-13
 
 
 def _start_scale(m: ms.Measure, n: ms.Measure) -> float:
@@ -236,7 +238,7 @@ def _h_func(m: ms.Measure):
         step = tf._evaluator(m)[0]
         return lambda w: step(w) - w
     c, t, wts = form
-    psum = tf._pole_sum_loop(t, wts)
+    psum = tf._PoleSum(t, wts)
 
     def h(w):
         s = psum(w)
@@ -246,8 +248,8 @@ def _h_func(m: ms.Measure):
     return h
 
 
-def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
-                       maxiter: int = 10_000, start=None):
+def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, maxiter: int = 10_000,
+                       start=None):
     """Solve the subordination fixed point at ``z`` (scalar or array).
 
     Returns ``(F_value, omega1, iterations)`` where `iterations` counts
@@ -259,8 +261,9 @@ def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
     the first ``_SECANT_CALLS`` (50) calls, only where ``|r| < |r_prev|``
     (the residual shrank since the previous call).  Elsewhere, and on the
     first call, it takes the averaged step ``w + r/2``.  A point stops when
-    ``|r| < tol (1 + |phi(w)|)`` and answers ``phi(w)``.  ``h_m`` and
-    ``h_n`` are partial fractions for atomic probability laws (`_h_func`).
+    ``|r| < _TOL (1 + |phi(w)|)``, ``_TOL`` = 1e-13, and answers
+    ``phi(w)``.  ``h_m`` and ``h_n`` are partial fractions for atomic
+    probability laws (`_h_func`).
     The residuals, iterates and secant points of the unconverged points
     live in the rows of one buffer, kept for the whole solve.
 
@@ -323,7 +326,7 @@ def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
         wa, wp, ra, rp, ar, arp = wp, wa, rp, ra, arp, ar
         b = np.abs(phi, out=bound[:k])
         b += 1.0
-        b *= tol
+        b *= _TOL
         done = arp[:k] < b
         if done.any():
             out[idx[done]] = phi[done]
@@ -345,7 +348,7 @@ def subordination_eval(m: ms.Measure, n: ms.Measure, z, *, tol: float = 1e-13,
 
 
 def free_density(m: ms.Measure, n: ms.Measure, grid: np.ndarray | None = None,
-                 eta: float = 1e-2, *, richardson: bool = True, tol: float = 1e-13,
+                 eta: float = 1e-2, *, richardson: bool = True,
                  maxiter: int = 10_000) -> ms.GridDensity:
     """Density of ``m boxplus n`` on a grid, by inversion of the subordination map.
 
@@ -357,15 +360,14 @@ def free_density(m: ms.Measure, n: ms.Measure, grid: np.ndarray | None = None,
     Richardson extrapolation that is two solves, at ``eta`` and ``eta/2``.
     The fixed point attracts every start, and a solve keeps its secant
     steps after its first ``_SECANT_CALLS`` calls wherever the residual
-    shrank, so small-eta scans converge at fixed-point tolerance `tol`
+    shrank, so small-eta scans converge at fixed-point tolerance ``_TOL``
     without a ladder of larger etas.
     """
 
     def values(x, etas):
         vals, w = {}, None
         for et in sorted(set(etas), reverse=True):
-            vals[et], w, _ = subordination_eval(m, n, x + 1j * et, tol=tol,
-                                                maxiter=maxiter, start=w)
+            vals[et], w, _ = subordination_eval(m, n, x + 1j * et, maxiter=maxiter, start=w)
         return [vals[et] for et in etas]
 
     return tf._inverted_density(grid, eta, richardson, values)

@@ -180,7 +180,7 @@ def eval_dT(T: RationalBooleMap, x):
     xa = np.asarray(x, dtype=float)
     if np.any(_on_pole(T, xa)):
         raise PoleProximity("evaluation point is numerically on a pole")
-    s = tf._pole_sum(T.pole_positions, T.pole_weights, xa.ravel(), squared=True)
+    s = tf._PoleSum(T.pole_positions, T.pole_weights, float)(xa.ravel(), squared=True)
     out = 1.0 + s.reshape(xa.shape)         # an empty pole sum is 0
     return out if out.ndim else float(out)
 

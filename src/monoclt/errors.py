@@ -34,7 +34,3 @@ class CoverageError(MonocltError):
 
 class PoleProximity(MonocltError):
     """Evaluation point is numerically on a pole of a boundary map."""
-
-
-class EmptySigma(MonocltError):
-    """Nevanlinna representation carries no singular part where one is required."""

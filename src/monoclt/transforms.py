@@ -22,33 +22,13 @@ Every map form used downstream lives here:
 Every pole sum ``sum_k w_k/(t_k - x)`` -- the Cauchy transform of an
 atomic or grid measure, a Nevanlinna map's partial fractions, the boundary
 maps of :mod:`monoclt.ergodic` and, with squared denominators, their
-derivatives -- runs through one kernel, `_pole_sum`, in a reused workspace
-of at most ``_CHUNK`` elements (points x poles, real or complex); an
-iteration loop keeps one workspace for its whole length, so a step
-allocates no temporary of the size of the poles.  Only the points are
-chunked, so the answers do not depend on the block size.  The kernel has
-two branches that add each point's terms in the same order, bit for bit:
-
-* few poles (at most 24 complex or 32 real, and at least 128 points per
-  pole): a loop over the poles, each term formed on a whole vector of
-  points and added in place, in the order of numpy's pairwise
-  ``np.add.reduce`` along a contiguous row (4 complex or 8 real
-  accumulators, then a balanced tree, then the rest left to right);
-* otherwise: the whole (points x poles) block at once, each row summed by
-  ``np.add.reduce``.  numpy reduces a short trailing axis slowly, which is
-  why the loop wins for a few poles -- 4x at 2 complex poles on 8001
-  points -- while with many poles, or few points, the loop's numpy calls
-  per pole cost more than the one reduce.
-
-The workspace (`_Workspace`) holds the poles and weights cast once to the
-points' dtype, so that complex points do not have numpy cast the real
-poles buffer by buffer on every call.  A loop's workspace also holds them
-tiled to as many rows of its block as its generic-branch calls use, for
-rows of at most ``_TILE_POLES`` (2730) poles: the points are copied into
-the block and the subtract and divide run flat, where numpy would buffer a
-broadcast subtract of such short rows; longer rows subtract the points
-broadcast from the poles.  Each term is the same IEEE subtract and divide
-of the same operands on every path.
+derivatives -- is a call of one `_PoleSum`, an object that owns its poles
+cast to the points' dtype and one reused workspace of at most ``_CHUNK``
+elements.  Each caller builds one per loop or per call and keeps it
+private, so an iteration's step allocates no temporary of the size of the
+poles.  Its two branches (a loop over at most 24 complex or 32 real poles,
+else one reduce of the whole block) add each point's terms in numpy's own
+pairwise order, bit for bit, whatever the block size.
 
 The Cauchy transform ``sum_k w_k/(z - t_k)`` is 0 minus the pole sum and
 ``1/G`` is ``-(1/s)``: both negations are exact, so every value equals the
@@ -56,7 +36,7 @@ direct formula's bit for bit.
 
 Evaluation has one path: `_evaluator` turns a map node or a measure into
 a function of flat points, built once per `f_eval` call or loop so that
-its pole sums keep one workspace, in one dispatch over node types.
+each of its pole sums keeps one `_PoleSum`, in one dispatch over node types.
 Pole-form maps use two formulas.  ``x + c + sum w_k/(t_k - x)``
 (`_pole_map`) is a Nevanlinna map's partial fractions, on the half-plane
 and, as its boundary map, on the line; it is also the map of every atomic
@@ -123,7 +103,7 @@ BREAKDOWN_TOL = 1e-9
 #: a block stays in cache between its subtract, divide and sum
 _CHUNK = 1 << 16
 
-#: `_pole_sum` loops over the poles (its few-pole branch) for at most this
+#: `_PoleSum` loops over the poles (its few-pole branch) for at most this
 #: many poles, by dtype char (complex, real).  Measured on one call over
 #: 8001 and 20 001 points (2-vCPU VM, numpy 2.4), the loop runs 4-5x
 #: faster than the reduce at 2 complex poles, 1.1-1.2x at 24 and breaks
@@ -136,7 +116,7 @@ _FEW_POLES = {"D": 24, "d": 32}
 #: reduce's slow inner loop (the two break even at 50-100 points per pole).
 _FEW_POINTS_PER_POLE = 128
 
-#: `_pole_sum` subtracts and divides on poles tiled to its block for rows
+#: `_PoleSum` subtracts and divides on poles tiled to its block for rows
 #: of at most this many poles, and subtracts the points broadcast from the
 #: poles above it.  numpy buffers a broadcast subtract whose rows fit in a
 #: third of its 8192-element ufunc buffer, which makes it 2-4x slower than
@@ -178,48 +158,20 @@ def _require_upper(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _rows(n_poles: int, n_points: int) -> int:
-    """Rows of a :func:`_pole_sum` workspace: one per point, at most
-    ``_CHUNK`` elements in all, but at least one row."""
-    return max(1, min(n_points, _CHUNK // max(n_poles, 1)))
+class _PoleSum:
+    """``x -> sum_k w_k / (t_k - x[i])`` over flat points `x` of `dtype`, or
+    with `squared` ``sum_k w_k / (t_k - x[i])**2``, each call a fresh array.
 
-
-class _Workspace:
-    """What :func:`_pole_sum` computes in: the poles `t` and weights `w`
-    cast once to the points' `dtype`, so that no call casts them again
-    buffer by buffer inside its subtract and divide, and a
-    ``(rows, len(t))`` block of that dtype.  If `tiled`, for at most
-    ``_TILE_POLES`` poles, it also holds `t` and `w` tiled to the rows of
-    the block that a generic-branch call uses (`tiles`)."""
-
-    def __init__(self, t, w, rows: int, dtype, tiled: bool = True):
-        self.t, self.w = np.asarray(t, dtype), np.asarray(w, dtype)
-        self.block = np.empty((rows, len(t)), dtype)
-        self.tiled = tiled and len(t) <= _TILE_POLES
-        self._tiles = None
-
-    def tiles(self, rows: int):
-        """`t` and `w` tiled to at least `rows` rows, made on first use and
-        regrown when a call needs more (a loop whose points mostly take the
-        few-pole branch tiles only the few rows its other calls use); None
-        where the workspace does not tile."""
-        if self.tiled and (self._tiles is None or len(self._tiles[0]) < rows):
-            self._tiles = np.tile(self.t, (rows, 1)), np.tile(self.w, (rows, 1))
-        return self._tiles
-
-
-def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
-              squared: bool = False) -> np.ndarray:
-    """The pole sums ``sum_k w_k / (t_k - x[i])`` over flat `x`, or with
-    `squared` ``sum_k w_k / (t_k - x[i])**2``, as a fresh array.
-
-    `work` is a `_Workspace` for these `t` and `w` and the result's dtype
-    (real or complex) that the caller may keep and reuse, so no temporary
-    of the poles' size is allocated per call; without one, a call makes its
-    own, untiled.  The points pass through its block ``rows`` at a time;
-    only the points are chunked, so the block size never changes a bit of
-    the result.  The branches add the terms of each point in the same
-    order, so they agree bit for bit:
+    Each caller builds one per loop or per call and keeps it private (none
+    is cached on a shared object such as a measure).  It is that caller's
+    workspace: the poles `t` and weights `w` cast once to `dtype`, so
+    complex points do not have numpy cast the real poles buffer by buffer on
+    every call, and a ``(rows, len(t))`` block of that dtype, grown when a
+    call needs more rows (one per point, at most ``_CHUNK`` elements in all)
+    and never shrunk, so a step allocates no temporary of the size of the
+    poles.  The points pass through the block ``rows`` at a time; only the
+    points are chunked, so the block size never changes a bit of the result.
+    The branches add the terms of each point in the same order, bit for bit:
 
     * Generic: the block holds one term per (point, pole), formed by one
       subtract, (square,) divide over the block, and each row is summed by
@@ -227,12 +179,13 @@ def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
       of terms left to right; from there up to 128 floats, one accumulator
       per 8 floats' lane, added as a balanced tree, then the rest.  Squares
       are taken out of place, from a second block (see `_few_pole_rows`).
-      The operands are the workspace's cast poles.  With tiles (at most
-      ``_TILE_POLES`` poles), the points are copied into the block and the
-      subtract and divide run flat over contiguous blocks, where numpy
-      would buffer a broadcast subtract of such short rows; longer rows
-      subtract the points broadcast from the poles.  Each term is the same
-      IEEE subtract and divide of the same operands either way.
+      For at most ``_TILE_POLES`` poles the first generic call tiles `t`
+      and `w` to its rows (`tiles`, regrown when a call needs more); the
+      points are copied into the block and the subtract and divide run
+      flat over contiguous blocks, where numpy would buffer a broadcast
+      subtract of such short rows.  Longer rows subtract the points
+      broadcast from the poles.  Each term is the same IEEE subtract and
+      divide of the same operands either way.
     * Few-pole (`_few_pole_rows`): for ``1 <= len(t) <= _FEW_POLES`` (24
       complex, 32 real) and at least ``_FEW_POINTS_PER_POLE`` (128) points
       per pole.  It forms one pole's term at a time on a vector of points
@@ -251,40 +204,50 @@ def _pole_sum(t: np.ndarray, w: np.ndarray, x: np.ndarray, work=None,
     reduce for many poles or few points.  numpy's order was checked up to
     64 complex and 128 real terms (one pairwise block); a test pins it.
     """
-    if work is None:
-        work = _Workspace(t, w, _rows(len(t), len(x)), np.result_type(t, w, x), tiled=False)
-    t, w, blk = work.t, work.w, work.block
-    out = np.empty(len(x), dtype=blk.dtype)
-    rows = max(len(blk), 1)             # a loop's workspace has no rows before its first point
-    if 0 < len(t) <= _FEW_POLES.get(blk.dtype.char, 0) \
-            and len(x) >= _FEW_POINTS_PER_POLE * len(t):
-        bufs = blk.reshape(-1)[:min(len(t), _LANES[blk.dtype.char] + 1) * rows].reshape(-1, rows)
+
+    def __init__(self, t, w, dtype=complex):
+        self.t, self.w = np.asarray(t, dtype), np.asarray(w, dtype)
+        self.block = np.empty((1, len(t)), dtype)
+        self.tiles = self.block[:0], self.block[:0]
+
+    def __call__(self, x: np.ndarray, squared: bool = False) -> np.ndarray:
+        t, w, blk = self.t, self.w, self.block
+        need = min(len(x), _CHUNK // max(len(t), 1))
+        if need > len(blk):
+            blk = self.block = np.empty((need, len(t)), blk.dtype)
+        rows = len(blk)
+        out = np.empty(len(x), dtype=blk.dtype)
+        if 0 < len(t) <= _FEW_POLES.get(blk.dtype.char, 0) \
+                and len(x) >= _FEW_POINTS_PER_POLE * len(t):
+            bufs = blk.reshape(-1)[:min(len(t), _LANES[blk.dtype.char] + 1) * rows].reshape(-1, rows)
+            for i in range(0, len(x), rows):
+                j = min(i + rows, len(x))
+                _few_pole_rows(t, w, x[i:j], bufs[:, :j - i], out[i:j], squared)
+            return out
+        tiled, n = len(t) <= _TILE_POLES, min(rows, len(x))
+        if tiled and len(self.tiles[0]) < n:
+            self.tiles = np.tile(t, (n, 1)), np.tile(w, (n, 1))
+        tt, tw = self.tiles
+        diff = np.empty_like(blk) if squared else blk
         for i in range(0, len(x), rows):
             j = min(i + rows, len(x))
-            _few_pole_rows(t, w, x[i:j], bufs[:, :j - i], out[i:j], squared)
+            b, d = blk[:j - i], diff[:j - i]
+            if tiled:
+                d[...] = x[i:j, None]
+                np.subtract(tt[:j - i], d, out=d)
+                num = tw[:j - i]
+            else:
+                np.subtract(t, x[i:j, None], out=d)
+                num = w
+            if squared:
+                np.square(d, out=b)
+            np.divide(num, b, out=b)
+            np.add.reduce(b, axis=-1, out=out[i:j])     # what ndarray.sum runs
         return out
-    tiles = work.tiles(min(rows, len(x)))
-    diff = np.empty_like(blk) if squared else blk
-    for i in range(0, len(x), rows):
-        j = min(i + rows, len(x))
-        b, d = blk[:j - i], diff[:j - i]
-        if tiles is None:
-            np.subtract(t, x[i:j, None], out=d)
-            num = w
-        else:
-            tt, tw = tiles
-            d[...] = x[i:j, None]
-            np.subtract(tt[:j - i], d, out=d)
-            num = tw[:j - i]
-        if squared:
-            np.square(d, out=b)
-        np.divide(num, b, out=b)
-        np.add.reduce(b, axis=-1, out=out[i:j])     # what ndarray.sum runs
-    return out
 
 
 def _few_pole_rows(t, w, x, bufs, out, squared):
-    """`_pole_sum`'s few-pole branch on one block of points `x`, summed into
+    """`_PoleSum`'s few-pole branch on one block of points `x`, summed into
     `out`.  `bufs` has ``min(k, L + 1)`` rows: below ``L`` poles a
     temporary for each new term, else the ``L - 1`` lanes after `out` and
     the temporary; the last row holds the difference a squared term is
@@ -322,29 +285,13 @@ def _few_pole_rows(t, w, x, bufs, out, squared):
     np.add(out, 0.0, out=out)
 
 
-def _pole_sum_loop(t: np.ndarray, w: np.ndarray, dtype=complex):
-    """``x -> _pole_sum(t, w, x)`` on points of `dtype`, for a loop that
-    calls it many times: one `_Workspace` serves every call, with the poles
-    cast once and, for rows of at most ``_TILE_POLES`` poles, tiled (it is
-    regrown only when a call brings more points than it holds)."""
-    work = _Workspace(t, w, 0, dtype)
-
-    def psum(x):
-        nonlocal work
-        if len(x) > len(work.block) and len(work.block) < _rows(len(t), len(x)):
-            work = _Workspace(work.t, work.w, _rows(len(t), len(x)), dtype)
-        return _pole_sum(t, w, x, work)
-
-    return psum
-
-
 def _pole_map(c: float, t: np.ndarray, w: np.ndarray, dtype=complex):
-    """``x -> x + c + sum_k w_k/(t_k - x)`` over flat points of `dtype`, in
-    one workspace (``x -> x + c`` without poles).  ``x + c`` is added into
+    """``x -> x + c + sum_k w_k/(t_k - x)`` over flat points of `dtype`, on
+    one `_PoleSum` (``x -> x + c`` without poles).  ``x + c`` is added into
     the pole sum's own output, which is ``(x + c) + s`` bit for bit."""
     if len(t) == 0:
         return lambda x: x + c
-    psum = _pole_sum_loop(t, w, dtype)
+    psum = _PoleSum(t, w, dtype)
 
     def step(x):
         s = psum(x)
@@ -384,9 +331,9 @@ def _lattice_bisect(f, lo, hi) -> np.ndarray:
 
 
 def _inverse_cauchy(t: np.ndarray, w: np.ndarray):
-    """``z -> 1/G(z)`` for ``G = sum_k w_k/(z - t_k)``, in one workspace: ``-(1/s)``
+    """``z -> 1/G(z)`` for ``G = sum_k w_k/(z - t_k)``, on one `_PoleSum`: ``-(1/s)``
     for the pole sum s, which is ``1/(0 - s)`` bit for bit wherever ``s != 0``."""
-    psum = _pole_sum_loop(t, w)
+    psum = _PoleSum(t, w)
 
     def inverse(z):
         s = psum(z)
@@ -455,16 +402,22 @@ def cauchy_eval(m: ms.Measure, z):
     """Cauchy transform ``G(z) = int 1/(z - t) dm(t)`` for ``Im z > 0``.
 
     Vectorized over `z`.  Always satisfies ``Im G < 0`` and
-    ``|G| <= total_mass / Im z``; where rounding would break the first, or
-    overflow, a power-tail law raises :class:`NumericBreakdown`.
+    ``|G| <= total_mass / Im z``; an atomic or grid law raises
+    :class:`NumericBreakdown` where a value is not finite (a point within
+    about 1e-308 of an atom), and a power-tail law also where rounding
+    would break the first.
     """
     zarr = np.asarray(z, dtype=complex)
     _require_upper(zarr)
     flat = zarr.ravel()
     poles = _poles(m)
     if poles is not None:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = _PoleSum(*poles)(flat)
+        bad = ~np.isfinite(out)
+        if bad.any():
+            raise NumericBreakdown(f"G is not finite at z = {complex(flat[np.argmax(bad)])!r}")
         # 0 - s on the float view (5x faster): a real part cancelled to 0 stays +0
-        out = _pole_sum(*poles, flat)
         v = out.view(float)
         np.subtract(0.0, v, out=v)
     elif isinstance(m, ms.ReferenceLaw):
@@ -638,8 +591,6 @@ class FreeConvolveMap(SelfMap):
 
     m: ms.Measure
     n: ms.Measure
-    tol: float = 1e-13
-    maxiter: int = 10_000
 
 
 def _check_upper_out(w: np.ndarray, what: str) -> np.ndarray:
@@ -655,13 +606,15 @@ def f_eval(F: SelfMap, z):
     :class:`NumericBreakdown` if any intermediate drops below the real axis
     by more than ``1e-9`` (which would indicate a representation bug), or
     if a value returned is not finite with ``Im > 0`` (say, ``Im F``
-    rounded to 0 far out on the real axis).
+    rounded to 0 far out on the real axis).  numpy's floating-point
+    warnings are off inside: such a value comes out as that error alone.
     """
     zarr = np.asarray(z, dtype=complex)
     _require_upper(zarr)
     if not isinstance(F, SelfMap):
         raise TypeError(f"not an analytic self-map: {F!r}")
-    out = _evaluator(F)[0](zarr.ravel())
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = _evaluator(F)[0](zarr.ravel())
     if not np.all(np.isfinite(out) & (out.imag > 0)):
         raise NumericBreakdown(f"{type(F).__name__} left the open upper half-plane "
                                "(a value is not finite or has Im <= 0)")
@@ -716,7 +669,7 @@ def _evaluator(F):
     elif isinstance(F, FreeConvolveMap):
         from .convolve import subordination_eval
 
-        raw = lambda z: subordination_eval(F.m, F.n, z, tol=F.tol, maxiter=F.maxiter)[0]
+        raw = lambda z: subordination_eval(F.m, F.n, z)[0]
     else:
         raise TypeError(f"not an analytic self-map: {F!r}")
     what = type(F).__name__
@@ -1014,8 +967,7 @@ def _span_of(m) -> tuple[float, float]:
     raise TypeError(f"not a measure: {m!r}")
 
 
-def ks_distance(d: ms.GridDensity | ms.Measure, target: ms.Measure, *,
-                atom_window: float = 0.0) -> float:
+def ks_distance(d: ms.GridDensity | ms.Measure, target: ms.Measure) -> float:
     """Sup-CDF distance between ``d`` and ``target``.
 
     Evaluation points are the grid of ``d`` (when it is a
@@ -1024,11 +976,6 @@ def ks_distance(d: ms.GridDensity | ms.Measure, target: ms.Measure, *,
     midpoint convention.  Raises :class:`CoverageError` when the target
     carries more than 1e-6 of mass outside the comparison grid, or when no finite
     grid covers the support (a power tail of exponent below about 1.0227).
-
-    When comparing a *smoothed* approximation against a target with atoms,
-    the classical sup never drops below half the jump just next to an atom;
-    set `atom_window` to a few smoothing widths to compare, inside that
-    window, only at the jump midpoint.
     """
     if isinstance(d, ms.GridDensity):
         xs = d.grid
@@ -1047,8 +994,8 @@ def ks_distance(d: ms.GridDensity | ms.Measure, target: ms.Measure, *,
     atoms = np.unique(np.concatenate((_atoms_of(d), _atoms_of(target))))
     pts = np.asarray(xs, dtype=float)
     if len(atoms):
-        # drop fill points that numerically duplicate an atom (or sit inside
-        # the requested window around one), then add the atoms themselves
+        # drop fill points that numerically duplicate an atom, then add the
+        # atoms themselves
         idx = np.searchsorted(atoms, pts)
         dist = np.full(pts.shape, np.inf)
         left_ok = idx > 0
@@ -1056,8 +1003,7 @@ def ks_distance(d: ms.GridDensity | ms.Measure, target: ms.Measure, *,
         right_ok = idx < len(atoms)
         dist[right_ok] = np.minimum(dist[right_ok],
                                     np.abs(atoms[idx[right_ok]] - pts[right_ok]))
-        window = np.maximum(atom_window, 1e-9 * (1.0 + np.abs(pts)))
-        pts = np.concatenate((pts[dist > window], atoms))
+        pts = np.concatenate((pts[dist > 1e-9 * (1.0 + np.abs(pts))], atoms))
     return float(np.max(np.abs(cdf(d, pts, "mid") - cdf(target, pts, "mid"))))
 
 

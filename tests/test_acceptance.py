@@ -185,11 +185,10 @@ def test_c07_representation_roundtrip():
 def test_c08_free_convolution_against_transform_oracle():
     t0 = time.time()
     zline = mc.transforms.default_grid() + 1e-2j
-    _, _, iters = mc.subordination_eval(BOOLE, BOOLE, zline, tol=1e-13)
+    _, _, iters = mc.subordination_eval(BOOLE, BOOLE, zline)
     h = 1.25e-4
     grid = np.arange(-2.5, 2.5 + h / 2, h)
-    dens = mc.free_density(BOOLE, BOOLE, grid=grid, eta=2.5e-4, tol=1e-13,
-                           maxiter=100_000)
+    dens = mc.free_density(BOOLE, BOOLE, grid=grid, eta=2.5e-4, maxiter=100_000)
     ks = mc.ks_distance(dens, mc.arcsine(math.sqrt(2.0)))
     ok = ks <= 2e-3 and iters <= 200
     report("08", ok, f"KS {ks:.2e} <= 2e-3, iterations at Im z = 1e-2: {iters} <= 200",

@@ -547,12 +547,14 @@ def test_non_finite_map_step_start_exits_2(args, tmp_path, capsys):
     assert "DomainError" in err and "Traceback" not in err
 
 
-def test_non_finite_conjugacy_trace_exits_3(tmp_path, capsys):
-    code, outdir = run_cli(["conjugacy", "--n", "20", "--B", "inf"], tmp_path)
-    assert code == 3
+@pytest.mark.parametrize("B", ["inf", "nan", "-1"])
+def test_invalid_conjugacy_B_exits_2(B, tmp_path, capsys):
+    # B must be finite and >= 0, where 0 picks the constant automatically
+    code, outdir = run_cli(["conjugacy", "--n", "20", "--B", B], tmp_path)
+    assert code == 2
     assert not outdir.exists()
     err = capsys.readouterr().err
-    assert "NumericBreakdown" in err and "Traceback" not in err
+    assert "config error [conjugacy]" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("measure", [

@@ -320,10 +320,13 @@ class TestConjugacyTrace:
         with pytest.raises(DomainError):
             clt.conjugacy_trace(BOOLE, 10, z, 3.0)
 
-    @pytest.mark.parametrize("B", [math.inf, 1e-320])
+    @pytest.mark.parametrize("B", [math.inf, math.nan, -1.0, 0.0, 1e-320])
     def test_non_finite_trace_is_typed(self, B):
+        # a B that is not finite and positive is invalid input; a tiny one
+        # overflows the orbit
+        error = NumericBreakdown if B > 0 and math.isfinite(B) else DomainError
         for src in (BOOLE, eg.lattice_tail_lab(10).map):
-            with np.errstate(all="ignore"), pytest.raises(NumericBreakdown):
+            with np.errstate(all="ignore"), pytest.raises(error):
                 clt.conjugacy_trace(src, 10, -(10.5**2), B)
 
 
@@ -364,10 +367,11 @@ class TestDriftBound:
         with pytest.raises(DomainError):
             clt.drift_bound_check(BOOLE, 100, y, [0, 50], 10.0)
 
-    @pytest.mark.parametrize("B", [math.inf, 1e-320])
+    @pytest.mark.parametrize("B", [math.inf, math.nan, -1.0, 0.0, 1e-320])
     def test_non_finite_deviation_is_typed(self, B):
+        error = NumericBreakdown if B > 0 and math.isfinite(B) else DomainError
         for src in (BOOLE, eg.lattice_tail_lab(10).map):
-            with np.errstate(all="ignore"), pytest.raises(NumericBreakdown):
+            with np.errstate(all="ignore"), pytest.raises(error):
                 clt.drift_bound_check(src, 10, 10.5, [0, 5, 10], B)
 
     def test_half_plane_checks_per_step(self, monkeypatch):

@@ -55,7 +55,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def parse_measure(token: str, K: int = 1000):
-    """Resolve a measure spec: a named token, inline JSON, or ``@file``."""
+    """Resolve a measure spec: a named token, inline JSON, or ``@file``;
+    ``ex310b`` is the lattice-tail law given by its map, a `tf.NevanlinnaMap`."""
     named = {
         "boole": lambda: ms.atomic([(-1.0, 0.5), (1.0, 0.5)]),
         "bern01": lambda: ms.atomic([(0.0, 0.5), (1.0, 0.5)]),
@@ -67,17 +68,10 @@ def parse_measure(token: str, K: int = 1000):
     if token in named:
         return named[token]()
     if token == "ex310b":
-        return eg.lattice_tail_lab(K)
+        return eg.lattice_tail_lab(K).map
     if token.startswith("@"):
         return ms.measure_from_json(Path(token[1:]).read_text())
     return ms.measure_from_json(token)
-
-
-def _measure_or_map(obj):
-    """A Measure for plain specs, the transform for the lattice-tail lab."""
-    if isinstance(obj, eg.LatticeTailLab):
-        return obj.map
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +109,8 @@ def config_hash(cfg: dict) -> str:
 def _positive(kind):
     def check(v):
         v = kind(v)
-        if v <= 0:
-            raise ConfigError(f"expected a positive value, got {v}")
+        if not 0 < v < math.inf:
+            raise ConfigError(f"expected a finite value > 0, got {v}")
         return v
     return check
 
@@ -175,8 +169,8 @@ _COMMON = {
 
 def _grid_cfg():
     return {
-        "xmin": (float, -4.0, "grid start"),
-        "xmax": (float, 4.0, "grid end"),
+        "xmin": (_finite, -4.0, "grid start"),
+        "xmax": (_finite, 4.0, "grid end"),
         "h": (_positive(float), 1e-3, "grid spacing"),
         "eta": (_positive(float), 1e-2, "inversion offset"),
     }
@@ -194,8 +188,8 @@ def _grid_from_cfg(cfg) -> np.ndarray:
 
 def cmd_moments(cfg, out):
     m = parse_measure(cfg["measure"], cfg["K"])
-    if isinstance(m, eg.LatticeTailLab):
-        m = m.sigma
+    if isinstance(m, tf.NevanlinnaMap):
+        m = m.rep.sigma
     mom = ms.moments(m)
     rows = [["mean", mom.mean], ["m2", mom.m2], ["var", mom.var]]
     for x in cfg["x-list"]:
@@ -214,10 +208,7 @@ MOMENTS_SPEC = {**_COMMON,
 def cmd_norming(cfg, out):
     m = parse_measure(cfg["measure"], cfg["K"])
     ns = np.asarray(cfg["n-list"], dtype=np.int64)
-    if isinstance(m, eg.LatticeTailLab):
-        B = clt.sigma_criterion_constants(m.sigma, ns)
-    else:
-        B = clt.norming_constants(m, ns=ns, method=cfg["method"])
+    B = clt.norming_constants(m, ns=ns, method=cfg["method"])
     rows = [[int(n), float(b)] for n, b in zip(B.ns, B.values)]
     return f"norming ({B.provenance})", ["n", "B"], rows
 
@@ -232,13 +223,8 @@ NORMING_SPEC = {**_COMMON,
 def cmd_clt_report(cfg, out):
     obj = parse_measure(cfg["measure"], cfg["K"])
     ns = np.asarray(cfg["n-list"], dtype=np.int64)
-    if isinstance(obj, eg.LatticeTailLab):
-        B = clt.sigma_criterion_constants(obj.sigma, ns)
-        rep = clt.clt_report(obj.map, ns, B=B, eta=cfg["eta"],
-                             grid=_grid_from_cfg(cfg), with_ks=cfg["with-ks"] == "yes")
-    else:
-        rep = clt.clt_report(obj, ns, eta=cfg["eta"], grid=_grid_from_cfg(cfg),
-                             with_ks=cfg["with-ks"] == "yes")
+    rep = clt.clt_report(obj, ns, eta=cfg["eta"], grid=_grid_from_cfg(cfg),
+                         with_ks=cfg["with-ks"] == "yes")
     rows = [[r.n, r.B, r.f_dev,
              "" if r.ks_arcsine is None else r.ks_arcsine,
              "" if r.ks_normal is None else r.ks_normal] for r in rep.rows]
@@ -253,18 +239,12 @@ CLT_SPEC = {**_COMMON, **_grid_cfg(),
 
 
 def cmd_conjugacy(cfg, out):
-    obj = parse_measure(cfg["measure"], cfg["K"])
-    src = _measure_or_map(obj)
+    src = parse_measure(cfg["measure"], cfg["K"])
     if not isinstance(src, tf.SelfMap):
         mean = ms.moments(src).mean
         src = ms.shift(src, -mean) if mean != 0.0 else src
     n = cfg["n"]
-    if cfg["B"] > 0:
-        Bn = cfg["B"]
-    elif isinstance(obj, eg.LatticeTailLab):
-        Bn = float(clt.sigma_criterion_constants(obj.sigma, [n]).values[0])
-    else:
-        Bn = float(clt.norming_constants(src, ns=[n]).values[0])
+    Bn = cfg["B"] or float(clt.norming_constants(src, ns=[n]).values[0])
     rows = []
     for y in cfg["y-list"]:
         tr = clt.conjugacy_trace(src, n, -(y * y), Bn)
@@ -285,7 +265,7 @@ CONJ_SPEC = {**_COMMON,
 
 def cmd_invert(cfg, out):
     obj = parse_measure(cfg["measure"], cfg["K"])
-    F = tf.MeasureMap(obj) if not isinstance(obj, eg.LatticeTailLab) else obj.map
+    F = obj if isinstance(obj, tf.SelfMap) else tf.MeasureMap(obj)
     dens = tf.measure_from_map(F, grid=_grid_from_cfg(cfg), eta=cfg["eta"])
     rows = [[x, v] for x, v in zip(dens.grid, dens.values)]
     return f"invert (clamped_mass={_fmt(dens.clamped_mass)})", ["x", "density"], rows
@@ -299,7 +279,7 @@ INVERT_SPEC = {**_COMMON, **_grid_cfg(),
 def cmd_free_conv(cfg, out):
     m = parse_measure(cfg["measure"])
     n = parse_measure(cfg["with"])
-    if isinstance(m, eg.LatticeTailLab) or isinstance(n, eg.LatticeTailLab):
+    if isinstance(m, tf.SelfMap) or isinstance(n, tf.SelfMap):
         raise ConfigError("free convolution needs plain measures")
     dens = cv.free_density(m, n, grid=_grid_from_cfg(cfg), eta=cfg["eta"],
                            maxiter=cfg["maxiter"])
@@ -331,8 +311,8 @@ NEV_SPEC = {**_COMMON,
 
 def _map_from_cfg(cfg):
     obj = parse_measure(cfg["measure"], cfg["K"])
-    if isinstance(obj, eg.LatticeTailLab):
-        return obj.T
+    if isinstance(obj, tf.NevanlinnaMap):
+        return eg.boundary_map(obj.rep)
     if isinstance(obj, ms.AtomicMeasure):
         return eg.boundary_map(tf.nevanlinna_extract(obj))
     raise ConfigError("boundary maps need an atomic (singular) measure")
@@ -395,8 +375,7 @@ PRESERVE_SPEC = {**_COMMON,
 
 
 def cmd_aaronson(cfg, out):
-    obj = parse_measure(cfg["measure"], cfg["K"])
-    src = _measure_or_map(obj)
+    src = parse_measure(cfg["measure"], cfg["K"])
     sums = eg.aaronson_sums(src, cfg["N"], complex(cfg["z-re"], cfg["z-im"]))
     rows = [[n + 1, sums.terms[n], sums.partial_sums[n]] for n in range(cfg["N"])]
     return "aaronson", ["n", "term", "s_n"], rows
@@ -411,12 +390,11 @@ AARONSON_SPEC = {**_COMMON,
 
 
 def cmd_conservativity(cfg, out):
-    obj = parse_measure(cfg["measure"], cfg["K"])
-    if isinstance(obj, eg.LatticeTailLab):
+    if cfg["measure"] == "ex310b":     # normed by the lab's closed form sqrt(n log n)
         lab = eg.lattice_tail_lab(cfg["K"], N=cfg["N"])
         rep = eg.conservativity_criterion(lab.sigma, cfg["N"], B=lab.B)
     else:
-        rep = eg.conservativity_criterion(obj, cfg["N"])
+        rep = eg.conservativity_criterion(parse_measure(cfg["measure"]), cfg["N"])
     rows = [[int(n), float(s)] for n, s in zip(rep.ns, rep.partial_sums)]
     out["fits"] = rep.fits
     out["verdict"] = rep.verdict

@@ -3,7 +3,7 @@
 The scaled monotone powers ``D_{1/B_n} m^(n)`` converge to the arc-sine
 law exactly when the classical scaled sums converge to the Gaussian, and
 the same norming constants work for both.  This module computes those
-constants three ways:
+constants three ways (`norming_constants` picks the rule):
 
 * ``variance``        -- ``B_n = sqrt(n * var)`` for finite variance,
 * ``h-cutoff``        -- the largest solution of ``n*H(y) = y^2`` (the
@@ -11,8 +11,8 @@ constants three ways:
   the float64 lattice up to +inf for closed-form tails),
 * ``sigma-criterion`` -- the largest solution of
   ``n*(L_sigma(y) + sigma(R)) = y^2``, phrased directly in terms of the
-  singular part of the Nevanlinna representation; this is the natural
-  route for measures that are *defined* through their transform.  L is
+  singular part of the Nevanlinna representation; this is the rule for
+  laws *given* through their transform, a `transforms.NevanlinnaMap`.  L is
   `measures.harmonic_variance`, as for every other caller.
 
 The literal infimum form of the cutoff degenerates to 0 whenever H
@@ -60,6 +60,9 @@ __all__ = [
     "lln_check",
     "default_z_grid",
 ]
+
+Source = ms.Measure | tf.SelfMap
+
 
 @dataclass(frozen=True)
 class NormingSequence:
@@ -168,7 +171,7 @@ def _cutoff_bisect(h, ns: np.ndarray, lo_seed: float) -> np.ndarray:
     return np.where(nh < lo_seed * lo_seed, lo_seed, root)
 
 
-def norming_constants(m: ms.Measure, ns=None, N: int | None = None,
+def norming_constants(m: Source, ns=None, N: int | None = None,
                       method: str = "auto") -> NormingSequence:
     """Norming constants for the scaled powers of `m`.
 
@@ -177,7 +180,10 @@ def norming_constants(m: ms.Measure, ns=None, N: int | None = None,
     asymptotically (and exactly, for centered atomic measures once n is
     moderate).  Raises :class:`DegenerateMeasure` for point masses.  An n
     with no cutoff above the closed-form search's seed takes the seed
-    (`_cutoff_bisect`), as an atomic law's takes its top plateau.
+    (`_cutoff_bisect`), as an atomic law's takes its top plateau.  A
+    `transforms.NevanlinnaMap` takes only 'auto', the sigma criterion of its
+    sigma (a translation, sigma None, is degenerate); other maps raise
+    ``ValueError``.
     """
     if _is_degenerate(m):
         raise DegenerateMeasure("norming constants are undefined for a point mass")
@@ -186,6 +192,12 @@ def norming_constants(m: ms.Measure, ns=None, N: int | None = None,
             raise ValueError("pass ns or N")
         ns = np.arange(1, N + 1)
     ns = np.atleast_1d(np.asarray(ns, dtype=np.int64))
+    if isinstance(m, tf.SelfMap):
+        if not isinstance(m, tf.NevanlinnaMap) or method != "auto":
+            raise ValueError(f"no {method!r} norming rule for a {type(m).__name__}")
+        if m.rep.sigma is None:
+            raise DegenerateMeasure("norming constants are undefined for a translation")
+        return sigma_criterion_constants(m.rep.sigma, ns)
     mm = ms.moments(m)
     if method == "auto":
         method = "variance" if math.isfinite(mm.var) else "h-cutoff"
@@ -306,15 +318,6 @@ def default_z_grid() -> np.ndarray:
     return 1j * np.linspace(1.0, 5.0, 9)
 
 
-Source = ms.Measure | tf.SelfMap
-
-
-def _scaled_power_map(source: Source, n: int, B: float) -> tf.SelfMap:
-    if isinstance(source, tf.SelfMap):
-        return tf.DilatedMap(tf.IterateMap(source, n), 1.0 / B)
-    return cv.scaled_monotone_power(source, n, B)
-
-
 @dataclass(frozen=True)
 class CltRow:
     n: int
@@ -341,12 +344,12 @@ def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,
 
     `source` is a measure or directly a half-plane self-map (for measures
     that are defined through their transform).  A measure is centered by
-    its mean first; a map source is taken as already centered and must come
-    with explicit constants `B`.  For each n the report records the sup
-    over `default_z_grid` of the deviation from the arc-sine transform, the CDF
-    distance of the inverted scaled power to the arc-sine law, and (for
-    atomic inputs) the exact classical column against the Gaussian with the
-    *same* constants.
+    its mean first; a map source is taken as already centered.  `B`
+    defaults to `norming_constants` of the centered source.  For each n the
+    report records the sup over `default_z_grid` of the deviation from the
+    arc-sine transform, the CDF distance of the inverted scaled power to the
+    arc-sine law, and (for atomic inputs) the exact classical column against
+    the Gaussian with the *same* constants.
 
     That column (``ks_normal``, None for any other source) is the
     classical power of the centered law; a law on a lattice ``b + a*Z`` (see
@@ -355,21 +358,17 @@ def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,
     is None where the power exceeds the atom cap.
     """
     n_arr = np.atleast_1d(np.asarray(n_list, dtype=np.int64))
-    if isinstance(source, tf.SelfMap):
-        if B is None:
-            raise ValueError("a map source needs explicit norming constants")
-        centered: Source = source
-        h_fn = None
-    else:
+    centered, h_fn = source, None
+    if not isinstance(source, tf.SelfMap):
         if _is_degenerate(source):
             raise DegenerateMeasure("clt_report needs a nondegenerate measure")
         mean = ms.moments(source).mean
         if not math.isfinite(mean):
             raise DomainError("clt_report needs a finite (or zero) mean to center")
         centered = ms.shift(source, -mean) if mean != 0.0 else source
-        if B is None:
-            B = norming_constants(centered, ns=n_arr)
         h_fn = h_function(centered)
+    if B is None:
+        B = norming_constants(centered, ns=n_arr)
     zg = default_z_grid()
     target = tf.f_eval(tf.ArcsineMap(), zg)
 
@@ -377,7 +376,7 @@ def clt_report(source: Source, n_list, *, B: NormingSequence | None = None,
     for n in n_arr:
         t0 = time.time()
         Bn = B.at(int(n))
-        M = _scaled_power_map(centered, int(n), Bn)
+        M = tf.ScaledPowerMap(centered, int(n), Bn)
         f_dev = float(np.abs(tf.f_eval(M, zg) - target).max())
         ks_arc = None
         if with_ks:
@@ -428,10 +427,11 @@ def conjugacy_trace(source: Source, n: int, z: complex, B: float) -> ConjugacyTr
     if not (np.isfinite(zc) and zc.imag == 0.0 and zc.real < -100.0 and 0 < B < math.inf):
         raise DomainError("conjugacy trace needs a finite z = -y^2 with y > 10 and a "
                           f"finite B > 0, got z = {zc!r}, B = {B!r}")
-    w = tf._orbit(source, B * complex(tf.sqrt_upper(zc)), n) / B
-    terms = np.diff(w * w)
-    total = complex(terms.sum())
-    lhs, telescoped = complex(w[-1] * w[-1]), zc + total
+    with np.errstate(over="ignore", invalid="ignore"):     # a subnormal B overflows w
+        w = tf._orbit(source, B * complex(tf.sqrt_upper(zc)), n) / B
+        terms = np.diff(w * w)
+        total = complex(terms.sum())
+        lhs, telescoped = complex(w[-1] * w[-1]), zc + total
     if not np.isfinite([lhs, telescoped]).all():      # as is the sum, if a term is not
         raise NumericBreakdown(f"conjugacy trace from z = {zc!r}: {lhs!r}, {telescoped!r}")
     return ConjugacyTrace(lhs=lhs, telescoped=telescoped, remainder_sum=total, terms=terms)
@@ -459,7 +459,8 @@ def drift_bound_check(source: Source, n: int, y: float, j_list, B: float) -> Dri
     if js[0] < 0 or js[-1] > n:
         raise ValueError("j values must lie in [0, n]")
     iy = complex(0.0, y)
-    devs = np.abs(tf._orbit(source, B * iy, int(js[-1]))[js] / B - iy)
+    with np.errstate(over="ignore", invalid="ignore"):     # a subnormal B overflows them
+        devs = np.abs(tf._orbit(source, B * iy, int(js[-1]))[js] / B - iy)
     if not np.all(np.isfinite(devs)):
         raise NumericBreakdown(f"the drift from iy = {iy!r} is not finite: {devs!r}")
     bounds = 10.0 * js / n

@@ -606,8 +606,8 @@ def _normalize_kernel(spec) -> tuple[str, float, float]:
     kind, a, b = spec[0], float(spec[1]), float(spec[2])
     if kind != "indicator":
         raise ValueError("only the indicator kernel takes parameters")
-    if b <= a:
-        raise ValueError("indicator interval must be nondegenerate")
+    if not (b > a and math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"indicator interval ({a!r}, {b!r}) must be bounded and nondegenerate")
     return (kind, a, b)
 
 
@@ -715,37 +715,31 @@ class LatticeTailLab:
     mass_defect: float
 
 
-def lattice_tail_sigma(K: int, *, symmetrized: bool = True) -> tuple[ms.AtomicMeasure, float]:
+def lattice_tail_sigma(K: int) -> tuple[ms.AtomicMeasure, float]:
     """Bin the unit-cutoff ``|t|**-3`` density onto the integers ``|k| <= K``.
 
-    With `symmetrized` binning each cell ``[k, k+1)`` splits its mass
-    half to each endpoint, so the discretized measure has mean 0 exactly
-    (the plain left-endpoint binning, kept for comparison, shifts the mean
-    to -1/2).  Returns the measure and the truncated mass defect.
+    Each cell ``[k, k+1)`` splits its mass half to each endpoint, so the
+    discretized measure has mean 0 exactly.  Returns the measure and the
+    truncated mass defect.
     """
     if K < 10:
         raise ValueError("truncation K must be at least 10")
     k = np.arange(1, K + 1, dtype=float)
     # cell masses nu([k, k+1)) of the tail law: (k^-2 - (k+1)^-2)/2
     cells = 0.5 * (k**-2.0 - (k + 1.0) ** -2.0)
-    if symmetrized:
-        # atom k gets half of cell [k-1, k) and half of cell [k, k+1)
-        prev = np.concatenate(([0.0], cells[:-1]))
-        p = 0.5 * (prev + cells)
-        positions = np.concatenate((-k[::-1], k))
-        masses = np.concatenate((p[::-1], p))
-    else:
-        positions = np.concatenate((-(k + 1.0)[::-1], k))
-        masses = np.concatenate((cells[::-1], cells))
+    # atom k gets half of cell [k-1, k) and half of cell [k, k+1)
+    prev = np.concatenate(([0.0], cells[:-1]))
+    p = 0.5 * (prev + cells)
+    positions = np.concatenate((-k[::-1], k))
+    masses = np.concatenate((p[::-1], p))
     sigma = ms.AtomicMeasure(positions, masses, is_probability=False)
     return sigma, 1.0 - sigma.total_mass
 
 
-def lattice_tail_lab(K: int, N: int | None = None, *,
-                     symmetrized: bool = True) -> LatticeTailLab:
+def lattice_tail_lab(K: int, N: int | None = None) -> LatticeTailLab:
     """Assemble the lattice-tail example: sigma, transform, boundary map,
     and the closed-form constants ``B_n = sqrt(n log n)``."""
-    sigma, defect = lattice_tail_sigma(K, symmetrized=symmetrized)
+    sigma, defect = lattice_tail_sigma(K)
     rep = tf.NevanlinnaRep(a=0.0, sigma=sigma)
     B = None
     if N is not None:

@@ -565,12 +565,13 @@ class ArcsineMap(SelfMap):
 
 @dataclass(frozen=True)
 class ScaledPowerMap(SelfMap):
-    """Map of the rescaled n-fold monotone power: ``z -> F^(n)(B z)/B``.
+    """Map of the rescaled n-fold monotone power: ``z -> F^(n)(B z)/B``,
+    F the map of `measure` or the map node `measure` itself.
 
     Evaluation cost is O(n) per point; the composition is never expanded.
     """
 
-    measure: ms.Measure
+    measure: ms.Measure | SelfMap
     n: int
     B: float
 
@@ -626,12 +627,12 @@ def _evaluator(F):
     """``(fn, step)``: the map node or measure `F` as functions of flat points.
 
     `fn` runs `_check_upper_out` after each node that has a check (all but
-    compositions and iterations).  `step` is the unchecked
-    formula of an atomic measure's map or a Nevanlinna map, which an
-    iteration repeats and checks once at its end; other nodes have None.
-    That formula is `_pole_map` on the partial fractions of `_map_form`
-    for an atomic probability law that has them, else `_inverse_cauchy`.
-    A measure stands for its map as a loop step: `fn` is `step` if any.
+    compositions and iterations).  `step` is the unchecked formula of an
+    atomic measure's map or a Nevanlinna map, which an iteration or a scaled
+    power repeats and checks once at its end; other nodes have None.  That
+    formula is `_pole_map` on the partial fractions of `_map_form` for an
+    atomic probability law that has them, else `_inverse_cauchy`.  A
+    measure stands for its map as a loop step: `fn` is `step` if any.
     """
     if not isinstance(F, SelfMap):
         fn, step = _evaluator(MeasureMap(F))
@@ -645,7 +646,8 @@ def _evaluator(F):
         power = _repeat(step or base, F.n)
         return (power if step is None else lambda z: _check_upper_out(power(z), "iteration")), None
     if isinstance(F, ScaledPowerMap):
-        power, B = _repeat(_evaluator(F.measure)[0], F.n), F.B
+        fn, step = _evaluator(F.measure)
+        power, B = _repeat(step or fn, F.n), F.B
         return (lambda z: _check_upper_out(power(z * B) / B, "iteration")), None
     if isinstance(F, MeasureMap):
         m, poles, form = F.measure, _poles(F.measure), _map_form(F.measure)
@@ -859,9 +861,10 @@ def nevanlinna_synthesize(rep: NevanlinnaRep) -> NevanlinnaMap:
 # ---------------------------------------------------------------------------
 
 def default_grid(lo: float = -4.0, hi: float = 4.0, h: float = 1e-3) -> np.ndarray:
-    """The standard inversion grid."""
-    n = int(round((hi - lo) / h)) + 1
-    return lo + h * np.arange(n)
+    """The standard inversion grid; ``ValueError`` unless h > 0 and the point count are finite."""
+    if not (0 < h < math.inf and math.isfinite(span := (hi - lo) / h)):
+        raise ValueError(f"no finite grid from {lo!r} to {hi!r} in steps of {h!r}")
+    return lo + h * np.arange(int(round(span)) + 1)
 
 
 def measure_from_map(F: SelfMap, grid: np.ndarray | None = None, eta: float = 1e-2,

@@ -544,7 +544,9 @@ def test_non_finite_map_step_start_exits_2(args, tmp_path, capsys):
     assert code == 2
     assert not outdir.exists()
     err = capsys.readouterr().err
-    assert "DomainError" in err and "Traceback" not in err
+    # Im z must be a finite positive config value; the rest reach the library
+    want = "config error [aaronson]" if "--z-im" in args else "DomainError"
+    assert want in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("B", ["inf", "nan", "-1"])
@@ -555,6 +557,44 @@ def test_invalid_conjugacy_B_exits_2(B, tmp_path, capsys):
     assert not outdir.exists()
     err = capsys.readouterr().err
     assert "config error [conjugacy]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("sub, field", [
+    *((sub, field) for sub in ("invert", "clt-report", "free-conv")
+      for field in ("xmin", "xmax", "h", "eta")),
+    ("preserve-check", "y-scale"), ("aaronson", "z-im")])
+def test_non_finite_float_field_exits_2(sub, field, value, tmp_path, capsys):
+    # an infinite grid end overflowed the point count (exit 1); an infinite
+    # spacing, offset or scale passed as positive
+    code, outdir = run_cli([sub, f"--{field}", value], tmp_path)
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert f"config error [{sub}]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("method", ["variance", "h-cutoff"])
+def test_ex310b_norming_is_the_sigma_criterion(method, tmp_path, capsys):
+    # the law is given by its transform: it has no variance or H to norm by
+    code, outdir = run_cli(["norming", "--measure", "ex310b", "--K", "50",
+                            "--method", method], tmp_path)
+    assert code == 2
+    assert not outdir.exists()
+    assert "ValueError" in capsys.readouterr().err
+    code, outdir = run_cli(["norming", "--measure", "ex310b", "--K", "50"], tmp_path, "auto")
+    assert code == 0
+    assert "(sigma-criterion)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kernel", ["indicator:nan:1", "indicator:0:inf", "indicator:-inf:0"])
+def test_unbounded_hopf_window_exits_2(kernel, tmp_path, capsys):
+    for field in ("f", "g"):
+        code, outdir = run_cli(["hopf", "--N", "100", f"--{field}", kernel], tmp_path, field)
+        assert code == 2
+        assert not outdir.exists()
+        err = capsys.readouterr().err
+        assert "bounded and nondegenerate" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("measure", [

@@ -11,6 +11,7 @@ from monoclt import clt, ergodic as eg, transforms as tf
 from monoclt.errors import DegenerateMeasure, DomainError, NonConvergence, NumericBreakdown
 
 from test_measures import BERN, BOOLE, NU, random_atomic
+from test_transforms import same_bits
 
 #: a skewed lattice law whose classical powers reach subnormal masses
 SKEWED_LATTICE_MASSES = [0.3235686273437737, 0.39653599468449835, 0.22711375043952328,
@@ -20,6 +21,26 @@ CENTERED_BERN = mc.shift(BERN, -0.5)
 
 
 class TestNormingConstants:
+    def test_nevanlinna_map_takes_the_sigma_criterion(self):
+        lab = eg.lattice_tail_lab(200)
+        ns = [10, 100, 1000]
+        B = clt.norming_constants(lab.map, ns)
+        want = clt.sigma_criterion_constants(lab.sigma, ns)
+        assert B.provenance == "sigma-criterion"
+        assert same_bits(B.values, want.values)
+        assert same_bits(clt.norming_constants(lab.map, N=5).values,
+                         clt.sigma_criterion_constants(lab.sigma, range(1, 6)).values)
+        # the map's law has no variance or H to read
+        for method in ("variance", "h-cutoff"):
+            with pytest.raises(ValueError):
+                clt.norming_constants(lab.map, ns, method=method)
+        for F in (mc.ArcsineMap(), mc.IterateMap(lab.map, 2)):
+            with pytest.raises(ValueError):
+                clt.norming_constants(F, ns)
+        # a translation's sigma is 0: its law is a point mass
+        with pytest.raises(DegenerateMeasure):
+            clt.norming_constants(mc.NevanlinnaMap(mc.NevanlinnaRep(0.5)), ns)
+
     def test_two_point_both_routes(self):
         for method in ("auto", "variance", "h-cutoff"):
             B = clt.norming_constants(BOOLE, ns=[100], method=method)
@@ -287,13 +308,20 @@ class TestCltReport:
         assert abs(ks - 0.011726624198362012) < 1e-12     # the pair path's value
 
     def test_map_source_needs_constants(self):
-        F = mc.nevanlinna_synthesize(mc.NevanlinnaRep(0.0, mc.atomic(
-            [(0.0, 1.0)], is_probability=False)))
-        with pytest.raises(ValueError):
-            clt.clt_report(F, [10])
-        B = clt.NormingSequence([10], [math.sqrt(10.0)], "given")
-        rep = clt.clt_report(F, [10], B=B, with_ks=False)
-        assert rep.rows[0].f_dev < 0.5
+        # sigma is an atom at 0 of mass 1, so B_n = sqrt(n): without B a
+        # Nevanlinna map takes the sigma criterion's constants, bit for bit
+        sigma = mc.atomic([(0.0, 1.0)], is_probability=False)
+        F = mc.nevanlinna_synthesize(mc.NevanlinnaRep(0.0, sigma))
+        B = clt.sigma_criterion_constants(sigma, [10])
+        assert abs(B.values[0] - math.sqrt(10.0)) < 1e-12
+        row = clt.clt_report(F, [10]).rows[0]
+        want = clt.clt_report(F, [10], B=B).rows[0]
+        assert same_bits([row.B, row.f_dev, row.ks_arcsine], [want.B, want.f_dev, want.ks_arcsine])
+        assert row.B == B.values[0] and row.f_dev < 0.5 and row.ks_normal is None
+        # other maps have no norming rule
+        for G in (mc.ArcsineMap(), mc.DilatedMap(F, 2.0)):
+            with pytest.raises(ValueError):
+                clt.clt_report(G, [10])
 
 
 class TestConjugacyTrace:
@@ -326,7 +354,7 @@ class TestConjugacyTrace:
         # overflows the orbit
         error = NumericBreakdown if B > 0 and math.isfinite(B) else DomainError
         for src in (BOOLE, eg.lattice_tail_lab(10).map):
-            with np.errstate(all="ignore"), pytest.raises(error):
+            with pytest.raises(error):
                 clt.conjugacy_trace(src, 10, -(10.5**2), B)
 
 
@@ -371,7 +399,7 @@ class TestDriftBound:
     def test_non_finite_deviation_is_typed(self, B):
         error = NumericBreakdown if B > 0 and math.isfinite(B) else DomainError
         for src in (BOOLE, eg.lattice_tail_lab(10).map):
-            with np.errstate(all="ignore"), pytest.raises(error):
+            with pytest.raises(error):
                 clt.drift_bound_check(src, 10, 10.5, [0, 5, 10], B)
 
     def test_half_plane_checks_per_step(self, monkeypatch):

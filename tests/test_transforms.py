@@ -475,6 +475,15 @@ class TestInversion:
         with pytest.raises(ValueError, match="at least two points"):
             mc.measure_from_map(mc.MeasureMap(BOOLE), grid=np.array(grid))
 
+    @pytest.mark.parametrize("lo, hi, h", [(-math.inf, 4.0, 1e-3), (-4.0, math.nan, 1e-3),
+                                           (-1e308, 1e308, 1e-3), (-4.0, 4.0, math.inf),
+                                           (-4.0, 4.0, math.nan), (-4.0, 4.0, 0.0),
+                                           (-4.0, 4.0, -1e-3)])
+    def test_default_grid_needs_a_finite_count(self, lo, hi, h):
+        # an infinite span overflowed int(); h = inf gave the grid [nan]
+        with pytest.raises(ValueError, match="no finite grid"):
+            tf.default_grid(lo, hi, h)
+
 
 class TestKsDistance:
     def test_identical_laws(self):

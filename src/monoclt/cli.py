@@ -106,35 +106,45 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(keyed, sort_keys=True).encode()).hexdigest()[:12]
 
 
-def _positive(kind):
+def _number(kind, ok=lambda v: True, want="a number"):
+    """A reader of an int or float `kind` for which `ok` holds; anything
+    else, a bool included, is a config error."""
     def check(v):
-        v = kind(v)
-        if not 0 < v < math.inf:
-            raise ConfigError(f"expected a finite value > 0, got {v}")
-        return v
+        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+            raise ConfigError(f"expected {want}, got {v!r}")
+        try:
+            x = kind(v)
+        except (OverflowError, ValueError):  # "abc", int(nan), int(inf), float(10**400)
+            raise ConfigError(f"expected {want}, got {v!r}") from None
+        if not ok(x):
+            raise ConfigError(f"expected {want}, got {v!r}")
+        return x
     return check
 
 
-def _int_list(v):
-    if isinstance(v, str):
-        v = [int(s) for s in v.split(",")]
-    out = [int(x) for x in v]
-    if any(x <= 0 for x in out):
-        raise ConfigError("horizons must be positive")
-    return out
+def _positive(kind):
+    return _number(kind, lambda v: 0 < v < math.inf, "a finite value > 0")
 
 
-def _float_list(v):
-    if isinstance(v, str):
-        v = [float(s) for s in v.split(",")]
-    return [float(x) for x in v]
+def _nonneg(kind):
+    return _number(kind, lambda v: 0 <= v < math.inf, "a finite value >= 0")
 
 
-def _finite(v):
-    v = float(v)
-    if not math.isfinite(v):
-        raise ConfigError(f"expected a finite value, got {v}")
-    return v
+_finite = _number(float, math.isfinite, "a finite value")
+
+
+def _list(check):
+    def parse(v):
+        if isinstance(v, str):
+            v = v.split(",")
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"expected a non-empty list, got {v!r}")
+        return [check(x) for x in v]
+    return parse
+
+
+_int_list = _list(_positive(int))
+_float_list = _list(_number(float))
 
 
 def _str(v):
@@ -146,15 +156,6 @@ def _choice(*values):
         v = str(v)
         if v not in values:
             raise ConfigError(f"expected {'|'.join(values)}, got {v!r}")
-        return v
-    return check
-
-
-def _nonneg(kind):
-    def check(v):
-        v = kind(v)
-        if not 0 <= v < math.inf:
-            raise ConfigError(f"expected a finite value >= 0, got {v}")
         return v
     return check
 
@@ -354,8 +355,8 @@ ORBIT_SPEC = {**_COMMON,
               "starts": (_positive(int), 4, "number of random starts"),
               "start-lo": (_finite, -2.0, "start sampling window low"),
               "start-hi": (_finite, 2.0, "start sampling window high"),
-              "window-lo": (float, -1.0, "occupation window low"),
-              "window-hi": (float, 1.0, "occupation window high")}
+              "window-lo": (_number(float), -1.0, "occupation window low"),
+              "window-hi": (_number(float), 1.0, "occupation window high")}
 
 
 def cmd_preserve_check(cfg, out):
@@ -385,7 +386,7 @@ AARONSON_SPEC = {**_COMMON,
                  "measure": (_str, "boole", "singular measure token/JSON/@file"),
                  "K": (_positive(int), 1000, "lattice truncation for ex310b"),
                  "N": (_positive(int), 10_000, "number of terms"),
-                 "z-re": (float, 0.0, "Re z"),
+                 "z-re": (_number(float), 0.0, "Re z"),
                  "z-im": (_positive(float), 1.0, "Im z")}
 
 
@@ -408,10 +409,17 @@ CONSERV_SPEC = {**_COMMON,
 
 
 def _parse_kernel(tok: str):
-    parts = tok.split(":")
-    if parts[0] == "indicator":
-        return ("indicator", float(parts[1]), float(parts[2]))
-    return parts[0]
+    kind, *bounds = tok.split(":")
+    if kind != "indicator":
+        return kind
+    if len(bounds) != 2 or not all(map(_is_number, bounds)):
+        raise ConfigError(f"expected indicator:a:b with numbers a and b, got {tok!r}")
+    return (kind, *map(float, bounds))
+
+
+def _kernel(v):
+    _parse_kernel(str(v))
+    return str(v)
 
 
 def cmd_hopf(cfg, out):
@@ -435,8 +443,8 @@ HOPF_SPEC = {**_COMMON,
              "starts": (_positive(int), 4, "number of random starts"),
              "start-lo": (_finite, -2.0, "start sampling window low"),
              "start-hi": (_finite, 2.0, "start sampling window high"),
-             "f": (_str, "cauchy", "numerator kernel (cauchy|gauss|indicator:a:b)"),
-             "g": (_str, "gauss", "denominator kernel")}
+             "f": (_kernel, "cauchy", "numerator kernel (cauchy|gauss|indicator:a:b)"),
+             "g": (_kernel, "gauss", "denominator kernel")}
 
 
 def cmd_example_3_5(cfg, out):

@@ -49,7 +49,6 @@ __all__ = [
     "slow_variation_report",
     "SlowVariationReport",
     "h_function",
-    "l_function",
     "CltRow",
     "CltReport",
     "clt_report",
@@ -99,11 +98,6 @@ def _is_degenerate(m: ms.Measure) -> bool:
 def h_function(m: ms.Measure):
     """The truncated variance of `m` as a callable."""
     return lambda x: ms.truncated_variance(m, x)
-
-
-def l_function(m: ms.Measure):
-    """The smoothed truncated variance of `m` as a callable."""
-    return lambda x: ms.harmonic_variance(m, x)
 
 
 def _cutoff_atomic(m: ms.AtomicMeasure, ns: np.ndarray) -> np.ndarray:

@@ -76,7 +76,6 @@ __all__ = [
     "conservativity_criterion",
     "HopfResult",
     "hopf_ratio",
-    "KERNELS",
     "kernel_integral",
     "OrbitRecord",
     "occupation_time",
@@ -385,9 +384,6 @@ def conservativity_criterion(m: ms.Measure, N: int, *,
 # ---------------------------------------------------------------------------
 # Orbits: Hopf ratios and occupation times
 # ---------------------------------------------------------------------------
-
-KERNELS = ("cauchy", "gauss", "indicator")
-
 
 def kernel_integral(kind: str, a: float = 0.0, b: float = 0.0) -> float:
     """Lebesgue integral of a named kernel over the whole line."""

@@ -731,7 +731,7 @@ def measure_from_json(text: str | dict) -> Measure:
     """Inverse of :func:`measure_to_json`; ``{"type": "ref", "law": "point", "c": c}``
     reads as :func:`point_mass`."""
     doc = json.loads(text) if isinstance(text, str) else text
-    kind = doc.get("type")
+    kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
     if kind == "atomic":
         return atomic(doc["atoms"], is_probability=not doc.get("finite", False),
                       pruned_mass=doc.get("pruned_mass", 0.0))

@@ -57,8 +57,8 @@ distance using the midpoint convention at atoms.
 scipy is loaded only where it is used, so atomic and grid laws never
 load it.  This module loads only ``scipy.special``, for the closed-form
 Cauchy transforms of the normal law (``wofz``) and a power-tail law
-(``hyp2f1``) and the normal CDF (``ndtr``).  The zeros of G are found by
-`_brentq`, a port of scipy's ``brentq`` with the same bits.
+(``hyp2f1``); the normal CDF is ``math.erfc(-u/sqrt 2)/2``.  The zeros of
+G are found by `_brentq`, a port of scipy's ``brentq`` with the same bits.
 """
 
 from __future__ import annotations
@@ -925,8 +925,9 @@ def cdf(m: ms.Measure | ms.GridDensity, x, side: str = "mid"):
         if m.kind == "arcsine":
             out = 0.5 + np.arcsin(np.clip(u / math.sqrt(2.0), -1, 1)) / np.pi
         elif m.kind == "normal":
-            from scipy import special
-            out = special.ndtr(u)
+            # erfc(-u/sqrt 2)/2 with ndtr's scaling: within 1.2e-16 of mpmath on [-40, 40]
+            v = (u * -math.sqrt(0.5)).ravel().tolist()
+            out = 0.5 * np.fromiter(map(math.erfc, v), float, len(v)).reshape(u.shape)
         else:  # semicircle
             uu = np.clip(u, -2.0, 2.0)
             out = 0.5 + uu * np.sqrt(4.0 - uu * uu) / (4.0 * np.pi) + np.arcsin(uu / 2.0) / np.pi

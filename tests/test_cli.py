@@ -137,6 +137,8 @@ def test_invalid_config_exits_2(tmp_path):
     assert code == 2
     code, _ = run_cli(["nevanlinna", "--measure", "arcsine"], tmp_path)
     assert code == 2
+    code, outdir = run_cli(["moments", "--measure", "[]"], tmp_path)   # JSON, not a spec
+    assert code == 2 and not outdir.exists()
 
 
 @pytest.mark.parametrize("value", ["Yes", "true", ""])
@@ -595,6 +597,35 @@ def test_unbounded_hopf_window_exits_2(kernel, tmp_path, capsys):
         assert not outdir.exists()
         err = capsys.readouterr().err
         assert "bounded and nondegenerate" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("args, config", [
+    # a kernel token without two numeric bounds ended in an IndexError
+    (["hopf", "--f", "indicator"], None),
+    (["hopf", "--g", "indicator:0"], None),
+    (["hopf", "--f", "indicator:a:1"], None),
+    (["hopf", "--f", "indicator:0:1:2"], None),
+    # int(inf) ended in an OverflowError, and a bool passed as 1
+    (["orbit"], '{"N": Infinity}'),
+    (["orbit"], '{"seed": -Infinity}'),
+    (["orbit"], '{"starts": true}'),
+    (["norming"], '{"n-list": [Infinity]}'),
+    # an empty list wrote an empty table and exited 0
+    (["moments"], '{"x-list": []}'),
+    (["norming"], '{"n-list": []}'),
+    (["conjugacy"], '{"y-list": []}'),
+    (["example-3-5"], '{"y-list": []}'),
+])
+def test_malformed_config_value_exits_2(args, config, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(config)
+        args = args + ["--config", str(path)]
+    code, outdir = run_cli(args, tmp_path)
+    assert code == 2
+    assert not outdir.exists()
+    err = capsys.readouterr().err
+    assert f"config error [{args[0]}]" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("measure", [

@@ -1,4 +1,5 @@
-"""scipy is loaded only on the paths that use it, and the library has no quadrature.
+"""scipy is loaded only on the paths that use it, the library has no
+quadrature, and the normal CDF on the standard library matches mpmath.
 
 Each check runs in a fresh interpreter, since the test modules themselves
 import scipy.  A top-level ``scipy.optimize``, ``scipy.integrate`` or
@@ -10,7 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
+import numpy as np
+
 import monoclt
+from monoclt import measures as ms, transforms as tf
 
 SRC = str(Path(monoclt.__file__).resolve().parent.parent)
 
@@ -34,6 +39,10 @@ from monoclt import cli
 assert not [m for m in {HEAVY!r} if m in sys.modules], "import monoclt"
 assert cli.run(["hopf", "--measure", "boole", "--N", "1000", "--outdir", {str(tmp_path)!r}]) == 0
 assert cli.run(["orbit", "--outdir", {str(tmp_path)!r}]) == 0
+assert cli.run(["clt-report", "--measure", "boole", "--n-list", "100,1000",
+                "--outdir", {str(tmp_path)!r}]) == 0
+from monoclt import measures as ms, transforms as tf
+assert 0.0 < tf.ks_distance(ms.atomic([(-1.0, 0.5), (1.0, 0.5)]), ms.normal()) < 1.0
 """
     assert loaded_after(code) == set()
 
@@ -47,9 +56,10 @@ laws = [ms.normal(), ms.arcsine(), ms.semicircle(), ms.point_mass(1.0), ms.atomi
 for m in laws:
     ms.harmonic_variance(m, np.array([1e-3, 0.5, 1.2, 10.0, 1e10]))
 assert not sys.modules.keys() & {"scipy", "scipy.integrate"}, "L"
+tf.cdf(ms.normal(), [0.0, 1.0])
+assert "scipy" not in sys.modules, "normal CDF"
 tf.cauchy_eval(ms.power_tail(3), 1j)
 assert "scipy.special" in sys.modules and "scipy.integrate" not in sys.modules, "power-tail G"
-tf.cdf(ms.normal(), [0.0, 1.0])
 """
     assert loaded_after(code) == {"scipy.special"}
 
@@ -57,3 +67,15 @@ tf.cdf(ms.normal(), [0.0, 1.0])
 def test_no_quadrature_in_the_library():
     hits = [p.name for p in Path(SRC, "monoclt").rglob("*.py") if "integrate" in p.read_text()]
     assert hits == []
+
+
+def test_normal_cdf_matches_mpmath():
+    # erfc(-u/sqrt 2)/2 on the standard library, with no scipy.special.ndtr
+    u = np.concatenate((np.linspace(-40.0, 40.0, 8001), np.linspace(-1.0, 1.0, 401)))
+    phi = tf.cdf(ms.normal(), u)
+    with mpmath.workdps(40):
+        ref = [mpmath.ncdf(v) for v in u.tolist()]
+        err = [abs(mpmath.mpf(p) - r) for p, r in zip(phi.tolist(), ref)]
+        assert max(err) <= 2.3e-16
+        assert max(e / r for e, r in zip(err, ref) if r >= 1e-300) <= 1e-12
+    assert np.max(np.abs(phi + tf.cdf(ms.normal(), -u) - 1.0)) <= 2 * np.spacing(1.0)

@@ -36,7 +36,7 @@ Bsel = clt.sigma_criterion_constants(lab.sigma, ns)
 for n, bsel in zip(ns, Bsel.values):
     print(f"  n={n:<6} sqrt(n log n) = {math.sqrt(n*math.log(n)):8.2f}   "
           f"selected = {bsel:8.2f}")
-rr = clt.norming_ratio_check(lab.rep, Bsel, y=1.0)
+rr = clt.norming_ratio_check(lab.sigma, Bsel, y=1.0)
 print(f"  selection-rule ratios r_n: all equal 1 to {rr.tail_max_dev:.1e}")
 
 print("\nconservativity: partial sums of 1/B_n^2 and the growth-model fit")

@@ -107,10 +107,14 @@ def config_hash(cfg: dict) -> str:
 
 
 def _number(kind, ok=lambda v: True, want="a number"):
-    """A reader of an int or float `kind` for which `ok` holds; anything
-    else, a bool included, is a config error."""
+    """A reader of an int or float `kind` for which `ok` holds: an int field
+    takes an integer or an integer string, a float field a number or a
+    numeric string; anything else, a bool or a float for an int included,
+    is a config error."""
+    accepted = (int, str) if kind is int else (int, float, str)
+
     def check(v):
-        if isinstance(v, bool) or not isinstance(v, (int, float, str)):
+        if isinstance(v, bool) or not isinstance(v, accepted):
             raise ConfigError(f"expected {want}, got {v!r}")
         try:
             x = kind(v)
@@ -164,7 +168,6 @@ def _choice(*values):
 _COMMON = {
     "outdir": (_str, "artifacts", "output directory"),
     "format": (_choice("csv", "json"), "csv", "artifact format (csv|json)"),
-    "seed": (_nonneg(int), 0, "seed for any random sampling"),
 }
 
 
@@ -203,7 +206,7 @@ def cmd_moments(cfg, out):
 MOMENTS_SPEC = {**_COMMON,
                 "measure": (_str, "boole", "measure token/JSON/@file"),
                 "K": (_positive(int), 1000, "lattice truncation for ex310b"),
-                "x-list": (_float_list, [1.0, 10.0, 100.0], "cutoffs for H/L/tail")}
+                "x-list": (_list(_finite), [1.0, 10.0, 100.0], "cutoffs for H/L/tail")}
 
 
 def cmd_norming(cfg, out):
@@ -217,7 +220,8 @@ def cmd_norming(cfg, out):
 NORMING_SPEC = {**_COMMON,
                 "measure": (_str, "boole", "measure token/JSON/@file"),
                 "K": (_positive(int), 1000, "lattice truncation for ex310b"),
-                "method": (_str, "auto", "auto|variance|h-cutoff"),
+                "method": (_choice("auto", "variance", "h-cutoff"), "auto",
+                           "auto|variance|h-cutoff"),
                 "n-list": (_int_list, [10, 100, 1000, 10000], "indices")}
 
 
@@ -353,6 +357,7 @@ ORBIT_SPEC = {**_COMMON,
               "K": (_positive(int), 50, "lattice truncation for ex310b"),
               "N": (_positive(int), 100_000, "orbit length"),
               "starts": (_positive(int), 4, "number of random starts"),
+              "seed": (_nonneg(int), 0, "seed of the random starts"),
               "start-lo": (_finite, -2.0, "start sampling window low"),
               "start-hi": (_finite, 2.0, "start sampling window high"),
               "window-lo": (_number(float), -1.0, "occupation window low"),
@@ -372,6 +377,7 @@ PRESERVE_SPEC = {**_COMMON,
                  "measure": (_str, "boole", "atomic measure token/JSON/@file"),
                  "K": (_positive(int), 50, "lattice truncation for ex310b"),
                  "samples": (_positive(int), 100, "number of test points"),
+                 "seed": (_nonneg(int), 0, "seed of the random test points"),
                  "y-scale": (_positive(float), 5.0, "test point spread")}
 
 
@@ -410,11 +416,11 @@ CONSERV_SPEC = {**_COMMON,
 
 def _parse_kernel(tok: str):
     kind, *bounds = tok.split(":")
-    if kind != "indicator":
+    if kind in ("cauchy", "gauss") and not bounds:
         return kind
-    if len(bounds) != 2 or not all(map(_is_number, bounds)):
-        raise ConfigError(f"expected indicator:a:b with numbers a and b, got {tok!r}")
-    return (kind, *map(float, bounds))
+    if kind == "indicator" and len(bounds) == 2 and all(map(_is_number, bounds)):
+        return (kind, *map(float, bounds))
+    raise ConfigError(f"expected cauchy, gauss or indicator:a:b with numbers a and b, got {tok!r}")
 
 
 def _kernel(v):
@@ -441,6 +447,7 @@ HOPF_SPEC = {**_COMMON,
              "K": (_positive(int), 50, "lattice truncation for ex310b"),
              "N": (_positive(int), 1_000_000, "orbit length"),
              "starts": (_positive(int), 4, "number of random starts"),
+             "seed": (_nonneg(int), 0, "seed of the random starts"),
              "start-lo": (_finite, -2.0, "start sampling window low"),
              "start-hi": (_finite, 2.0, "start sampling window high"),
              "f": (_kernel, "cauchy", "numerator kernel (cauchy|gauss|indicator:a:b)"),

@@ -20,10 +20,10 @@ vanishes near 0, so the largest-solution convention is used throughout;
 it reproduces ``sqrt(n*var)`` exactly in the finite-variance case.
 
 Experiments: sup-grid transform deviation and CDF distance per n
-(`clt_report`), the square-root conjugacy telescoping (`conjugacy_trace`),
-the iterate drift bound (`drift_bound_check`), and a law-of-large-numbers
-check (`lln_check`); conjugacy and drift read the half-plane orbit
-``F^(j)(B z)/B`` of `transforms._orbit`, as :mod:`monoclt.ergodic` does.
+(`clt_report`), the square-root conjugacy telescoping (`conjugacy_trace`)
+and the iterate drift bound (`drift_bound_check`); conjugacy and drift read
+the half-plane orbit ``F^(j)(B z)/B`` of `transforms._orbit`, as
+:mod:`monoclt.ergodic` does.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ __all__ = [
     "conjugacy_trace",
     "DriftReport",
     "drift_bound_check",
-    "lln_check",
     "default_z_grid",
 ]
 
@@ -258,12 +257,12 @@ class RatioReport:
     tail_max_dev: float
 
 
-def norming_ratio_check(rep_or_sigma, B: NormingSequence, y: float = 1.0) -> RatioReport:
-    """Check the norming selection rule against given constants (`y` finite and
-    positive, else :class:`DomainError`; a non-finite ratio :class:`NumericBreakdown`)."""
+def norming_ratio_check(sigma: ms.AtomicMeasure, B: NormingSequence, y: float = 1.0) -> RatioReport:
+    """Check the norming selection rule on the singular part `sigma` against
+    given constants (`y` finite and positive, else :class:`DomainError`; a
+    non-finite ratio :class:`NumericBreakdown`)."""
     if not (math.isfinite(y) and y > 0):
         raise DomainError(f"the ratio check needs a finite y > 0, got {y!r}")
-    sigma = rep_or_sigma.sigma if isinstance(rep_or_sigma, tf.NevanlinnaRep) else rep_or_sigma
     if sigma is None:
         raise DegenerateMeasure("ratio check needs a nonzero singular part")
     S = sigma.total_mass
@@ -460,19 +459,3 @@ def drift_bound_check(source: Source, n: int, y: float, j_list, B: float) -> Dri
     bounds = 10.0 * js / n
     return DriftReport(js, devs, bounds, devs > bounds + 1e-12)
 
-
-def lln_check(m: ms.Measure, n_list, z_list=None) -> np.ndarray:
-    """Law-of-large-numbers deviations ``|F^(n)(nz)/n - (z - mean)|`` per n.
-
-    Returns the max deviation over the z grid for each n; tends to 0 as n
-    grows whenever the mean is finite.
-    """
-    mean = ms.moments(m).mean
-    if not math.isfinite(mean):
-        raise DomainError("law of large numbers needs a finite mean")
-    zs = default_z_grid() if z_list is None else np.asarray(z_list)
-    out = np.empty(len(np.atleast_1d(n_list)))
-    for i, n in enumerate(np.atleast_1d(n_list)):
-        M = cv.scaled_monotone_power(m, int(n), float(n))
-        out[i] = float(np.abs(tf.f_eval(M, zs) - (zs - mean)).max())
-    return out

@@ -66,7 +66,6 @@ __all__ = [
     "RationalBooleMap",
     "boundary_map",
     "boole_map",
-    "eval_T",
     "eval_dT",
     "preimages",
     "preservation_check",
@@ -140,9 +139,9 @@ def boundary_map(rep: tf.NevanlinnaRep) -> RationalBooleMap:
     return RationalBooleMap(*tf._partial_fractions(rep))
 
 
-def boole_map(r: float = 1.0) -> RationalBooleMap:
-    """The map ``x -> x - r/x`` (the classical case at r = 1)."""
-    return RationalBooleMap(0.0, np.array([0.0]), np.array([float(r)]))
+def boole_map() -> RationalBooleMap:
+    """Boole's map ``x -> x - 1/x``."""
+    return RationalBooleMap(0.0, np.array([0.0]), np.array([1.0]))
 
 
 def _pole_distance(T: RationalBooleMap, x) -> np.ndarray:
@@ -163,15 +162,6 @@ def _pole_distance(T: RationalBooleMap, x) -> np.ndarray:
 def _on_pole(T: RationalBooleMap, x) -> np.ndarray:
     """The orbit engine's pole test: ``x`` within ``POLE_TOL`` (relative) of a pole."""
     return _pole_distance(T, x) < POLE_TOL * (1.0 + np.abs(x))
-
-
-def eval_T(T: RationalBooleMap, x):
-    """Evaluate the transformation; raises :class:`PoleProximity` on poles."""
-    xa = np.asarray(x, dtype=float)
-    if np.any(_on_pole(T, xa)):
-        raise PoleProximity("evaluation point is numerically on a pole")
-    out = tf._pole_map(T.c, T.pole_positions, T.pole_weights, float)(xa.ravel()).reshape(xa.shape)
-    return out if out.ndim else float(out)
 
 
 def eval_dT(T: RationalBooleMap, x):
@@ -704,7 +694,6 @@ class LatticeTailLab:
     """
 
     sigma: ms.AtomicMeasure
-    rep: tf.NevanlinnaRep
     map: tf.NevanlinnaMap
     T: RationalBooleMap
     B: cl.NormingSequence | None
@@ -742,5 +731,4 @@ def lattice_tail_lab(K: int, N: int | None = None) -> LatticeTailLab:
         ns = np.arange(1, N + 1)
         vals = np.sqrt(ns * np.log(np.maximum(ns, 2)))
         B = cl.NormingSequence(ns, vals, "closed-form sqrt(n log n)")
-    return LatticeTailLab(sigma, rep, tf.NevanlinnaMap(rep), boundary_map(rep),
-                          B, defect)
+    return LatticeTailLab(sigma, tf.NevanlinnaMap(rep), boundary_map(rep), B, defect)

@@ -615,6 +615,11 @@ def test_unbounded_hopf_window_exits_2(kernel, tmp_path, capsys):
     (["norming"], '{"n-list": []}'),
     (["conjugacy"], '{"y-list": []}'),
     (["example-3-5"], '{"y-list": []}'),
+    # an int field truncated a float; an unknown method or kernel passed config
+    (["aaronson"], '{"N": 2.5}'),
+    (["norming", "--method", "bogus"], None),
+    (["hopf", "--f", "foo"], None),
+    (["hopf", "--g", "cauchy:0:1"], None),
 ])
 def test_malformed_config_value_exits_2(args, config, tmp_path, capsys):
     if config is not None:
@@ -679,4 +684,44 @@ def test_preserve_check_huge_targets_end(tmp_path, capsys):
                             "--samples", "3"], tmp_path)
     assert code in (0, 3)
     assert outdir.exists() == (code == 0)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_seed_only_where_numbers_are_drawn(tmp_path):
+    assert {sub for sub, (spec, _fn) in cli._SUBCOMMANDS.items() if "seed" in spec} == {
+        "orbit", "hopf", "preserve-check"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+    code, outdir = run_cli(["moments", "--config", str(cfg)], tmp_path)
+    assert code == 2 and not outdir.exists()
+
+
+def _schema_cases():
+    """Every field but ``outdir`` of every subcommand, at each hostile
+    ``--config`` value; an int field (by its default) also at 2.5, and a
+    numeric field also at its argv forms."""
+    hostile = ["Infinity", "-Infinity", "NaN", '"abc"', "[]", "{}", "null"]
+    for sub, (spec, _fn) in cli._SUBCOMMANDS.items():
+        for field, (_check, default, _help) in spec.items():
+            if field == "outdir":
+                continue
+            listed = isinstance(default, list)
+            kind = type(default[0] if listed else default)
+            ints = ["[2.5]" if listed else "2.5"] if kind is int else []
+            yield from ((sub, field, "config", v) for v in hostile + ints)
+            if kind in (int, float):
+                yield from ((sub, field, "argv", v) for v in ["inf", "-inf", "nan", "abc"]
+                            + ["2.5"] * (kind is int))
+
+
+@pytest.mark.parametrize("sub, field, how, value", list(_schema_cases()))
+def test_schema_rejects_malformed_values(sub, field, how, value, tmp_path, capsys):
+    if how == "config":
+        (tmp_path / "cfg.json").write_text(f'{{"{field}": {value}}}')
+        args = [sub, "--config", str(tmp_path / "cfg.json")]
+    else:
+        args = [sub, f"--{field}", value]
+    code, outdir = run_cli(args, tmp_path)
+    assert code == 2
+    assert not outdir.exists()
     assert "Traceback" not in capsys.readouterr().err

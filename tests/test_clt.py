@@ -194,7 +194,7 @@ class TestSigmaCriterion:
                           is_probability=False)
         ns = np.array([100, 1000, 10_000])
         B = clt.sigma_criterion_constants(sigma, ns)
-        rr = clt.norming_ratio_check(mc.NevanlinnaRep(0.0, sigma), B, y=1.0)
+        rr = clt.norming_ratio_check(sigma, B, y=1.0)
         assert rr.tail_max_dev < 1e-10
 
     def test_benchmark_warm_up_op_is_pinned(self):
@@ -414,17 +414,3 @@ class TestDriftBound:
         del calls[:]
         clt.drift_bound_check(BOOLE, 10, 10.5, [0, 10], 3.0)
         assert calls == [("orbit", 11)]
-
-
-class TestLln:
-    def test_point_mass_exact(self):
-        devs = clt.lln_check(mc.point_mass(0.7), [10, 100])
-        assert np.all(devs < 1e-12)
-
-    def test_coin_mean_half(self):
-        devs = clt.lln_check(BERN, [10_000], [1j])
-        assert devs[0] <= 0.01
-
-    def test_symmetric_coin(self):
-        devs = clt.lln_check(BOOLE, [10_000], [2j])
-        assert devs[0] <= 0.01

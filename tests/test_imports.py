@@ -1,12 +1,15 @@
 """scipy is loaded only on the paths that use it, the library has no
-quadrature, and the normal CDF on the standard library matches mpmath.
+quadrature, the normal CDF on the standard library matches mpmath, and
+every public name has a caller.
 
 Each check runs in a fresh interpreter, since the test modules themselves
 import scipy.  A top-level ``scipy.optimize``, ``scipy.integrate`` or
 ``scipy.special`` import anywhere under ``monoclt`` fails the first test.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +18,10 @@ import mpmath
 import numpy as np
 
 import monoclt
-from monoclt import measures as ms, transforms as tf
+from monoclt import clt, convolve, ergodic, measures as ms, transforms as tf
 
 SRC = str(Path(monoclt.__file__).resolve().parent.parent)
+ROOT = Path(SRC).parent
 
 HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.special")
 
@@ -79,3 +83,38 @@ def test_normal_cdf_matches_mpmath():
         assert max(err) <= 2.3e-16
         assert max(e / r for e, r in zip(err, ref) if r >= 1e-300) <= 1e-12
     assert np.max(np.abs(phi + tf.cdf(ms.normal(), -u) - 1.0)) <= 2 * np.spacing(1.0)
+
+
+PUBLIC = (ms, tf, convolve, clt, ergodic)
+
+
+def test_every_exported_name_resolves():
+    # the benchmark's tracer wraps getattr(module, name) for each of them
+    stale = [f"{mod.__name__}.{name}" for mod in PUBLIC for name in mod.__all__
+             if not hasattr(mod, name)]
+    assert stale == []
+
+
+def code_names(path: Path) -> set[str]:
+    """The names a module's code reads, each top-level definition's own name
+    left out of its own body (docstrings, comments and imports do not count)."""
+    used = set()
+    for node in ast.parse(path.read_text()).body:
+        own = getattr(node, "name", None)
+        for sub in ast.walk(node):
+            name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+            if name is not None and name != own:
+                used.add(name)
+    return used
+
+
+def test_every_exported_name_has_a_caller():
+    # a caller is library code, a demo, the benchmark, the README or docs, or an
+    # acceptance criterion; a name that only unit tests reach is surface to delete
+    used = set().union(*map(code_names, Path(SRC, "monoclt").glob("*.py")))
+    texts = [p.read_text() for d in ("demos", "benchmarks", "docs") for p in (ROOT / d).rglob("*")
+             if p.suffix in (".py", ".md")]
+    texts += [(ROOT / "README.md").read_text(), (ROOT / "tests" / "test_acceptance.py").read_text()]
+    uncalled = [f"{mod.__name__}.{name}" for mod in PUBLIC for name in mod.__all__
+                if name not in used and not any(re.search(rf"\b{name}\b", t) for t in texts)]
+    assert uncalled == []

@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import platform
+import re
 import sys
 import time
 from pathlib import Path
@@ -54,9 +55,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def parse_measure(token: str, K: int = 1000):
-    """Resolve a measure spec: a named token, inline JSON, or ``@file``;
-    ``ex310b`` is the lattice-tail law given by its map, a `tf.NevanlinnaMap`."""
+def parse_measure(token: str):
+    """Resolve a measure spec: a named token, ``ex310b:K``, inline JSON, or
+    ``@file``.  ``ex310b:K`` is the lattice-tail law truncated at an integer
+    ``K >= 10``, given by its map, a `tf.NevanlinnaMap`."""
     named = {
         "boole": lambda: ms.atomic([(-1.0, 0.5), (1.0, 0.5)]),
         "bern01": lambda: ms.atomic([(0.0, 0.5), (1.0, 0.5)]),
@@ -67,8 +69,11 @@ def parse_measure(token: str, K: int = 1000):
     }
     if token in named:
         return named[token]()
-    if token == "ex310b":
-        return eg.lattice_tail_lab(K).map
+    if token.startswith("ex310b"):
+        K = re.fullmatch(r"ex310b:([1-9][0-9]+)", token)   # an integer K >= 10
+        if K is None:
+            raise ValueError(f"expected ex310b:K with an integer K >= 10, got {token!r}")
+        return eg.lattice_tail_lab(int(K[1])).map
     if token.startswith("@"):
         return ms.measure_from_json(Path(token[1:]).read_text())
     return ms.measure_from_json(token)
@@ -148,11 +153,7 @@ def _list(check):
 
 
 _int_list = _list(_positive(int))
-_float_list = _list(_number(float))
-
-
-def _str(v):
-    return str(v)
+_float_list = _list(_finite)
 
 
 def _choice(*values):
@@ -164,20 +165,40 @@ def _choice(*values):
     return check
 
 
+def _measure(kinds=object, want="", K=1000):
+    """A reader of a measure spec that parses whole into one of `kinds`; the
+    config records a bare ``ex310b`` as ``ex310b:K``."""
+    def check(v):
+        if not isinstance(v, str):
+            raise ConfigError(f"expected a measure spec string, got {v!r}")
+        v = f"ex310b:{K}" if v == "ex310b" else v
+        try:
+            law = parse_measure(v)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"{type(exc).__name__}: {exc}") from None
+        if not isinstance(law, kinds):
+            raise ConfigError(f"{want}, got {v!r}")
+        return v
+    return check
+
+
+_plain_measure = _measure(ms.Measure, "free convolution needs plain measures")
+_map_source = _measure(ms.AtomicMeasure | tf.NevanlinnaMap,
+                       "boundary maps need an atomic (singular) measure or ex310b", K=50)
+
 # field spec: name -> (validator, default, help)
 _COMMON = {
-    "outdir": (_str, "artifacts", "output directory"),
+    "outdir": (str, "artifacts", "output directory"),
     "format": (_choice("csv", "json"), "csv", "artifact format (csv|json)"),
 }
 
 
-def _grid_cfg():
-    return {
-        "xmin": (_finite, -4.0, "grid start"),
-        "xmax": (_finite, 4.0, "grid end"),
-        "h": (_positive(float), 1e-3, "grid spacing"),
-        "eta": (_positive(float), 1e-2, "inversion offset"),
-    }
+_GRID = {
+    "xmin": (_finite, -4.0, "grid start"),
+    "xmax": (_finite, 4.0, "grid end"),
+    "h": (_positive(float), 1e-3, "grid spacing"),
+    "eta": (_positive(float), 1e-2, "inversion offset"),
+}
 
 
 def _grid_from_cfg(cfg) -> np.ndarray:
@@ -190,8 +211,23 @@ def _grid_from_cfg(cfg) -> np.ndarray:
 # Subcommands
 # ---------------------------------------------------------------------------
 
+_SUBCOMMANDS: dict = {}     # name -> (field spec, command)
+
+
+def _subcommand(name: str, fields: dict):
+    """Register a command as subcommand `name`, whose config is the common
+    fields and `fields`."""
+    def register(fn):
+        _SUBCOMMANDS[name] = ({**_COMMON, **fields}, fn)
+        return fn
+    return register
+
+
+@_subcommand("moments", {
+    "measure": (_measure(), "boole", "measure token/JSON/@file"),
+    "x-list": (_float_list, [1.0, 10.0, 100.0], "cutoffs for H/L/tail")})
 def cmd_moments(cfg, out):
-    m = parse_measure(cfg["measure"], cfg["K"])
+    m = parse_measure(cfg["measure"])
     if isinstance(m, tf.NevanlinnaMap):
         m = m.rep.sigma
     mom = ms.moments(m)
@@ -203,30 +239,24 @@ def cmd_moments(cfg, out):
     return "moments", ["quantity", "value"], rows
 
 
-MOMENTS_SPEC = {**_COMMON,
-                "measure": (_str, "boole", "measure token/JSON/@file"),
-                "K": (_positive(int), 1000, "lattice truncation for ex310b"),
-                "x-list": (_list(_finite), [1.0, 10.0, 100.0], "cutoffs for H/L/tail")}
-
-
+@_subcommand("norming", {
+    "measure": (_measure(), "boole", "measure token/JSON/@file"),
+    "method": (_choice("auto", "variance", "h-cutoff"), "auto", "auto|variance|h-cutoff"),
+    "n-list": (_int_list, [10, 100, 1000, 10000], "indices")})
 def cmd_norming(cfg, out):
-    m = parse_measure(cfg["measure"], cfg["K"])
+    m = parse_measure(cfg["measure"])
     ns = np.asarray(cfg["n-list"], dtype=np.int64)
     B = clt.norming_constants(m, ns=ns, method=cfg["method"])
     rows = [[int(n), float(b)] for n, b in zip(B.ns, B.values)]
     return f"norming ({B.provenance})", ["n", "B"], rows
 
 
-NORMING_SPEC = {**_COMMON,
-                "measure": (_str, "boole", "measure token/JSON/@file"),
-                "K": (_positive(int), 1000, "lattice truncation for ex310b"),
-                "method": (_choice("auto", "variance", "h-cutoff"), "auto",
-                           "auto|variance|h-cutoff"),
-                "n-list": (_int_list, [10, 100, 1000, 10000], "indices")}
-
-
+@_subcommand("clt-report", {**_GRID,
+    "measure": (_measure(), "boole", "measure token/JSON/@file"),
+    "n-list": (_int_list, [100, 1000], "powers"),
+    "with-ks": (_choice("yes", "no"), "yes", "compute inversion KS column (yes|no)")})
 def cmd_clt_report(cfg, out):
-    obj = parse_measure(cfg["measure"], cfg["K"])
+    obj = parse_measure(cfg["measure"])
     ns = np.asarray(cfg["n-list"], dtype=np.int64)
     rep = clt.clt_report(obj, ns, eta=cfg["eta"], grid=_grid_from_cfg(cfg),
                          with_ks=cfg["with-ks"] == "yes")
@@ -236,15 +266,13 @@ def cmd_clt_report(cfg, out):
     return "clt-report", ["n", "B", "f_dev", "ks_arcsine", "ks_normal"], rows
 
 
-CLT_SPEC = {**_COMMON, **_grid_cfg(),
-            "measure": (_str, "boole", "measure token/JSON/@file"),
-            "K": (_positive(int), 1000, "lattice truncation for ex310b"),
-            "n-list": (_int_list, [100, 1000], "powers"),
-            "with-ks": (_choice("yes", "no"), "yes", "compute inversion KS column (yes|no)")}
-
-
+@_subcommand("conjugacy", {
+    "measure": (_measure(), "bern01", "measure token/JSON/@file"),
+    "n": (_positive(int), 1000, "iteration count"),
+    "B": (_nonneg(float), 0.0, "norming constant (0 = auto)"),
+    "y-list": (_float_list, [10.2, 10.5, 10.8], "y values (>10)")})
 def cmd_conjugacy(cfg, out):
-    src = parse_measure(cfg["measure"], cfg["K"])
+    src = parse_measure(cfg["measure"])
     if not isinstance(src, tf.SelfMap):
         mean = ms.moments(src).mean
         src = ms.shift(src, -mean) if mean != 0.0 else src
@@ -260,49 +288,32 @@ def cmd_conjugacy(cfg, out):
     return "conjugacy", header, rows
 
 
-CONJ_SPEC = {**_COMMON,
-             "measure": (_str, "bern01", "measure token/JSON/@file"),
-             "K": (_positive(int), 1000, "lattice truncation for ex310b"),
-             "n": (_positive(int), 1000, "iteration count"),
-             "B": (_nonneg(float), 0.0, "norming constant (0 = auto)"),
-             "y-list": (_float_list, [10.2, 10.5, 10.8], "y values (>10)")}
-
-
+@_subcommand("invert", {**_GRID,
+    "measure": (_measure(), "boole", "measure token/JSON/@file")})
 def cmd_invert(cfg, out):
-    obj = parse_measure(cfg["measure"], cfg["K"])
+    obj = parse_measure(cfg["measure"])
     F = obj if isinstance(obj, tf.SelfMap) else tf.MeasureMap(obj)
     dens = tf.measure_from_map(F, grid=_grid_from_cfg(cfg), eta=cfg["eta"])
     rows = [[x, v] for x, v in zip(dens.grid, dens.values)]
     return f"invert (clamped_mass={_fmt(dens.clamped_mass)})", ["x", "density"], rows
 
 
-INVERT_SPEC = {**_COMMON, **_grid_cfg(),
-               "measure": (_str, "boole", "measure token/JSON/@file"),
-               "K": (_positive(int), 1000, "lattice truncation for ex310b")}
-
-
+@_subcommand("free-conv", {**_GRID,
+    "measure": (_plain_measure, "boole", "left factor"),
+    "with": (_plain_measure, "boole", "right factor"),
+    "maxiter": (_positive(int), 10_000, "fixed-point step cap")})
 def cmd_free_conv(cfg, out):
-    m = parse_measure(cfg["measure"])
-    n = parse_measure(cfg["with"])
-    if isinstance(m, tf.SelfMap) or isinstance(n, tf.SelfMap):
-        raise ConfigError("free convolution needs plain measures")
-    dens = cv.free_density(m, n, grid=_grid_from_cfg(cfg), eta=cfg["eta"],
-                           maxiter=cfg["maxiter"])
+    dens = cv.free_density(parse_measure(cfg["measure"]), parse_measure(cfg["with"]),
+                           grid=_grid_from_cfg(cfg), eta=cfg["eta"], maxiter=cfg["maxiter"])
     rows = [[x, v] for x, v in zip(dens.grid, dens.values)]
     return f"free-conv (clamped_mass={_fmt(dens.clamped_mass)})", ["x", "density"], rows
 
 
-FREE_SPEC = {**_COMMON, **_grid_cfg(),
-             "measure": (_str, "boole", "left factor"),
-             "with": (_str, "boole", "right factor"),
-             "maxiter": (_positive(int), 10_000, "fixed-point step cap")}
-
-
+@_subcommand("nevanlinna", {
+    "measure": (_measure(ms.AtomicMeasure, "extraction needs an atomic probability measure"),
+                "boole", "atomic measure token/JSON/@file")})
 def cmd_nevanlinna(cfg, out):
-    m = parse_measure(cfg["measure"])
-    if not isinstance(m, ms.AtomicMeasure):
-        raise ConfigError("extraction needs an atomic probability measure")
-    rep = tf.nevanlinna_extract(m)
+    rep = tf.nevanlinna_extract(parse_measure(cfg["measure"]))
     rows = [["a", rep.a], ["sigma_total", rep.sigma_total]]
     if rep.sigma is not None:
         for t, s in zip(rep.sigma.positions, rep.sigma.masses):
@@ -310,30 +321,20 @@ def cmd_nevanlinna(cfg, out):
     return "nevanlinna", ["quantity", "value"], rows
 
 
-NEV_SPEC = {**_COMMON,
-            "measure": (_str, "boole", "atomic measure token/JSON/@file")}
-
-
 def _map_from_cfg(cfg):
-    obj = parse_measure(cfg["measure"], cfg["K"])
-    if isinstance(obj, tf.NevanlinnaMap):
-        return eg.boundary_map(obj.rep)
-    if isinstance(obj, ms.AtomicMeasure):
-        return eg.boundary_map(tf.nevanlinna_extract(obj))
-    raise ConfigError("boundary maps need an atomic (singular) measure")
+    obj = parse_measure(cfg["measure"])
+    return eg.boundary_map(obj.rep if isinstance(obj, tf.NevanlinnaMap)
+                           else tf.nevanlinna_extract(obj))
 
 
+@_subcommand("boundary-map", {
+    "measure": (_map_source, "boole", "atomic measure token/JSON/@file")})
 def cmd_boundary_map(cfg, out):
     T = _map_from_cfg(cfg)
     rows = [["c", T.c]] + [[f"pole({_fmt(float(t))})", float(w)]
                            for t, w in zip(T.pole_positions, T.pole_weights)]
     out["map_json"] = T.to_json()
     return "boundary-map", ["quantity", "value"], rows
-
-
-BMAP_SPEC = {**_COMMON,
-             "measure": (_str, "boole", "atomic measure token/JSON/@file"),
-             "K": (_positive(int), 50, "lattice truncation for ex310b")}
 
 
 def _random_starts(cfg) -> np.ndarray:
@@ -344,6 +345,15 @@ def _random_starts(cfg) -> np.ndarray:
     return np.random.default_rng(cfg["seed"]).uniform(lo, hi, cfg["starts"])
 
 
+@_subcommand("orbit", {
+    "measure": (_map_source, "boole", "atomic measure token/JSON/@file"),
+    "N": (_positive(int), 100_000, "orbit length"),
+    "starts": (_positive(int), 4, "number of random starts"),
+    "seed": (_nonneg(int), 0, "seed of the random starts"),
+    "start-lo": (_finite, -2.0, "start sampling window low"),
+    "start-hi": (_finite, 2.0, "start sampling window high"),
+    "window-lo": (_finite, -1.0, "occupation window low"),
+    "window-hi": (_finite, 1.0, "occupation window high")})
 def cmd_orbit(cfg, out):
     T = _map_from_cfg(cfg)
     x0 = _random_starts(cfg)
@@ -352,18 +362,11 @@ def cmd_orbit(cfg, out):
     return "orbit", ["x0", "visits", "truncated_at"], rows
 
 
-ORBIT_SPEC = {**_COMMON,
-              "measure": (_str, "boole", "atomic measure token/JSON/@file"),
-              "K": (_positive(int), 50, "lattice truncation for ex310b"),
-              "N": (_positive(int), 100_000, "orbit length"),
-              "starts": (_positive(int), 4, "number of random starts"),
-              "seed": (_nonneg(int), 0, "seed of the random starts"),
-              "start-lo": (_finite, -2.0, "start sampling window low"),
-              "start-hi": (_finite, 2.0, "start sampling window high"),
-              "window-lo": (_number(float), -1.0, "occupation window low"),
-              "window-hi": (_number(float), 1.0, "occupation window high")}
-
-
+@_subcommand("preserve-check", {
+    "measure": (_map_source, "boole", "atomic measure token/JSON/@file"),
+    "samples": (_positive(int), 100, "number of test points"),
+    "seed": (_nonneg(int), 0, "seed of the random test points"),
+    "y-scale": (_positive(float), 5.0, "test point spread")})
 def cmd_preserve_check(cfg, out):
     T = _map_from_cfg(cfg)
     rng = np.random.default_rng(cfg["seed"])
@@ -373,45 +376,32 @@ def cmd_preserve_check(cfg, out):
     return "preserve-check", ["y", "n_preimages", "deviation"], rows
 
 
-PRESERVE_SPEC = {**_COMMON,
-                 "measure": (_str, "boole", "atomic measure token/JSON/@file"),
-                 "K": (_positive(int), 50, "lattice truncation for ex310b"),
-                 "samples": (_positive(int), 100, "number of test points"),
-                 "seed": (_nonneg(int), 0, "seed of the random test points"),
-                 "y-scale": (_positive(float), 5.0, "test point spread")}
-
-
+@_subcommand("aaronson", {
+    "measure": (_measure(), "boole", "singular measure token/JSON/@file"),
+    "N": (_positive(int), 10_000, "number of terms"),
+    "z-re": (_finite, 0.0, "Re z"),
+    "z-im": (_positive(float), 1.0, "Im z")})
 def cmd_aaronson(cfg, out):
-    src = parse_measure(cfg["measure"], cfg["K"])
+    src = parse_measure(cfg["measure"])
     sums = eg.aaronson_sums(src, cfg["N"], complex(cfg["z-re"], cfg["z-im"]))
     rows = [[n + 1, sums.terms[n], sums.partial_sums[n]] for n in range(cfg["N"])]
     return "aaronson", ["n", "term", "s_n"], rows
 
 
-AARONSON_SPEC = {**_COMMON,
-                 "measure": (_str, "boole", "singular measure token/JSON/@file"),
-                 "K": (_positive(int), 1000, "lattice truncation for ex310b"),
-                 "N": (_positive(int), 10_000, "number of terms"),
-                 "z-re": (_number(float), 0.0, "Re z"),
-                 "z-im": (_positive(float), 1.0, "Im z")}
-
-
+@_subcommand("conservativity", {
+    "measure": (_measure(), "boole", "measure token/JSON/@file"),
+    "N": (_positive(int), 100_000, "horizon")})
 def cmd_conservativity(cfg, out):
-    if cfg["measure"] == "ex310b":     # normed by the lab's closed form sqrt(n log n)
-        lab = eg.lattice_tail_lab(cfg["K"], N=cfg["N"])
-        rep = eg.conservativity_criterion(lab.sigma, cfg["N"], B=lab.B)
+    src = parse_measure(cfg["measure"])
+    if isinstance(src, tf.NevanlinnaMap):   # ex310b: normed by the closed form sqrt(n log n)
+        rep = eg.conservativity_criterion(src.rep.sigma, cfg["N"],
+                                          B=eg._lattice_tail_norming(cfg["N"]))
     else:
-        rep = eg.conservativity_criterion(parse_measure(cfg["measure"]), cfg["N"])
+        rep = eg.conservativity_criterion(src, cfg["N"])
     rows = [[int(n), float(s)] for n, s in zip(rep.ns, rep.partial_sums)]
     out["fits"] = rep.fits
     out["verdict"] = rep.verdict
     return f"conservativity (verdict: {rep.verdict})", ["N", "sum_inv_B_squared"], rows
-
-
-CONSERV_SPEC = {**_COMMON,
-                "measure": (_str, "boole", "measure token/JSON/@file"),
-                "K": (_positive(int), 1000, "lattice truncation for ex310b"),
-                "N": (_positive(int), 100_000, "horizon")}
 
 
 def _parse_kernel(tok: str):
@@ -424,36 +414,35 @@ def _parse_kernel(tok: str):
 
 
 def _kernel(v):
-    _parse_kernel(str(v))
+    try:
+        eg._normalize_kernel(_parse_kernel(str(v)))
+    except ValueError as exc:    # a ConfigError included
+        raise ConfigError(str(exc)) from None
     return str(v)
 
 
+@_subcommand("hopf", {
+    "measure": (_map_source, "boole", "atomic measure token/JSON/@file"),
+    "N": (_positive(int), 1_000_000, "orbit length"),
+    "starts": (_positive(int), 4, "number of random starts"),
+    "seed": (_nonneg(int), 0, "seed of the random starts"),
+    "start-lo": (_finite, -2.0, "start sampling window low"),
+    "start-hi": (_finite, 2.0, "start sampling window high"),
+    "f": (_kernel, "cauchy", "numerator kernel (cauchy|gauss|indicator:a:b)"),
+    "g": (_kernel, "gauss", "denominator kernel")})
 def cmd_hopf(cfg, out):
     T = _map_from_cfg(cfg)
     x0 = _random_starts(cfg)
-    f = _parse_kernel(cfg["f"])
-    g = _parse_kernel(cfg["g"])
-    res = eg.hopf_ratio(T, f, g, x0, cfg["N"])
-    rows = []
-    for ci, n in enumerate(res.checkpoints):
-        for si in range(len(x0)):
-            rows.append([int(n), si, res.ratios[ci, si]])
+    res = eg.hopf_ratio(T, _parse_kernel(cfg["f"]), _parse_kernel(cfg["g"]), x0, cfg["N"])
+    rows = [[int(n), si, res.ratios[ci, si]]
+            for ci, n in enumerate(res.checkpoints) for si in range(len(x0))]
     out["target"] = res.target
     return f"hopf (target={_fmt(res.target)})", ["n", "start_index", "ratio"], rows
 
 
-HOPF_SPEC = {**_COMMON,
-             "measure": (_str, "boole", "atomic measure token/JSON/@file"),
-             "K": (_positive(int), 50, "lattice truncation for ex310b"),
-             "N": (_positive(int), 1_000_000, "orbit length"),
-             "starts": (_positive(int), 4, "number of random starts"),
-             "seed": (_nonneg(int), 0, "seed of the random starts"),
-             "start-lo": (_finite, -2.0, "start sampling window low"),
-             "start-hi": (_finite, 2.0, "start sampling window high"),
-             "f": (_kernel, "cauchy", "numerator kernel (cauchy|gauss|indicator:a:b)"),
-             "g": (_kernel, "gauss", "denominator kernel")}
-
-
+@_subcommand("example-3-5", {
+    "n": (_positive(int), 1000, "iteration count"),
+    "y-list": (_float_list, [10.2, 10.5, 10.8], "y values in (10, 11)")})
 def cmd_example_3_5(cfg, out):
     # closed-form check: the centered two-point law scaled by sqrt(n)/2 has
     # one-step map z - 1/(nz); the squared iterate telescopes to z - 2 + O(1/n)
@@ -472,11 +461,9 @@ def cmd_example_3_5(cfg, out):
                            "one_step_closed_form_dev"], rows
 
 
-EX35_SPEC = {**_COMMON,
-             "n": (_positive(int), 1000, "iteration count"),
-             "y-list": (_float_list, [10.2, 10.5, 10.8], "y values in (10, 11)")}
-
-
+@_subcommand("example-3-10b", {
+    "K": (_positive(int), 1000, "lattice truncation"),
+    "N": (_positive(int), 1000, "norming horizon")})
 def cmd_example_3_10b(cfg, out):
     lab = eg.lattice_tail_lab(cfg["K"], N=cfg["N"])
     rows = [["mass_defect", lab.mass_defect],
@@ -489,30 +476,6 @@ def cmd_example_3_10b(cfg, out):
             rows.append([f"B({n})", lab.B.at(n)])
     out["map_json_poles"] = int(lab.T.n_poles)
     return "example-3-10b", ["quantity", "value"], rows
-
-
-EX310B_SPEC = {**_COMMON,
-               "K": (_positive(int), 1000, "lattice truncation"),
-               "N": (_positive(int), 1000, "norming horizon")}
-
-
-_SUBCOMMANDS = {
-    "moments": (MOMENTS_SPEC, cmd_moments),
-    "norming": (NORMING_SPEC, cmd_norming),
-    "clt-report": (CLT_SPEC, cmd_clt_report),
-    "conjugacy": (CONJ_SPEC, cmd_conjugacy),
-    "invert": (INVERT_SPEC, cmd_invert),
-    "free-conv": (FREE_SPEC, cmd_free_conv),
-    "nevanlinna": (NEV_SPEC, cmd_nevanlinna),
-    "boundary-map": (BMAP_SPEC, cmd_boundary_map),
-    "orbit": (ORBIT_SPEC, cmd_orbit),
-    "preserve-check": (PRESERVE_SPEC, cmd_preserve_check),
-    "aaronson": (AARONSON_SPEC, cmd_aaronson),
-    "conservativity": (CONSERV_SPEC, cmd_conservativity),
-    "hopf": (HOPF_SPEC, cmd_hopf),
-    "example-3-5": (EX35_SPEC, cmd_example_3_5),
-    "example-3-10b": (EX310B_SPEC, cmd_example_3_10b),
-}
 
 
 def _is_number(token: str) -> bool:

@@ -726,9 +726,12 @@ def lattice_tail_lab(K: int, N: int | None = None) -> LatticeTailLab:
     and the closed-form constants ``B_n = sqrt(n log n)``."""
     sigma, defect = lattice_tail_sigma(K)
     rep = tf.NevanlinnaRep(a=0.0, sigma=sigma)
-    B = None
-    if N is not None:
-        ns = np.arange(1, N + 1)
-        vals = np.sqrt(ns * np.log(np.maximum(ns, 2)))
-        B = cl.NormingSequence(ns, vals, "closed-form sqrt(n log n)")
+    B = None if N is None else _lattice_tail_norming(N)
     return LatticeTailLab(sigma, tf.NevanlinnaMap(rep), boundary_map(rep), B, defect)
+
+
+def _lattice_tail_norming(N: int) -> cl.NormingSequence:
+    """The lattice-tail law's ``B_n = sqrt(n log n)``, n = 1..N, for every K."""
+    ns = np.arange(1, N + 1)
+    return cl.NormingSequence(ns, np.sqrt(ns * np.log(np.maximum(ns, 2))),
+                              "closed-form sqrt(n log n)")

@@ -727,21 +727,50 @@ def measure_to_json(m: Measure) -> str:
     return json.dumps(doc)
 
 
+def _is_json_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# what a measure JSON field must be -> the test for it
+_JSON_KINDS = {
+    "a number": _is_json_number,
+    "a bool": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "a list of numbers": lambda v: isinstance(v, list) and all(map(_is_json_number, v)),
+    "a list of [x, w] pairs": lambda v: isinstance(v, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(map(_is_json_number, p)) for p in v),
+}
+
+
 def measure_from_json(text: str | dict) -> Measure:
     """Inverse of :func:`measure_to_json`; ``{"type": "ref", "law": "point", "c": c}``
-    reads as :func:`point_mass`."""
+    reads as :func:`point_mass`.  Every number must be a JSON number (not a
+    string or a bool), ``finite`` a bool, ``atoms`` a list of ``[x, w]`` pairs
+    and ``values`` a list of numbers; a missing or mistyped field raises
+    ``ValueError`` naming it."""
     doc = json.loads(text) if isinstance(text, str) else text
     kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
+
+    def field(key, want, default=None):
+        v = doc.get(key, default)
+        if v is None or not _JSON_KINDS[want](v):
+            raise ValueError(f"measure JSON field {key!r} must be {want}, got {v!r}")
+        return v
+
     if kind == "atomic":
-        return atomic(doc["atoms"], is_probability=not doc.get("finite", False),
-                      pruned_mass=doc.get("pruned_mass", 0.0))
+        return atomic(field("atoms", "a list of [x, w] pairs"),
+                      is_probability=not field("finite", "a bool", False),
+                      pruned_mass=field("pruned_mass", "a number", 0.0))
     if kind == "grid":
-        return GridDensity(doc["x0"], doc["h"], np.asarray(doc["values"], dtype=float))
+        return GridDensity(field("x0", "a number"), field("h", "a number"),
+                           np.asarray(field("values", "a list of numbers"), dtype=float))
     if kind == "ref":
-        law = doc["law"]
+        law = field("law", "a string")
         if law == "point":
-            return point_mass(doc.get("c", 0.0))
+            return point_mass(field("c", "a number", 0.0))
+        scale = field("scale", "a number", 1.0)
         if law == "powertail":
-            return PowerTailLaw(doc["exponent"], doc.get("weight", 1.0), doc.get("scale", 1.0))
-        return ReferenceLaw(law, scale=doc.get("scale", 1.0))
+            return PowerTailLaw(field("exponent", "a number"), field("weight", "a number", 1.0),
+                                scale)
+        return ReferenceLaw(law, scale=scale)
     raise ValueError(f"unknown measure type {kind!r}")

@@ -89,16 +89,41 @@ def test_json_rows_equal_csv_rows(args, tmp_path):
                 assert type(value)(cell) == value
 
 
-@pytest.mark.parametrize("sub", ["free-conv", "nevanlinna"])
-def test_K_is_not_an_option_of_plain_measure_subcommands(sub, tmp_path):
-    # K only sizes the ex310b lab, which neither subcommand accepts
+def test_K_only_on_example_3_10b(tmp_path):
+    # a measure spec carries its own truncation, ex310b:K
+    assert {sub for sub, (spec, _fn) in cli._SUBCOMMANDS.items() if "K" in spec} == {
+        "example-3-10b"}
     with pytest.raises(SystemExit) as exc:
-        run_cli([sub, "--K", "5"], tmp_path)
+        run_cli(["moments", "--measure", "ex310b", "--K", "50"], tmp_path)
     assert exc.value.code == 2
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"K": 5}))
-    assert cli.run([sub, "--config", str(cfg), "--outdir", str(tmp_path / "x")]) == 2
-    assert not (tmp_path / "x").exists()
+    cfg.write_text(json.dumps({"K": 50}))
+    code, outdir = run_cli(["boundary-map", "--measure", "ex310b", "--config", str(cfg)],
+                           tmp_path)
+    assert code == 2 and not outdir.exists()
+
+
+@pytest.mark.parametrize("measure, poles", [("ex310b", 100), ("ex310b:1000", 2000)])
+def test_ex310b_token_sets_the_truncation(measure, poles, tmp_path):
+    # a bare ex310b is ex310b:50 where the boundary map is iterated, and the
+    # config records that explicit form
+    code, outdir = run_cli(["boundary-map", "--measure", measure], tmp_path)
+    assert code == 0
+    rows = next(outdir.glob("boundary-map-*.csv")).read_text().splitlines()[2:]
+    assert sum(row.startswith("pole(") for row in rows) == poles
+    man = json.loads(next(outdir.glob("*-manifest.json")).read_text())
+    assert man["config"]["measure"] == ("ex310b:50" if measure == "ex310b" else measure)
+
+
+def test_bare_ex310b_is_its_explicit_form(tmp_path):
+    # one experiment, one config hash: the bare token records its default K
+    for args, K in ((["moments"], 1000), (["orbit", "--N", "100"], 50)):
+        names = []
+        for measure in ("ex310b", f"ex310b:{K}"):
+            code, outdir = run_cli(args + ["--measure", measure], tmp_path, measure + args[0])
+            assert code == 0
+            names.append(sorted(p.name for p in outdir.iterdir()))
+        assert names[0] == names[1]
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -311,18 +336,18 @@ class TestMapCheckFuzz:
     lattice-tail example, and the two worked examples at random sizes."""
 
     @settings(max_examples=20, derandomize=True, database=None, deadline=None)
-    @given(m=st.one_of(atomic_laws(), st.just("ex310b")), K=st.integers(1, 50),
+    @given(m=st.one_of(atomic_laws(), st.integers(10, 50).map("ex310b:{}".format)),
            samples=st.integers(1, 200), scale=st.floats(1e-3, 1e3), seed=st.integers(0, 99))
-    def test_preserve_check(self, tmp_path_factory, m, K, samples, scale, seed):
-        args = ["preserve-check", "--measure", m, "--K", str(K), "--samples", str(samples),
+    def test_preserve_check(self, tmp_path_factory, m, samples, scale, seed):
+        args = ["preserve-check", "--measure", m, "--samples", str(samples),
                 "--y-scale", repr(scale), "--seed", str(seed)]
         assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
 
     @settings(max_examples=20, derandomize=True, database=None, deadline=None)
-    @given(m=st.one_of(atomic_laws(), st.just("ex310b")), K=st.integers(1, 200),
+    @given(m=st.one_of(atomic_laws(), st.integers(10, 200).map("ex310b:{}".format)),
            N=st.integers(1, 5000))
-    def test_conservativity(self, tmp_path_factory, m, K, N):
-        args = ["conservativity", "--measure", m, "--K", str(K), "--N", str(N)]
+    def test_conservativity(self, tmp_path_factory, m, N):
+        args = ["conservativity", "--measure", m, "--N", str(N)]
         assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
 
     @settings(max_examples=20, derandomize=True, database=None, deadline=None)
@@ -351,11 +376,11 @@ class TestHalfPlaneOrbitFuzz:
         assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
 
     @settings(max_examples=20, derandomize=True, database=None, deadline=None)
-    @given(m=st.one_of(atomic_laws(), st.just("ex310b")), n=st.integers(1, 300),
+    @given(m=st.one_of(atomic_laws(), st.just("ex310b:50")), n=st.integers(1, 300),
            ys=st.lists(st.floats(10.0, 1e3, exclude_min=True), min_size=1, max_size=3),
            B=st.one_of(st.just(0.0), st.floats(1e-3, 1e3)))
     def test_conjugacy(self, tmp_path_factory, m, n, ys, B):
-        args = ["conjugacy", "--measure", m, "--K", "50", "--n", str(n),
+        args = ["conjugacy", "--measure", m, "--n", str(n),
                 "--y-list", ",".join(map(repr, ys)), "--B", repr(B)]
         assert_exit_code_and_finite(args, tmp_path_factory.mktemp("fuzz"))
 
@@ -546,8 +571,9 @@ def test_non_finite_map_step_start_exits_2(args, tmp_path, capsys):
     assert code == 2
     assert not outdir.exists()
     err = capsys.readouterr().err
-    # Im z must be a finite positive config value; the rest reach the library
-    want = "config error [aaronson]" if "--z-im" in args else "DomainError"
+    # z and each y must be finite config values; a finite y whose square
+    # overflows reaches the library
+    want = "DomainError" if "1e200" in args[-1] else f"config error [{args[0]}]"
     assert want in err and "Traceback" not in err
 
 
@@ -579,12 +605,12 @@ def test_non_finite_float_field_exits_2(sub, field, value, tmp_path, capsys):
 @pytest.mark.parametrize("method", ["variance", "h-cutoff"])
 def test_ex310b_norming_is_the_sigma_criterion(method, tmp_path, capsys):
     # the law is given by its transform: it has no variance or H to norm by
-    code, outdir = run_cli(["norming", "--measure", "ex310b", "--K", "50",
-                            "--method", method], tmp_path)
+    code, outdir = run_cli(["norming", "--measure", "ex310b:50", "--method", method],
+                           tmp_path)
     assert code == 2
     assert not outdir.exists()
     assert "ValueError" in capsys.readouterr().err
-    code, outdir = run_cli(["norming", "--measure", "ex310b", "--K", "50"], tmp_path, "auto")
+    code, outdir = run_cli(["norming", "--measure", "ex310b:50"], tmp_path, "auto")
     assert code == 0
     assert "(sigma-criterion)" in capsys.readouterr().out
 
@@ -597,6 +623,16 @@ def test_unbounded_hopf_window_exits_2(kernel, tmp_path, capsys):
         assert not outdir.exists()
         err = capsys.readouterr().err
         assert "bounded and nondegenerate" in err and "Traceback" not in err
+
+
+# a field that is not a JSON number, a bool or a list of [x, w] pairs
+MISTYPED_MEASURES = [
+    '{"type": "atomic", "atoms": 5}',
+    '{"type": "ref", "law": "normal", "scale": "2"}',
+    '{"type": "ref", "law": "powertail", "exponent": "3"}',
+    '{"type": "grid", "x0": "a", "h": 1, "values": [1, 2]}',
+    '{"type": "atomic", "atoms": [[0, 1]], "finite": "yes"}',
+]
 
 
 @pytest.mark.parametrize("args, config", [
@@ -620,6 +656,26 @@ def test_unbounded_hopf_window_exits_2(kernel, tmp_path, capsys):
     (["norming", "--method", "bogus"], None),
     (["hopf", "--f", "foo"], None),
     (["hopf", "--g", "cauchy:0:1"], None),
+    # a non-finite window, point or kernel bound passed config
+    (["orbit", "--window-lo", "nan"], None),
+    (["aaronson", "--z-re", "inf"], None),
+    (["conjugacy", "--y-list", "10.5,nan"], None),
+    (["hopf", "--f", "indicator:0:inf"], None),
+    # a measure spec was parsed only when the subcommand ran: a mistyped JSON
+    # field ended in a TypeError, and "finite": "yes" read as finite
+    *((["moments", "--measure", m], None) for m in MISTYPED_MEASURES),
+    # a bad token or K, an unreadable file, JSON that is not a measure
+    *(([sub, "--measure", m], None)
+      for m in ("ex310b:5", "ex310b:abc", "ex310b:", "ex310b:050", "@/nonexistent", "[]")
+      for sub in ("moments", "conservativity", "hopf")),
+    (["free-conv", "--with", "ex310b:5"], None),
+    # the wrong kind of law for the subcommand
+    (["free-conv", "--with", "ex310b"], None),
+    (["free-conv", "--measure", "ex310b:20"], None),
+    (["nevanlinna", "--measure", "arcsine"], None),
+    (["nevanlinna", "--measure", "ex310b"], None),
+    *(([sub, "--measure", "powertail3"], None)
+      for sub in ("boundary-map", "orbit", "preserve-check", "hopf")),
 ])
 def test_malformed_config_value_exits_2(args, config, tmp_path, capsys):
     if config is not None:
@@ -699,10 +755,13 @@ def test_seed_only_where_numbers_are_drawn(tmp_path):
 def _schema_cases():
     """Every field but ``outdir`` of every subcommand, at each hostile
     ``--config`` value; an int field (by its default) also at 2.5, and a
-    numeric field also at its argv forms."""
+    numeric field also at its argv forms.  ``K`` is a field of
+    ``example-3-10b`` only: every other subcommand refuses it at the same
+    values, as an unknown field or option."""
     hostile = ["Infinity", "-Infinity", "NaN", '"abc"', "[]", "{}", "null"]
     for sub, (spec, _fn) in cli._SUBCOMMANDS.items():
-        for field, (_check, default, _help) in spec.items():
+        defaults = {"K": 1000} | {field: default for field, (_c, default, _h) in spec.items()}
+        for field, default in defaults.items():
             if field == "outdir":
                 continue
             listed = isinstance(default, list)
@@ -721,7 +780,10 @@ def test_schema_rejects_malformed_values(sub, field, how, value, tmp_path, capsy
         args = [sub, "--config", str(tmp_path / "cfg.json")]
     else:
         args = [sub, f"--{field}", value]
-    code, outdir = run_cli(args, tmp_path)
+    try:
+        code, outdir = run_cli(args, tmp_path)
+    except SystemExit as exc:     # argparse refuses an option the subcommand lacks
+        code, outdir = exc.code, tmp_path / "arts"
     assert code == 2
     assert not outdir.exists()
     assert "Traceback" not in capsys.readouterr().err

@@ -652,3 +652,23 @@ class TestMeasureJsonProperties:
         G = mc.cauchy_eval(m, 1j)
         assert np.isfinite(G)
         assert abs(G) <= ms.total_mass(m) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"type": "atomic", "atoms": 5}', "atoms"),
+    ('{"type": "ref", "law": "normal", "scale": "2"}', "scale"),
+    ('{"type": "ref", "law": "powertail", "exponent": "3"}', "exponent"),
+    ('{"type": "grid", "x0": "a", "h": 1, "values": [1, 2]}', "x0"),
+    ('{"type": "atomic", "atoms": [[0, 1]], "finite": "yes"}', "finite"),
+    ('{"type": "atomic", "atoms": [[0, true]]}', "atoms"),
+    ('{"type": "atomic", "atoms": [[0, 0.5, 0.5]]}', "atoms"),
+    ('{"type": "grid", "x0": 0, "h": 1}', "values"),
+    ('{"type": "grid", "x0": 0, "h": 1, "values": ["1", 2]}', "values"),
+    ('{"type": "ref", "law": "point", "c": false}', "c"),
+    ('{"type": "ref", "law": ["normal"]}', "law"),
+])
+def test_mistyped_json_field_is_named(text, field):
+    # a string, a bool or a missing field raised TypeError or KeyError, or
+    # read "yes" as a finite measure
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        mc.measure_from_json(text)

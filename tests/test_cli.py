@@ -89,6 +89,18 @@ def test_json_rows_equal_csv_rows(args, tmp_path):
                 assert type(value)(cell) == value
 
 
+@pytest.mark.parametrize("sub", ["free-conv", "nevanlinna"])
+def test_K_is_not_an_option_of_plain_measure_subcommands(sub, tmp_path):
+    # K only sizes the ex310b lab, which neither subcommand accepts
+    with pytest.raises(SystemExit) as exc:
+        run_cli([sub, "--K", "5"], tmp_path)
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"K": 5}))
+    assert cli.run([sub, "--config", str(cfg), "--outdir", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x").exists()
+
+
 def test_K_only_on_example_3_10b(tmp_path):
     # a measure spec carries its own truncation, ex310b:K
     assert {sub for sub, (spec, _fn) in cli._SUBCOMMANDS.items() if "K" in spec} == {

@@ -58,7 +58,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def parse_measure(token: str):
     """Resolve a measure spec: a named token, ``ex310b:K``, inline JSON, or
     ``@file``.  ``ex310b:K`` is the lattice-tail law truncated at an integer
-    ``K >= 10``, given by its map, a `tf.NevanlinnaMap`."""
+    K in ``10..eg.LATTICE_MAX_K`` (10**6), given by its map, a `tf.NevanlinnaMap`."""
     named = {
         "boole": lambda: ms.atomic([(-1.0, 0.5), (1.0, 0.5)]),
         "bern01": lambda: ms.atomic([(0.0, 0.5), (1.0, 0.5)]),
@@ -73,7 +73,7 @@ def parse_measure(token: str):
         K = re.fullmatch(r"ex310b:([1-9][0-9]+)", token)   # an integer K >= 10
         if K is None:
             raise ValueError(f"expected ex310b:K with an integer K >= 10, got {token!r}")
-        return eg.lattice_tail_lab(int(K[1])).map
+        return eg.lattice_tail_lab(int(K[1])).map       # which refuses K above the cap
     if token.startswith("@"):
         return ms.measure_from_json(Path(token[1:]).read_text())
     return ms.measure_from_json(token)
@@ -462,7 +462,8 @@ def cmd_example_3_5(cfg, out):
 
 
 @_subcommand("example-3-10b", {
-    "K": (_positive(int), 1000, "lattice truncation"),
+    "K": (_number(int, lambda v: 10 <= v <= eg.LATTICE_MAX_K,
+                  f"an integer in 10..{eg.LATTICE_MAX_K}"), 1000, "lattice truncation"),
     "N": (_positive(int), 1000, "norming horizon")})
 def cmd_example_3_10b(cfg, out):
     lab = eg.lattice_tail_lab(cfg["K"], N=cfg["N"])

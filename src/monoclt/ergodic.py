@@ -32,11 +32,17 @@ and the pole test ``|x - t| < tol (1 + |x|)`` runs only where some
 does (``|x|`` is then within ``tol (1 + |x|)`` of ``|t|``, so
 ``1 + |x| < (1 + |t|)(1 + 1e-12)``), with a factor 2 to spare for
 rounding, and it scales with ``|t|``: near a pole at 1e12 the test
-accepts points 0.1 away.  The batched stepper finds each
-start's nearest pole by bisection in the sorted poles and sums the poles
-with the pole-sum kernel of :mod:`monoclt.transforms`, in one workspace
-kept for the whole orbit.  Orbit starts must be finite and horizons lie
-in 1..1e8 steps; a Hopf ratio also needs every start off the poles.
+accepts points 0.1 away.  The batched stepper sums the poles at all live
+starts first, with the pole-sum kernel of :mod:`monoclt.transforms` in one
+workspace kept for the whole orbit, and runs the pole test only where
+that sum is large: the test accepts only points within
+``r* = tol (1 + max|t|) / (1 - tol)`` of a pole, where the pole's own term
+exceeds ``w_min / r*``; where the poles lie far enough apart that the
+other terms sum to at most a quarter of that, ``|s| < w_min / (2 r*)``
+rules a pole out (:func:`_pole_sum_floor`).  On a map whose poles are
+too close for that floor every start takes the test.  The survivors step
+with the same sum.  Orbit starts must be finite and horizons lie in
+1..1e8 steps; a Hopf ratio also needs every start off the poles.
 
 Preimages come from the float64-lattice bisection of :mod:`monoclt.transforms`
 (which also finds the norming cutoffs): each (y, branch) pair is a row that
@@ -145,11 +151,13 @@ def boole_map() -> RationalBooleMap:
 
 
 def _pole_distance(T: RationalBooleMap, x) -> np.ndarray:
-    """Distance from each point to its nearest pole.
+    """Distance from each point to its nearest pole, for :func:`_on_pole`.
 
     A bisection in the sorted poles finds the two neighbours of each point;
     the nearer one gives exactly the minimum over all poles, since rounding
-    ``|x - t|`` is monotone in ``t`` on either side of ``x``.
+    ``|x - t|`` is monotone in ``t`` on either side of ``x``.  The batched
+    orbit stepper asks only for the starts whose pole sum is large; `eval_dT`
+    (and through it the preimage solver) for all its points.
     """
     t = T.pole_positions
     if T.n_poles == 0:
@@ -399,9 +407,12 @@ def _kernel_values(kind: str, x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 
 #: the scalar stepper serves at most this many start-poles, ``starts * (poles + 1)``;
-#: the batched stepper wins above (measured crossovers, 4000- and 20 000-step
-#: orbits: about 256 starts at 1 pole, 128 at 3 poles, 64 at 7 poles)
-_SCALAR_MAX_WORK = 512
+#: the batched stepper wins above.  Scalar over batched time of two-kernel
+#: Birkhoff sums (2-vCPU VM, numpy 2.4, best of 3) at 4000 / 20 000 steps:
+#: 0.94 / 0.87 at 192 start-poles and 1.06 / 1.13 at 256 for 1 pole,
+#: 1.00 / 0.78 and 0.98 / 1.00 for 3 poles, 0.84 / 0.73 and 1.05 / 1.38 for
+#: 7 poles; 1.35-1.59 at 384 for all three
+_SCALAR_MAX_WORK = 256
 #: and at most this many poles: from 8 terms numpy sums pairwise, not left to right
 _SCALAR_MAX_POLES = 7
 #: orbit points per chunk handed from the scalar stepper to the accumulator
@@ -497,33 +508,89 @@ def _scalar_orbit(T: RationalBooleMap, x: float, N: int):
             return
 
 
+def _pole_sum_floor(T: RationalBooleMap) -> float:
+    """A floor ``S`` on the computed pole sum ``|s(x)|`` at every point the
+    pole test accepts, or 0 where the map's poles are too close for one.
+
+    Let ``r* = tol (1 + max|t|) / (1 - tol)``, ``g`` the smallest gap
+    between poles, ``w_min`` the smallest weight and ``W`` the sum of the
+    weights.  A point the test accepts, ``|x - t_j| < tol (1 + |x|)``, has
+    ``(1 + |x|)(1 - tol) < 1 + |t_j|``, so ``|x - t_j| < r*``.  Its term of
+    ``t_j`` then exceeds ``w_min / r*``, and every other pole lies farther
+    than ``g - r*`` from it, so the other terms sum to at most
+    ``W / (g - r*)``.  Where ``W / (g - r*) <= w_min / (4 r*)``, ``|s|``
+    exceeds ``3 w_min / (4 r*)``, and ``S = w_min / (2 r*)`` leaves a factor
+    1.5 for the rounding of the test, the terms and their sum (a few ulps
+    times the pole count).  A term that overflows makes ``s`` infinite or
+    NaN, and neither is below ``S``.
+    """
+    t, w = T.pole_positions, T.pole_weights
+    r = POLE_TOL * (1.0 + float(np.max(np.abs(t)))) / (1.0 - POLE_TOL)
+    g = float(np.min(np.diff(t))) if T.n_poles > 1 else math.inf
+    w_min = float(np.min(w))
+    if g > r and float(np.sum(w)) / (g - r) <= w_min / (4.0 * r):
+        return w_min / (2.0 * r)
+    return 0.0
+
+
 def _batched_orbit(T: RationalBooleMap, x0: np.ndarray, N: int):
     """Orbit points of all starts as blocks ``(points, live)`` of shape
     ``(steps, starts)``, one set of numpy calls per step for all starts.
 
     A start is live until the step on which it lies on a pole; it is not
     moved after that.  The blocks are reused buffers of about `_BLOCK`
-    points and stop early once every start is dead.
+    points and stop early once every start is dead.  Each step first sums
+    the poles at the live starts, with one `tf._PoleSum` kept for the whole
+    orbit.  The pole test runs only on the starts whose ``|s|`` is not below
+    the map's floor (:func:`_pole_sum_floor`; all of them where the floor is
+    0), and the survivors step with that same ``s`` as ``(x + c) + s``,
+    which is `tf._pole_map`'s step bit for bit.  The live starts are
+    gathered into their own array only once some start has died.
     """
     x = x0.copy()
     alive = np.ones(len(x0), dtype=bool)
     rows = min(N, max(1, _BLOCK // max(1, len(x0))))
     pts = np.empty((rows, len(x0)))
     live = np.empty((rows, len(x0)), dtype=bool)
-    step = tf._pole_map(T.c, T.pole_positions, T.pole_weights, float)
+    k, c = T.n_poles, T.c
+    if k:
+        psum = tf._PoleSum(T.pole_positions, T.pole_weights, float)
+        floor = _pole_sum_floor(T)
+    xs, ids = x, None           # the live starts; their indices once one has died
     r = 0
     for _ in range(N):
-        if T.n_poles:
-            alive &= ~_on_pole(T, x)
-            if not alive.any():
-                break
+        if ids is not None:
+            x[ids] = xs
+        if k:
+            # a start on a pole divides by zero or overflows; it dies below
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                s = psum(xs)
+            a = np.abs(s)
+            if not a.max() < floor:             # a NaN sum takes the test too
+                near = np.flatnonzero(~(a < floor))
+                hit = near[_on_pole(T, xs[near])]
+                if len(hit):
+                    if ids is None:
+                        ids = np.arange(len(x0))
+                    alive[ids[hit]] = False
+                    keep = np.ones(len(xs), dtype=bool)
+                    keep[hit] = False
+                    ids, xs, s = ids[keep], xs[keep], s[keep]
+                    if not len(ids):
+                        break
         pts[r] = x
         live[r] = alive
         r += 1
         if r == rows:
             yield pts, live
             r = 0
-        x[alive] = step(x[alive])
+        if k:
+            s += xs + c
+            xs = s
+        else:
+            xs = xs + c
+        if ids is None:
+            x = xs
     if r:
         yield pts[:r], live[:r]
 
@@ -700,15 +767,20 @@ class LatticeTailLab:
     mass_defect: float
 
 
+#: largest lattice truncation: 2K poles, so each float array of the map
+#: holds at most 16 MB (a larger K could ask numpy for terabytes)
+LATTICE_MAX_K = 10**6
+
+
 def lattice_tail_sigma(K: int) -> tuple[ms.AtomicMeasure, float]:
     """Bin the unit-cutoff ``|t|**-3`` density onto the integers ``|k| <= K``.
 
     Each cell ``[k, k+1)`` splits its mass half to each endpoint, so the
     discretized measure has mean 0 exactly.  Returns the measure and the
-    truncated mass defect.
+    truncated mass defect.  K must lie in ``10..LATTICE_MAX_K`` (10**6).
     """
-    if K < 10:
-        raise ValueError("truncation K must be at least 10")
+    if not 10 <= K <= LATTICE_MAX_K:
+        raise ValueError(f"truncation K must lie in 10..{LATTICE_MAX_K}, got {K}")
     k = np.arange(1, K + 1, dtype=float)
     # cell masses nu([k, k+1)) of the tail law: (k^-2 - (k+1)^-2)/2
     cells = 0.5 * (k**-2.0 - (k + 1.0) ** -2.0)

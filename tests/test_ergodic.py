@@ -582,6 +582,12 @@ class TestLatticeTailLab:
         ratio = mc.harmonic_variance(lab.sigma, x) / (2.0 * math.log(x))
         assert abs(ratio - 1.0) < 0.1
 
+    @pytest.mark.parametrize("K", [9, eg.LATTICE_MAX_K + 1, 10**12])
+    def test_truncation_range(self, K):
+        # 10**12 would ask numpy for terabytes before the cap
+        with pytest.raises(ValueError, match=r"10\.\.1000000"):
+            eg.lattice_tail_sigma(K)
+
     def test_norming_closed_form(self):
         lab = eg.lattice_tail_lab(10, N=100)
         assert abs(lab.B.at(100) - math.sqrt(100.0 * math.log(100.0))) < 1e-12
@@ -752,6 +758,10 @@ class TestScalarOrbitLoop:
         assert not eg._use_scalar(T, np.zeros(eg._SCALAR_MAX_WORK // 2 + 1))
         lab = eg.lattice_tail_lab(10)
         assert not eg._use_scalar(lab.T, np.zeros(1))
+        # 8 starts, as in the hopf_cli benchmark, step one at a time on 1-7 poles
+        rng = np.random.default_rng(52)
+        for k in range(1, eg._SCALAR_MAX_POLES + 1):
+            assert eg._use_scalar(random_map(rng, k), np.zeros(8))
 
 
 class TestOrbitInputs:
@@ -824,26 +834,151 @@ class TestPoleKernels:
         assert np.array_equal(d, self.plain_distance(T.pole_positions, xs))
         assert np.all(d[:-1] == 0.5) and d[-1] == 1.0
 
-    @pytest.mark.parametrize("rows", [1, 13, None])
-    def test_batched_orbit_points(self, rows, monkeypatch):
-        T = eg.lattice_tail_lab(50).T
+    #: poles 5e-9 apart with weights 1e300: the floor's condition holds (by
+    #: a factor 6000) but the floor overflows to inf, and between the poles
+    #: both terms overflow with opposite signs, so the pole sum at 2.5e-9,
+    #: and at 1e-14 on the pole at 0, is NaN
+    HUGE = eg.RationalBooleMap(0.0, [0.0, 5e-9], [1e300, 1e300])
+
+    @staticmethod
+    def far_map(T):
+        """`T` with its last pole moved to 1e12 and one more pole 0.25 above
+        it: there ``tol (1 + |t|)`` is about 0.1, so the gap of 0.25 fails
+        the pole-sum floor's condition."""
+        t, w = T.pole_positions, T.pole_weights
+        return eg.RationalBooleMap(T.c, [*t[:-1], 1e12, 1e12 + 0.25], [*w, w[0]])
+
+    @staticmethod
+    def near_pole_starts(T, rng, chain=True):
+        """Free starts; per pole ``t ± 1.5 tol (1 + |t|)``, ``t + 0.5 tol (1 + |t|)``
+        and ``t`` itself; and with `chain` a preimage chain mapped onto the
+        first pole at steps 1, 2 and 3."""
+        x0 = list(rng.uniform(-3, 3, 20))
+        for t in T.pole_positions.tolist():
+            scale = eg.POLE_TOL * (1.0 + abs(t))
+            x0 += [t + 1.5 * scale, t - 1.5 * scale, t + 0.5 * scale, t]
+        if chain:
+            ys = [float(T.pole_positions[0])]
+            for branch in (0, 1, 0):
+                ys.append(float(eg.preimages(T, ys[-1])[branch]))
+            x0 += ys[1:]
+        return np.array(x0)
+
+    def reference_orbit(self, T, x0, N):
+        """The batched stepper as a plain loop: the pole test on every start
+        at every step, then ``(x + c) + sum w/(t - x)`` on the live ones."""
         t, w, c = T.pole_positions, T.pole_weights, T.c
-        if rows is not None:
-            monkeypatch.setattr(tf, "_CHUNK", rows * T.n_poles)
-        rng = np.random.default_rng(21)
-        x0 = np.concatenate([rng.uniform(-2, 2, 60), [t[3], eg.preimages(T, t[7])[50]]])
-        N = 40
         x, alive = x0.copy(), np.ones(len(x0), dtype=bool)
         pts, live = [], []
         for _ in range(N):
             alive &= ~(self.plain_distance(t, x) < eg.POLE_TOL * (1.0 + np.abs(x)))
+            if not alive.any():
+                break
             pts.append(x.copy())
             live.append(alive.copy())
-            x[alive] = x[alive] + c + (w / (t - x[alive, None])).sum(axis=1)
-        got = [(p.copy(), lv.copy()) for p, lv in eg._batched_orbit(T, x0, N)]
-        assert np.array_equal(np.concatenate([p for p, _ in got]), np.array(pts))
-        assert np.array_equal(np.concatenate([lv for _, lv in got]), np.array(live))
-        assert list(np.array(live).sum(axis=0)[-2:]) == [0, 1]
+            with np.errstate(over="ignore", invalid="ignore"):     # HUGE's NaN start
+                x[alive] = x[alive] + c + (w / (t - x[alive, None])).sum(axis=1)
+        return np.array(pts), np.array(live)
+
+    @pytest.mark.parametrize("rows", [1, 13, None])
+    def test_batched_orbit_points(self, rows, monkeypatch):
+        rng = np.random.default_rng(21)
+        lattice = eg.lattice_tail_lab(50).T
+        t = lattice.pole_positions
+        cases = [(lattice, np.concatenate([rng.uniform(-2, 2, 60),
+                                           [t[3], eg.preimages(lattice, t[7])[50]]]))]
+        for k in range(1, 13):
+            T = random_map(rng, k)
+            cases.append((T, self.near_pole_starts(T, rng)))
+        # the root of T(x) = y on the far map's 0.25-wide branch is on a
+        # pole for every moderate y, so that map has no preimage chain
+        far = self.far_map(random_map(rng, 4))
+        assert eg._pole_sum_floor(far) == 0.0
+        cases.append((far, self.near_pole_starts(far, rng, chain=False)))
+        # a NaN pole sum in the same step as a start on a pole
+        assert eg._pole_sum_floor(self.HUGE) == math.inf
+        cases.append((self.HUGE, np.array([2.5e-9, 1e-14, 3.0, 5e-9 + 1e-14])))
+        N = 40
+        for T, x0 in cases:
+            want_pts, want_live = self.reference_orbit(T, x0, N)
+            if rows is not None:
+                monkeypatch.setattr(tf, "_CHUNK", rows * T.n_poles)
+            for block in (len(x0), 7 * len(x0), 65536):
+                monkeypatch.setattr(eg, "_BLOCK", block)
+                got = [(p.copy(), lv.copy()) for p, lv in eg._batched_orbit(T, x0, N)]
+                assert np.concatenate([p for p, _ in got]).tobytes() == want_pts.tobytes()
+                assert np.array_equal(np.concatenate([lv for _, lv in got]), want_live)
+            lived = want_live.sum(axis=0)
+            if T is lattice:
+                assert list(lived[-2:]) == [0, 1]
+            elif T is self.HUGE:
+                assert list(lived) == [N, 0, N, 0] and np.isnan(want_pts[1:, 0]).all()
+            elif T is not far:
+                # the chain's first preimage dies at step 1 (the later ones
+                # at steps 2 and 3 where the rounding of T does not move
+                # them off the pole)
+                assert lived[-3] == 1
+
+    @staticmethod
+    def floor_maps(rng):
+        """The Boole and lattice maps, and random maps with 1-12 poles, each
+        also with its nearest pole to 0 moved onto 0 (so a subnormal offset
+        from a pole exists)."""
+        maps = [eg.boole_map(), eg.lattice_tail_lab(50).T, TestPoleKernels.HUGE]
+        for k in range(1, 13):
+            T = random_map(rng, k)
+            t = T.pole_positions.copy()
+            maps.append(T)
+            t[np.argmin(np.abs(t))] = 0.0
+            maps.append(eg.RationalBooleMap(T.c, t, T.pole_weights))
+        return maps
+
+    def test_pole_sum_floor(self):
+        # every point the pole test accepts has a computed |s| >= S: on a
+        # pole, a subnormal or one-ulp offset from it, and a sweep of 1024
+        # ulps either way of tol (1 + |t|) on both sides of each pole
+        rng = np.random.default_rng(24)
+        for T in self.floor_maps(rng):
+            S = eg._pole_sum_floor(T)
+            assert S > 0, T
+            t = T.pole_positions
+            xs = [t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)]
+            for sign in (-1.0, 1.0):
+                base = t + sign * eg.POLE_TOL * (1.0 + np.abs(t))
+                xs.append((base.view(np.int64)[:, None] + np.arange(-1024, 1025)).view(float).ravel())
+            x = np.concatenate(xs)
+            assert 5e-324 in np.abs(x) or not (t == 0).any()
+            on = eg._on_pole(T, x)
+            # the sweeps cross the test's edge on both sides of every pole
+            assert on.sum() > 2 * len(t) and not on.all()
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                s = tf._PoleSum(t, T.pole_weights, float)(x[on])
+            assert np.all(~(np.abs(s) < S))
+        # where the poles lie closer than the bound needs, there is no floor
+        assert eg._pole_sum_floor(self.far_map(random_map(rng, 3))) == 0.0
+        for gap in (5e-13, 5e-14):          # g - r* > 0 too small, and g < r*
+            assert eg._pole_sum_floor(eg.RationalBooleMap(0.0, [0.0, gap], [1.0, 1.0])) == 0.0
+
+    def test_pole_test_runs_only_near_a_pole(self, monkeypatch):
+        # on the lattice map the seeded starts never come near a pole, so
+        # the exact test runs on no step; with no floor it runs on every step
+        calls = []
+        on_pole = eg._on_pole
+
+        def counted(T, x):
+            calls.append(len(x))
+            return on_pole(T, x)
+
+        monkeypatch.setattr(eg, "_on_pole", counted)
+        N = 100
+        x0 = np.random.default_rng(25).uniform(-2.0, 2.0, 2048)
+        rec = eg.occupation_time(eg.lattice_tail_lab(50).T, x0, N, (-1.0, 1.0))
+        assert list(rec.truncated_at) == [-1] * len(x0)
+        assert len(calls) < N // 10
+        calls.clear()
+        far = self.far_map(random_map(np.random.default_rng(26), 4))
+        eg.occupation_time(far, x0, N, (-1.0, 1.0))
+        assert calls == [len(x0)] * N
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_eval_dT(self, rows, monkeypatch):

@@ -681,11 +681,6 @@ MISTYPED_MEASURES = [
       for m in ("ex310b:5", "ex310b:abc", "ex310b:", "ex310b:050", "@/nonexistent", "[]")
       for sub in ("moments", "conservativity", "hopf")),
     (["free-conv", "--with", "ex310b:5"], None),
-    # a truncation above the cap of 10**6 ended in numpy's _ArrayMemoryError
-    *(([sub, "--measure", m], None)
-      for m in ("ex310b:1000001", "ex310b:1000000000000") for sub in ("moments", "orbit")),
-    *((["example-3-10b", "--K", K], None) for K in ("5", "1000001", "1000000000000")),
-    (["example-3-10b"], '{"K": 1000000000000}'),
     # the wrong kind of law for the subcommand
     (["free-conv", "--with", "ex310b"], None),
     (["free-conv", "--measure", "ex310b:20"], None),
@@ -693,6 +688,11 @@ MISTYPED_MEASURES = [
     (["nevanlinna", "--measure", "ex310b"], None),
     *(([sub, "--measure", "powertail3"], None)
       for sub in ("boundary-map", "orbit", "preserve-check", "hopf")),
+    # a truncation above the cap of 10**6 ended in numpy's _ArrayMemoryError
+    *(([sub, "--measure", m], None)
+      for m in ("ex310b:1000001", "ex310b:1000000000000") for sub in ("moments", "orbit")),
+    *((["example-3-10b", "--K", K], None) for K in ("5", "1000001", "1000000000000")),
+    (["example-3-10b"], '{"K": 1000000000000}'),
 ])
 def test_malformed_config_value_exits_2(args, config, tmp_path, capsys):
     if config is not None:
